@@ -14,7 +14,7 @@ from curebo.acquisition import (
     expected_improvement,
     prob_feasible,
 )
-from curebo.records import Evaluation, RunReport, best_feasible
+from curebo.records import Evaluation, RunReport, best_feasible, running_best
 from curebo.cbo import CboConfig, run_cbo
 from curebo.ga import GaConfig, Individual, constraint_dominates, run_ga
 from curebo.problems import (
@@ -54,6 +54,7 @@ __all__ = [
     "prob_feasible",
     "run_cbo",
     "run_ga",
+    "running_best",
     "sieve",
     "two_point_problem",
 ]

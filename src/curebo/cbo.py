@@ -24,6 +24,7 @@ from curebo.records import (
     Evaluation,
     RunReport,
     best_feasible,
+    build_report,
 )
 from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
 
@@ -70,8 +71,8 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
     config : CboConfig.
 
     The report is bitwise reproducible for identical inputs. A failing
-    problem evaluation aborts the run and returns the partial report with
-    complete=False.
+    problem evaluation, or a candidate pool the duplicate guard empties,
+    ends the run early and returns the partial report with complete=False.
     """
     t0 = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
@@ -79,24 +80,12 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
 
     evaluations: list[Evaluation] = []
     events: list[str] = []
-    best_trace: list[Optional[float]] = []
     acq_trace: list[float] = []
-    complete = True
 
-    def finish() -> RunReport:
-        inc = best_feasible(evaluations, config.threshold)
-        return RunReport(
-            evaluations=evaluations,
-            best_trace=best_trace,
-            x_star=inc.x_best,
-            f_star=inc.y_min,
-            g_star=None if not inc.found else _g_at(evaluations, inc),
-            n_init=config.n_init,
-            n_steps=config.n_steps,
-            threshold=config.threshold,
-            wall_time=time.perf_counter() - t0,
-            complete=complete,
-            events=events,
+    def finish(complete: bool) -> RunReport:
+        return build_report(
+            evaluations, config.threshold, trace_from=config.n_init, n_init=config.n_init,
+            n_steps=config.n_steps, started=t0, complete=complete, events=events,
             acq_trace=acq_trace,
         )
 
@@ -105,8 +94,7 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             f, g = problem(x)
         except Exception as exc:  # noqa: BLE001 - report partial run
             events.append(f"evaluation failed during init: {exc}")
-            complete = False
-            return finish()
+            return finish(complete=False)
         evaluations.append(Evaluation(x=x, f=float(f), g=float(g), step_index=0, phase=PHASE_INIT))
 
     fixed_pool = None
@@ -133,11 +121,10 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             else:
                 pool = sieved
 
-        guarded = drop_near_duplicates(pool, train_x, config.duplicate_tol)
-        if len(guarded) == 0:
-            events.append(f"step {step}: duplicate guard emptied the pool, keeping it as is")
-        else:
-            pool = guarded
+        pool = drop_near_duplicates(pool, train_x, config.duplicate_tol)
+        if len(pool) == 0:
+            events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
+            return finish(complete=False)
 
         mean_g, var_g = predict_batch(model_g, pool.points)
         pf = pf_values(mean_g, var_g, config.threshold)
@@ -154,20 +141,10 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             f, g = problem(x_next)
         except Exception as exc:  # noqa: BLE001
             events.append(f"evaluation failed at step {step}: {exc}")
-            complete = False
-            return finish()
+            return finish(complete=False)
         evaluations.append(
             Evaluation(x=x_next, f=float(f), g=float(g), step_index=step, phase=PHASE_LEARN)
         )
         acq_trace.append(float(scores[pick]))
-        inc = best_feasible(evaluations, config.threshold)
-        best_trace.append(inc.y_min)
 
-    return finish()
-
-
-def _g_at(evaluations, incumbent) -> Optional[float]:
-    for e in evaluations:
-        if e.x is incumbent.x_best:
-            return e.g
-    return None
+    return finish(complete=True)

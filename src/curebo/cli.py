@@ -8,17 +8,13 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import replace
 
 import click
 
 from curebo.gp import NumericalError
 from curebo.problems import build_cycle, problem_by_name, simulate_cure
-from curebo.problems.simulate import (
-    IntegrationError,
-    KineticParams,
-    MechanicalParams,
-    with_overrides,
-)
+from curebo.problems.simulate import IntegrationError, KineticParams, MechanicalParams
 from curebo.study import ConfigError, RunConfig, grid_oracle, run_study
 
 EXIT_VALIDATION = 2
@@ -114,8 +110,8 @@ def trace(cycle_config, out):
         order = {"two-point": ("t1", "T1"), "four-point": ("t1", "T1", "t2", "T2")}
         params = [params[k] for k in order.get(variant, ())]
     cycle = build_cycle(variant, params, start_temp=float(data.get("start_temp", 20.0)))
-    kin = with_overrides(KineticParams(), **data.get("kinetics", {}))
-    mech = with_overrides(MechanicalParams(), **data.get("mechanical", {}))
+    kin = replace(KineticParams(), **data.get("kinetics", {}))
+    mech = replace(MechanicalParams(), **data.get("mechanical", {}))
     result = simulate_cure(cycle, kin, mech, dt=float(data.get("dt", 0.1)))
     result.write_csv(out)
     gel = "never" if result.gel_index is None else f"{result.time_min[result.gel_index]:.2f} min"

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from curebo.records import PHASE_INIT, PHASE_LEARN, Evaluation, RunReport, best_feasible
+from curebo.records import PHASE_INIT, PHASE_LEARN, Evaluation, RunReport, build_report
 from curebo.space import DesignSpace, lhs_sample
 
 
@@ -120,54 +120,30 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
     p_mut = config.mutation_prob if config.mutation_prob is not None else 1.0 / d
 
     evaluations: list[Evaluation] = []
-    best_trace: list[Optional[float]] = []
     events: list[str] = []
-    running_best: Optional[float] = None
-    complete = True
 
     def record(x: np.ndarray, generation: int, phase: str) -> Optional[Individual]:
-        nonlocal running_best, complete
         try:
             f, g = problem(x)
         except Exception as exc:  # noqa: BLE001 - report partial run
             events.append(f"evaluation failed in generation {generation}: {exc}")
-            complete = False
             return None
         f, g = float(f), float(g)
         evaluations.append(Evaluation(x=x, f=f, g=g, step_index=generation, phase=phase))
-        violation = max(0.0, config.threshold - g)
-        if violation == 0.0 and (running_best is None or f < running_best):
-            running_best = f
-        best_trace.append(running_best)
-        return Individual(x=x, f=f, g=g, violation=violation)
+        return Individual(x=x, f=f, g=g, violation=max(0.0, config.threshold - g))
 
-    def finish() -> RunReport:
-        inc = best_feasible(evaluations, config.threshold)
-        g_star = None
-        if inc.found:
-            for e in evaluations:
-                if e.g >= config.threshold and e.f == inc.y_min:
-                    g_star = e.g
-                    break
-        return RunReport(
-            evaluations=evaluations,
-            best_trace=best_trace,
-            x_star=inc.x_best,
-            f_star=inc.y_min,
-            g_star=g_star,
-            n_init=config.pop_size,
-            n_steps=config.pop_size * config.generations,
-            threshold=config.threshold,
-            wall_time=time.perf_counter() - t0,
-            complete=complete,
-            events=events,
+    def finish(complete: bool) -> RunReport:
+        return build_report(
+            evaluations, config.threshold, trace_from=0, n_init=config.pop_size,
+            n_steps=config.pop_size * config.generations, started=t0, complete=complete,
+            events=events, acq_trace=[],
         )
 
     population: list[Individual] = []
     for x in lhs_sample(space, config.pop_size, init_ss).points:
         ind = record(x, 0, PHASE_INIT)
         if ind is None:
-            return finish()
+            return finish(complete=False)
         population.append(ind)
 
     for generation in range(1, config.generations + 1):
@@ -186,10 +162,10 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
         for x in offspring_genes[: config.pop_size]:
             ind = record(x, generation, PHASE_LEARN)
             if ind is None:
-                return finish()
+                return finish(complete=False)
             offspring.append(ind)
         combined = population + offspring
         combined.sort(key=_rank_key)  # stable: earlier individuals win ties
         population = combined[: config.pop_size]
 
-    return finish()
+    return finish(complete=True)

@@ -45,20 +45,17 @@ class NumericalError(RuntimeError):
 class KernelParams:
     """Matern-5/2 ARD hyperparameters.
 
-    The kernel is evaluated as a correlation, so `scale` is redundant once the
-    process variance is profiled; the fitter leaves it at 1.0.
+    The kernel is evaluated as a correlation with the process variance
+    profiled, so the length scales are its only parameters.
     """
 
     length_scales: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.length_scales, dtype=float))
         object.__setattr__(self, "length_scales", ls)
         if np.any(ls <= 0):
             raise ValueError("length scales must be positive")
-        if self.scale <= 0:
-            raise ValueError("kernel scale must be positive")
 
 
 @dataclass(frozen=True)

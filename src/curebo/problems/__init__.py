@@ -4,8 +4,6 @@ from curebo.problems.analytical import (
     DOC_COEFFS,
     DOC_THRESHOLD,
     U_COEFFS,
-    AnalyticalPidProblem,
-    eval_analytical,
 )
 from curebo.problems.blackbox import (
     LARGE_OBJECTIVE,
@@ -38,7 +36,6 @@ from curebo.problems.simulate import (
 )
 
 __all__ = [
-    "AnalyticalPidProblem",
     "CureCycle",
     "CureTrace",
     "DOC_COEFFS",
@@ -55,7 +52,6 @@ __all__ = [
     "build_cycle",
     "chile_modulus",
     "cure_rate",
-    "eval_analytical",
     "four_point_cycle",
     "four_point_problem",
     "glass_transition_c",

@@ -7,10 +7,6 @@ coefficient order is (t^2, t*T, t, T^2, T, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 U_COEFFS = (-0.1272, -0.1698, 0.2914, 0.2329, -0.0841, 1.8646)
 DOC_COEFFS = (-0.0458, 0.0801, -0.0265, -0.0376, 0.0329, 0.9902)
 DOC_THRESHOLD = 0.995
@@ -20,26 +16,3 @@ def quad_surface(coeffs, t, T):
     """Evaluate c0 t^2 + c1 tT + c2 t + c3 T^2 + c4 T + c5 (array-friendly)."""
     c0, c1, c2, c3, c4, c5 = coeffs
     return c0 * t * t + c1 * t * T + c2 * t + c3 * T * T + c4 * T + c5
-
-
-@dataclass(frozen=True)
-class AnalyticalPidProblem:
-    """Deformation/degree-of-cure pair on the normalized unit square."""
-
-    u_coeffs: tuple = U_COEFFS
-    doc_coeffs: tuple = DOC_COEFFS
-    threshold: float = DOC_THRESHOLD
-
-    def eval(self, t, T):
-        t = np.asarray(t, dtype=float)
-        T = np.asarray(T, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise ValueError("t outside the unit interval")
-        if np.any(T < 0.0) or np.any(T > 1.0):
-            raise ValueError("T outside the unit interval")
-        return quad_surface(self.u_coeffs, t, T), quad_surface(self.doc_coeffs, t, T)
-
-
-def eval_analytical(t, T):
-    """Module-level convenience wrapper around AnalyticalPidProblem.eval."""
-    return AnalyticalPidProblem().eval(t, T)

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from curebo.problems.analytical import DOC_THRESHOLD, AnalyticalPidProblem
+from curebo.problems.analytical import DOC_COEFFS, DOC_THRESHOLD, U_COEFFS, quad_surface
 from curebo.problems.cycle import (
     START_TEMP_C,
     InfeasibleCycleError,
@@ -47,11 +47,12 @@ class Problem:
 
 def analytical_problem(threshold: float = DOC_THRESHOLD) -> Problem:
     """Closed-form validation problem on the normalized unit square."""
-    surfaces = AnalyticalPidProblem()
 
     def fn(raw):
-        u, doc = surfaces.eval(raw[0], raw[1])
-        return float(u), float(doc)
+        t, T = float(raw[0]), float(raw[1])
+        if t < 0.0 or t > 1.0 or T < 0.0 or T > 1.0:
+            raise ValueError(f"(t, T) = ({t}, {T}) outside the unit square")
+        return quad_surface(U_COEFFS, t, T), quad_surface(DOC_COEFFS, t, T)
 
     return Problem(
         name="analytical",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -335,7 +335,3 @@ def simulate_cure(
         u_proxy=float(abs(sigma[-1]) / mech.modulus_cured),
     )
 
-
-def with_overrides(base, **kwargs):
-    """Copy a params dataclass with field overrides (unknown keys rejected)."""
-    return replace(base, **kwargs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,23 +53,61 @@ class RunReport:
         return len(self.evaluations)
 
 
+def running_best(evaluations, threshold: float) -> list[Optional[int]]:
+    """Index of the best feasible evaluation after each evaluation in order.
+
+    An evaluation is feasible when g >= threshold, so a NaN g never is. A
+    later evaluation takes over only with a strictly smaller f, so ties go to
+    the earliest. Entries are None until the first feasible evaluation.
+    """
+    best: list[Optional[int]] = []
+    current = None
+    for i, e in enumerate(evaluations):
+        if e.g >= threshold and (current is None or e.f < evaluations[current].f):
+            current = i
+        best.append(current)
+    return best
+
+
 def best_feasible(evaluations, threshold: float) -> Incumbent:
     """Minimum-f evaluation among those with g >= threshold; ties to earliest."""
-    best = None
-    for e in evaluations:
-        if e.g >= threshold and (best is None or e.f < best.f):
-            best = e
-    if best is None:
+    best = running_best(evaluations, threshold)
+    if not best or best[-1] is None:
         return Incumbent()
-    return Incumbent(y_min=best.f, x_best=best.x)
+    e = evaluations[best[-1]]
+    return Incumbent(y_min=e.f, x_best=e.x)
 
 
-def running_best_trace(evaluations, threshold: float) -> list[Optional[float]]:
-    """Best feasible f after each successive evaluation."""
-    trace: list[Optional[float]] = []
-    current: Optional[float] = None
-    for e in evaluations:
-        if e.g >= threshold and (current is None or e.f < current):
-            current = e.f
-        trace.append(current)
-    return trace
+def build_report(
+    evaluations: list[Evaluation],
+    threshold: float,
+    trace_from: int,
+    n_init: int,
+    n_steps: int,
+    started: float,
+    complete: bool,
+    events: list[str],
+    acq_trace: list[float],
+) -> RunReport:
+    """RunReport of a finished or aborted run.
+
+    best_trace holds the running best f from evaluation trace_from on, and
+    x_star, f_star and g_star are the last running-best evaluation's; started
+    is the run's perf_counter start.
+    """
+    best = running_best(evaluations, threshold)
+    star = evaluations[best[-1]] if best and best[-1] is not None else None
+    return RunReport(
+        evaluations=evaluations,
+        best_trace=[None if i is None else evaluations[i].f for i in best[trace_from:]],
+        x_star=None if star is None else star.x,
+        f_star=None if star is None else star.f,
+        g_star=None if star is None else star.g,
+        n_init=n_init,
+        n_steps=n_steps,
+        threshold=threshold,
+        wall_time=time.perf_counter() - started,
+        complete=complete,
+        events=events,
+        acq_trace=acq_trace,
+    )

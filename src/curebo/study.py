@@ -27,10 +27,11 @@ import numpy as np
 from curebo.blas import pin_openblas_to_one_thread
 from curebo.cbo import CboConfig, run_cbo
 from curebo.ga import GaConfig, run_ga
-from curebo.problems import eval_analytical, problem_by_name
+from curebo.problems import problem_by_name
+from curebo.problems.analytical import DOC_COEFFS, U_COEFFS, quad_surface
 from curebo.problems.blackbox import Problem
 from curebo.problems.simulate import KineticParams, MechanicalParams
-from curebo.records import PHASE_LEARN, RunReport
+from curebo.records import PHASE_LEARN, RunReport, running_best
 
 _PROBLEMS = ("analytical", "sim2pt", "sim4pt")
 _OPTIMIZERS = ("cbo", "ga", "both")
@@ -195,11 +196,9 @@ def percentile(values, p: float) -> float:
 
 def evals_to_reach(report: RunReport, target: float) -> Optional[int]:
     """1-based count of true evaluations until best feasible f <= target."""
-    best = None
-    for i, e in enumerate(report.evaluations, start=1):
-        if e.g >= report.threshold and (best is None or e.f < best):
-            best = e.f
-        if best is not None and best <= target:
+    evaluations = report.evaluations
+    for i, best in enumerate(running_best(evaluations, report.threshold), start=1):
+        if best is not None and evaluations[best].f <= target:
             return i
     return None
 
@@ -240,14 +239,17 @@ class StudySummary:
 
 
 def summarize(config: RunConfig, optimizer: str, reports: list[RunReport]) -> StudySummary:
-    """Aggregate best-feasible traces across replications."""
-    lengths = {len(r.best_trace) for r in reports}
-    if len(lengths) != 1:
-        raise ValueError("replication traces have inconsistent lengths")
-    n_steps = lengths.pop()
+    """Aggregate best-feasible traces across replications.
+
+    The step axis runs to the longest trace; a replication that stopped early
+    counts only at the steps it reached.
+    """
+    n_steps = max((len(r.best_trace) for r in reports), default=0)
     steps, counts, means, medians, p5s, p95s = [], [], [], [], [], []
     for s in range(n_steps):
-        values = [r.best_trace[s] for r in reports if r.best_trace[s] is not None]
+        values = [
+            r.best_trace[s] for r in reports if s < len(r.best_trace) and r.best_trace[s] is not None
+        ]
         steps.append(s + 1)
         counts.append(len(values))
         if values:
@@ -296,19 +298,19 @@ def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> N
     import csv
 
     header = ["eval", "phase", "step", *problem.space.names, "f", "g", "best_feasible", "acq"]
-    best = None
+    evaluations = report.evaluations
+    best = running_best(evaluations, report.threshold)
+    xs = np.array([e.x for e in evaluations]).reshape(-1, problem.space.dims)
+    raws = problem.space.denormalize(xs)
     learn_seen = 0
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i, e in enumerate(report.evaluations, start=1):
-            if e.g >= report.threshold and (best is None or e.f < best):
-                best = e.f
+        for i, (e, b, raw) in enumerate(zip(evaluations, best, raws), start=1):
             acq = None
             if e.phase == PHASE_LEARN and learn_seen < len(report.acq_trace):
                 acq = report.acq_trace[learn_seen]
                 learn_seen += 1
-            raw = problem.space.denormalize(e.x)
             writer.writerow(
                 [
                     i,
@@ -317,7 +319,7 @@ def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> N
                     *(_fmt(v) for v in raw),
                     _fmt(e.f),
                     _fmt(e.g),
-                    _fmt(best),
+                    _fmt(None if b is None else evaluations[b].f),
                     _fmt(acq),
                 ]
             )
@@ -416,41 +418,21 @@ def grid_oracle(problem: Problem, grid: int) -> OracleResult:
     if grid < 2:
         raise ValueError("grid needs at least 2 points per dimension")
     t0 = time.perf_counter()
-    d = problem.space.dims
     axis = np.linspace(0.0, 1.0, grid)
+    cols = [m.ravel() for m in np.meshgrid(*([axis] * problem.space.dims), indexing="ij")]
     if problem.name == "analytical":
-        tt, TT = np.meshgrid(axis, axis, indexing="ij")
-        u, doc = eval_analytical(tt, TT)
-        feasible = doc >= problem.threshold
-        n_feasible = int(feasible.sum())
-        if n_feasible == 0:
-            return OracleResult(None, None, None, 0, grid, time.perf_counter() - t0)
-        masked = np.where(feasible, u, np.inf)
-        flat = int(np.argmin(masked))
-        i, j = np.unravel_index(flat, masked.shape)
-        x_norm = np.array([axis[i], axis[j]])
-        return OracleResult(
-            f_min=float(u[i, j]),
-            x_raw=problem.space.denormalize(x_norm),
-            g_at_min=float(doc[i, j]),
-            n_feasible=n_feasible,
-            grid=grid,
-            runtime=time.perf_counter() - t0,
-        )
-
-    best_f, best_x, best_g, n_feasible = None, None, None, 0
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    for x in points:
-        f, g = problem(x)
-        if g >= problem.threshold:
-            n_feasible += 1
-            if best_f is None or f < best_f:
-                best_f, best_x, best_g = f, x, g
+        f, g = quad_surface(U_COEFFS, *cols), quad_surface(DOC_COEFFS, *cols)
+    else:
+        f, g = np.array([problem(x) for x in np.stack(cols, axis=1)]).T
+    feasible = np.flatnonzero(g >= problem.threshold)
+    n_feasible = len(feasible)
+    if n_feasible == 0:
+        return OracleResult(None, None, None, 0, grid, time.perf_counter() - t0)
+    k = int(feasible[np.argmin(f[feasible])])  # ties go to the first in grid order
     return OracleResult(
-        f_min=best_f,
-        x_raw=None if best_x is None else problem.space.denormalize(best_x),
-        g_at_min=best_g,
+        f_min=float(f[k]),
+        x_raw=problem.space.denormalize(np.array([c[k] for c in cols])),
+        g_at_min=float(g[k]),
         n_feasible=n_feasible,
         grid=grid,
         runtime=time.perf_counter() - t0,

@@ -101,6 +101,19 @@ def test_fixed_pool_mode_reuses_candidates():
     assert report.complete
 
 
+def test_exhausted_fixed_pool_returns_partial_report():
+    # 6 fixed candidates run out after 6 learn steps; the guard then empties the pool
+    problem = analytical_problem()
+    config = CboConfig(n_init=2, n_steps=8, pool_size=6, seed=1, fresh_pool=False)
+    report = run_cbo(problem, problem.space, config)
+    assert not report.complete
+    assert report.n_evaluations == 8
+    assert len(report.best_trace) == 6
+    assert any("duplicate guard emptied the pool" in e for e in report.events)
+    xs = {tuple(e.x) for e in report.evaluations}
+    assert len(xs) == report.n_evaluations
+
+
 def test_failing_problem_returns_partial_report():
     calls = {"n": 0}
 

@@ -47,8 +47,6 @@ def test_matern52_dimension_mismatch():
 def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams(length_scales=[0.0])
-    with pytest.raises(ValueError):
-        KernelParams(length_scales=[1.0], scale=0.0)
 
 
 def test_fit_constant_outputs():

@@ -5,20 +5,21 @@ from curebo.problems import (
     DOC_COEFFS,
     U_COEFFS,
     analytical_problem,
-    eval_analytical,
 )
 from curebo.study import grid_oracle
 
+PROBLEM = analytical_problem()
+
 
 def test_origin_keeps_only_constant_terms():
-    u, doc = eval_analytical(0.0, 0.0)
+    u, doc = PROBLEM.evaluate_raw([0.0, 0.0])
     assert u == pytest.approx(1.8646, abs=0.0)
     assert doc == pytest.approx(0.9902, abs=0.0)
     assert doc < 0.995  # the origin is infeasible
 
 
 def test_far_corner_sums_all_coefficients():
-    u, doc = eval_analytical(1.0, 1.0)
+    u, doc = PROBLEM.evaluate_raw([1.0, 1.0])
     # at (1, 1) every monomial equals 1, so the value is the coefficient sum
     assert u == pytest.approx(sum(U_COEFFS), rel=1e-14)
     assert doc == pytest.approx(sum(DOC_COEFFS), rel=1e-14)
@@ -28,9 +29,9 @@ def test_far_corner_sums_all_coefficients():
 
 def test_out_of_box_rejected():
     with pytest.raises(ValueError):
-        eval_analytical(1.2, 0.5)
+        PROBLEM.evaluate_raw([1.2, 0.5])
     with pytest.raises(ValueError):
-        eval_analytical(0.5, -0.1)
+        PROBLEM.evaluate_raw([0.5, -0.1])
 
 
 def test_naive_vs_horner_evaluation():
@@ -41,19 +42,18 @@ def test_naive_vs_horner_evaluation():
     rng = np.random.default_rng(17)
     pts = rng.random((1000, 2))
     for t, T in pts:
-        u, _ = eval_analytical(t, T)
+        u, _ = PROBLEM.evaluate_raw([t, T])
         assert u == pytest.approx(horner_u(t, T), rel=1e-15, abs=1e-15)
 
 
 def test_grid_oracle_fast_path_matches_plain_loop():
-    problem = analytical_problem()
-    result = grid_oracle(problem, 201)
+    result = grid_oracle(PROBLEM, 201)
 
     best_f, best_x = np.inf, None
     axis = np.linspace(0.0, 1.0, 201)
     for t in axis:
         for T in axis:
-            u, doc = eval_analytical(t, T)
+            u, doc = PROBLEM.evaluate_raw([t, T])
             if doc >= 0.995 and u < best_f:
                 best_f, best_x = u, (t, T)
     assert result.f_min == pytest.approx(best_f, rel=0.0, abs=0.0)
@@ -61,8 +61,7 @@ def test_grid_oracle_fast_path_matches_plain_loop():
 
 
 def test_feasible_grid_minimum_near_converged_value():
-    problem = analytical_problem()
-    result = grid_oracle(problem, 801)
+    result = grid_oracle(PROBLEM, 801)
     assert result.f_min == pytest.approx(1.8570, abs=5e-4)
     # the argmin sits on the t = 0 edge where the cure constraint binds
     assert result.x_raw[0] == 0.0

@@ -1,0 +1,83 @@
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curebo.ga import GaConfig, run_ga
+from curebo.records import Evaluation, best_feasible, build_report, running_best
+from curebo.space import DesignSpace
+
+THRESHOLD = 0.5
+
+# few distinct values, so that ties in f and g == threshold come up often
+f_values = st.sampled_from([0.0, 0.25, 1.0, 2.0, -3.0])
+g_values = st.sampled_from([0.0, THRESHOLD, 0.75, math.nan])
+logs = st.lists(st.tuples(f_values, g_values), max_size=12)
+
+
+def _log(pairs):
+    return [
+        Evaluation(x=np.array([float(i)]), f=f, g=g, step_index=i, phase="init")
+        for i, (f, g) in enumerate(pairs)
+    ]
+
+
+def reference_running_best(pairs, threshold):
+    """Plain loop: after each evaluation, the earliest of the feasible
+    evaluations so far with the smallest f."""
+    out = []
+    for n in range(1, len(pairs) + 1):
+        feasible = [i for i in range(n) if pairs[i][1] >= threshold]
+        if not feasible:
+            out.append(None)
+            continue
+        smallest = min(pairs[i][0] for i in feasible)
+        out.append(next(i for i in feasible if pairs[i][0] == smallest))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs)
+def test_running_best_matches_plain_loop(pairs):
+    evaluations = _log(pairs)
+    expected = reference_running_best(pairs, THRESHOLD)
+    assert running_best(evaluations, THRESHOLD) == expected
+
+    inc = best_feasible(evaluations, THRESHOLD)
+    last = expected[-1] if expected else None
+    assert inc.found == (last is not None)
+    if last is not None:
+        assert inc.y_min == pairs[last][0]
+        assert inc.x_best is evaluations[last].x
+
+    report = build_report(
+        evaluations, THRESHOLD, trace_from=2, n_init=2, n_steps=10, started=0.0,
+        complete=True, events=[], acq_trace=[],
+    )
+    assert report.best_trace == [None if i is None else pairs[i][0] for i in expected[2:]]
+    if last is None:
+        assert report.x_star is report.f_star is report.g_star is None
+    else:
+        assert (report.f_star, report.g_star) == pairs[last]
+        assert report.x_star is evaluations[last].x
+
+
+def test_rule_examples():
+    # ties go to the earliest; g == threshold is feasible; NaN g never is
+    pairs = [(1.0, 0.0), (1.0, math.nan), (2.0, THRESHOLD), (1.0, 0.75), (1.0, 1.0), (0.5, math.nan)]
+    assert running_best(_log(pairs), THRESHOLD) == [None, None, 2, 3, 3, 3]
+    assert running_best(_log([(1.0, 0.0), (0.0, math.nan)]), THRESHOLD) == [None, None]
+    assert running_best([], THRESHOLD) == []
+
+
+def test_ga_trace_ends_at_its_incumbent_when_constraint_is_nan():
+    def half_nan(x):
+        # the cheap half of the box has no defined constraint value
+        return float(x[0]), math.nan if x[0] < 0.5 else 1.0
+
+    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    report = run_ga(half_nan, space, GaConfig(pop_size=10, generations=3, threshold=0.5, seed=4))
+    assert report.f_star is not None and report.f_star >= 0.5
+    assert report.best_trace[-1] == report.f_star
+    assert all(v is None or v >= 0.5 for v in report.best_trace)

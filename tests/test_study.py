@@ -15,6 +15,7 @@ from curebo.study import (
     grid_oracle,
     percentile,
     run_study,
+    summarize,
     worker_pool,
 )
 
@@ -165,6 +166,23 @@ def test_evals_to_reach():
     assert evals_to_reach(report, 2.5) == 1
     assert evals_to_reach(report, 1.3) == 3  # the infeasible f=1.0 does not count
     assert evals_to_reach(report, 0.5) is None
+
+
+def test_summarize_counts_a_short_replication_only_up_to_its_last_step():
+    from curebo.records import RunReport
+
+    def report(trace):
+        return RunReport(
+            evaluations=[], best_trace=trace, x_star=None, f_star=trace[-1], g_star=None,
+            n_init=1, n_steps=3, threshold=0.5, wall_time=0.0, complete=len(trace) == 3,
+        )
+
+    config = RunConfig(problem="analytical", optimizer="cbo", replications=2, seed=0, output_dir="-")
+    summary = summarize(config, "cbo", [report([None, 3.0, 2.0]), report([1.0])])
+    assert summary.step_index == [1, 2, 3]
+    assert summary.n_feasible == [1, 1, 1]
+    assert summary.median == [1.0, 3.0, 2.0]
+    assert summary.final_best == [2.0, 1.0]
 
 
 def test_generic_grid_oracle_agrees_with_fast_path():
