@@ -34,9 +34,11 @@ class CboConfig:
     """Budget, pool, threshold and seeding for one cBO run.
 
     sieve_predicate, when set, is a pure deterministic test on raw
-    coordinates applied to every candidate pool before scoring. fresh_pool
-    controls whether the pool is regenerated each step (default) or drawn
-    once and reused.
+    coordinates applied to every candidate pool before scoring. It is called
+    once per pool, dimension first (raw[h] is the column of coordinate h, see
+    `space.sieve`), so `lambda raw: raw[0] < 0.5` keeps the candidates whose
+    first coordinate is below 0.5. fresh_pool controls whether the pool is
+    regenerated each step (default) or drawn once and reused.
     """
 
     n_init: int = 10
@@ -46,7 +48,7 @@ class CboConfig:
     seed: int = 0
     fresh_pool: bool = True
     duplicate_tol: float = 1e-9
-    sieve_predicate: Optional[Callable[[np.ndarray], bool]] = None
+    sieve_predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):

@@ -56,8 +56,11 @@ def run(config_file):
     summaries = run_study(config)
     click.echo(f"artifacts written to {config.output_dir}")
     for name, summary in summaries.items():
-        last = summary.step_index[-1]
-        row = summary.step_row(last)
+        if summary.step_index:
+            last = summary.step_index[-1]
+            row = summary.step_row(last)
+        else:  # every replication stopped before its first step
+            last, row = "n/a", {"median": None, "p95": None}
         med = "n/a" if row["median"] is None else f"{row['median']:.6f}"
         p95 = "n/a" if row["p95"] is None else f"{row['p95']:.6f}"
         click.echo(

@@ -8,6 +8,7 @@ the feasibility classes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -51,11 +52,16 @@ class Individual:
     x: np.ndarray
     f: float
     g: float
-    violation: float  # max(0, threshold - g); zero iff feasible
+    violation: float  # see constraint_violation; zero iff feasible
 
     @property
     def feasible(self) -> bool:
         return self.violation == 0.0
+
+
+def constraint_violation(g: float, threshold: float) -> float:
+    """max(0, threshold - g); infinite for a NaN g, which has no constraint value."""
+    return math.inf if math.isnan(g) else max(0.0, threshold - g)
 
 
 def constraint_dominates(a: Individual, b: Individual) -> bool:
@@ -130,7 +136,7 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
             return None
         f, g = float(f), float(g)
         evaluations.append(Evaluation(x=x, f=f, g=g, step_index=generation, phase=phase))
-        return Individual(x=x, f=f, g=g, violation=max(0.0, config.threshold - g))
+        return Individual(x=x, f=f, g=g, violation=constraint_violation(g, config.threshold))
 
     def finish(complete: bool) -> RunReport:
         return build_report(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -108,26 +108,37 @@ class GpSurrogate:
         return self.train_x.shape[1]
 
 
+def _matern52_from_d2(d2: np.ndarray):
+    """Matern-5/2 correlation from squared scaled distances d2 = r^2.
+
+    Returns (1 + sqrt5 r + 5 r^2 / 3) exp(-sqrt5 r) together with the
+    factors 1 + sqrt5 r and exp(-sqrt5 r), which the likelihood gradient
+    reuses. d2 is not modified.
+    """
+    rd = np.sqrt(d2)
+    lin = rd * SQRT5
+    lin += 1.0
+    rd *= -SQRT5
+    decay = np.exp(rd, out=rd)
+    corr = d2 * (5.0 / 3.0)
+    corr += lin
+    corr *= decay
+    return corr, lin, decay
+
+
+def matern52_matrix(x: np.ndarray, z: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
+    """Correlation matrix between row sets x (n,d) and z (m,d)."""
+    d2 = cdist(x / length_scales, z / length_scales, metric="sqeuclidean")
+    return _matern52_from_d2(d2)[0]
+
+
 def matern52(a, b, params: KernelParams) -> float:
     """Matern-5/2 correlation between two points; 1 at zero distance."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("point dimensions differ")
-    d2 = float(np.sum(((a - b) / params.length_scales) ** 2))
-    rd = np.sqrt(d2)
-    return float((1.0 + SQRT5 * rd + (5.0 / 3.0) * d2) * np.exp(-SQRT5 * rd))
-
-
-def matern52_matrix(x: np.ndarray, z: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
-    """Correlation matrix between row sets x (n,d) and z (m,d)."""
-    d2 = cdist(x / length_scales, z / length_scales, metric="sqeuclidean")
-    rd = np.sqrt(d2)
-    poly = 1.0 + SQRT5 * rd + (5.0 / 3.0) * d2
-    rd *= -SQRT5
-    np.exp(rd, out=rd)
-    poly *= rd
-    return poly
+    return float(matern52_matrix(a[None, :], b[None, :], params.length_scales)[0, 0])
 
 
 def _chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
@@ -135,13 +146,9 @@ def _chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
     jitter = JITTER_START
     eye = np.eye(len(r))
     while True:
-        try:
-            L = cholesky(r + jitter * eye, lower=True, check_finite=False)
+        L, info = dpotrf(r + jitter * eye, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            pass
-        except ValueError:
-            pass
         if jitter >= JITTER_MAX:
             diag = np.diag(r)
             raise NumericalError(
@@ -156,8 +163,8 @@ def _profile_estimates(L: np.ndarray, y: np.ndarray):
     """Closed-form mu_hat, sigma2_hat and caches from a Cholesky factor."""
     n = len(y)
     ones = np.ones(n)
-    rinv_y = cho_solve((L, True), y, check_finite=False)
-    rinv_1 = cho_solve((L, True), ones, check_finite=False)
+    rinv_y = dpotrs(L, y, lower=1)[0]
+    rinv_1 = dpotrs(L, ones, lower=1)[0]
     one_r_one = float(ones @ rinv_1)
     mu = float(ones @ rinv_y) / one_r_one
     resid_solve = rinv_y - mu * rinv_1  # R^-1 (y - mu 1)
@@ -182,32 +189,31 @@ def _initial_length_scales(x: np.ndarray) -> np.ndarray:
     return np.clip(ls, LENGTH_SCALE_BOUNDS[0], LENGTH_SCALE_BOUNDS[1])
 
 
-def _nll_and_grad(x: np.ndarray, y: np.ndarray, log_ls: np.ndarray):
+def _nll_and_grad(delta: np.ndarray, y: np.ndarray, log_ls: np.ndarray):
     """Negative profile log likelihood and its gradient in log length scales.
 
+    delta is the (n, n, d) tensor of raw pairwise differences x_i - x_j.
     Uses dK/dr = -(5 r / 3)(1 + sqrt5 r) exp(-sqrt5 r) together with
     dr/dlog l_h = -s_h / r for s_h the squared scaled separation in h, so
     dR/dlog l_h = (5/3)(1 + sqrt5 r) exp(-sqrt5 r) * s_h elementwise. The
     profiled mean drops out of the gradient (envelope argument).
     """
-    n, d = x.shape
-    ls = np.exp(log_ls)
-    diff = (x[:, None, :] - x[None, :, :]) / ls
-    s = diff * diff  # (n, n, d)
-    d2 = s.sum(axis=2)
-    rd = np.sqrt(d2)
-    decay = np.exp(-SQRT5 * rd)
-    R = (1.0 + SQRT5 * rd + (5.0 / 3.0) * d2) * decay
+    n, _, d = delta.shape
+    s = delta / np.exp(log_ls)
+    s *= s  # (n, n, d) squared scaled separations
+    R, lin, decay = _matern52_from_d2(s.sum(axis=2))
     try:
         L, _ = _chol_with_jitter(R)
     except NumericalError:
         return 1e12, np.zeros(d)
     mu, sigma2, ll, resid_solve, _, _ = _profile_estimates(L, y)
     s2_safe = max(sigma2, 1e-300)
-    rinv = cho_solve((L, True), np.eye(n), check_finite=False)
-    core = (5.0 / 3.0) * (1.0 + SQRT5 * rd) * decay  # dR/dlog l_h = core * s_h
-    quad = np.einsum("i,ijh,j->h", resid_solve, core[:, :, None] * s, resid_solve)
-    trace = np.einsum("ij,ijh->h", rinv, core[:, :, None] * s)
+    rinv = dpotrs(L, np.eye(n), lower=1, overwrite_b=1)[0]
+    core = lin * (5.0 / 3.0)
+    core *= decay
+    s *= core[:, :, None]  # dR/dlog l_h
+    quad = np.einsum("i,ijh,j->h", resid_solve, s, resid_solve)
+    trace = np.einsum("ij,ijh->h", rinv, s)
     grad = 0.5 * quad / s2_safe - 0.5 * trace
     return -ll, -grad
 
@@ -259,11 +265,27 @@ def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
         for _ in range(max(config.restarts, 0)):
             starts.append(np.clip(init + rng.normal(0.0, 0.7, size=d), lo, hi))
 
+        delta = x[:, None, :] - x[None, :, :]
+        nll_at: dict[bytes, float] = {}
+
+        def objective(v):
+            value, grad = _nll_and_grad(delta, y, v)
+            nll_at[v.tobytes()] = value
+            return value, grad
+
+        def score(v):
+            # L-BFGS-B evaluates its start first and returns an evaluated
+            # iterate, so the memo usually holds the value already. res.fun
+            # would not do: after an ABNORMAL line-search exit it is the value
+            # of the last trial point, not of res.x.
+            key = v.tobytes()
+            return -(nll_at[key] if key in nll_at else objective(v)[0])
+
         candidates = list(starts)
         if config.optimize:
             for s in starts:
                 res = minimize(
-                    lambda v: _nll_and_grad(x, y, v),
+                    objective,
                     s,
                     method="L-BFGS-B",
                     jac=True,
@@ -273,7 +295,7 @@ def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
                 candidates.append(np.clip(res.x, lo, hi))
         # The untouched starts stay in the candidate set, so the selected
         # optimum can never fall below the default initialization.
-        scores = [-_nll_and_grad(x, y, c)[0] for c in candidates]
+        scores = [score(c) for c in candidates]
         best_ls = np.exp(candidates[int(np.argmax(scores))])
 
     R = matern52_matrix(x, x, best_ls)
@@ -301,9 +323,9 @@ def predict_batch(model: GpSurrogate, queries: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError(f"expected {model.dims}-dimensional queries, got {q.shape[1]}")
     r = matern52_matrix(q, model.train_x, model.kernel.length_scales)  # (m, n)
     means = model.mu_hat + r @ model.resid_solve
-    v = solve_triangular(model.factor, r.T, lower=True, check_finite=False)  # (n, m)
-    r_rinv_r = np.einsum("ij,ij->j", v, v)
     one_rinv_r = r @ model.ones_solve
+    v = dtrtrs(model.factor, r.T, lower=1, overwrite_b=1)[0]  # (n, m), overwrites r
+    r_rinv_r = np.einsum("ij,ij->j", v, v)
     variances = model.sigma2_hat * (
         1.0 - r_rinv_r + (1.0 - one_rinv_r) ** 2 / model.one_r_one
     )

@@ -31,7 +31,7 @@ class Problem:
     space: DesignSpace
     threshold: float
     raw_fn: Callable[[np.ndarray], tuple]
-    sieve_raw: Optional[Callable[[np.ndarray], bool]] = None
+    sieve_raw: Optional[Callable[[np.ndarray], np.ndarray]] = None  # see space.sieve
 
     def evaluate_raw(self, raw) -> tuple:
         try:
@@ -106,12 +106,14 @@ def four_point_problem(
         )
         return trace.u_proxy, trace.final_doc
 
-    def slopes_ok(raw) -> bool:
+    def slopes_ok(raw):
+        # raw[h] is coordinate h: a scalar for one point, a column for a pool
         s1 = (raw[1] - start_temp) / raw[0]
         s2 = (raw[3] - raw[1]) / (raw[2] - raw[0])
-        if require_rising_second_ramp and s2 <= 0.0:
-            return False
-        return s1 > s2
+        ok = s1 > s2
+        if require_rising_second_ramp:
+            ok &= s2 > 0.0
+        return ok
 
     return Problem(
         name="sim4pt",

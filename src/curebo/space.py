@@ -92,19 +92,23 @@ def lhs_sample(space: DesignSpace, m: int, seed=None) -> CandidatePool:
 
 def sieve(
     pool: CandidatePool,
-    predicate: Callable[[np.ndarray], bool],
+    predicate: Callable[[np.ndarray], np.ndarray],
     space: DesignSpace | None = None,
 ) -> CandidatePool:
     """Keep the candidates passing a deterministic predicate, order preserved.
 
-    The predicate sees raw coordinates when a space is supplied, otherwise the
-    normalized coordinates. An empty result is a valid (empty) pool.
+    The predicate is called once, dimension first: raw[h] is the column of
+    coordinate h over the whole pool (raw coordinates when a space is
+    supplied, otherwise normalized ones). It returns one boolean per
+    candidate, or a single boolean for all of them. Written with elementwise
+    operations, the same predicate also accepts one point, where raw[h] is a
+    scalar. An empty result is a valid (empty) pool.
     """
     pts = pool.points
     if len(pts) == 0:
         return pool
     shown = space.denormalize(pts) if space is not None else pts
-    keep = np.fromiter((bool(predicate(p)) for p in shown), dtype=bool, count=len(pts))
+    keep = np.broadcast_to(np.asarray(predicate(shown.T), dtype=bool), (len(pts),))
     return CandidatePool(points=pts[keep], seed=pool.seed, m=pool.m)
 
 

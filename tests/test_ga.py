@@ -1,16 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from curebo.ga import (
     GaConfig,
     Individual,
+    _rank_key,
     _tournament,
     constraint_dominates,
+    constraint_violation,
     polynomial_mutation,
     run_ga,
     sbx_pair,
 )
 from curebo.problems import analytical_problem
+from curebo.space import DesignSpace
 
 
 def _ind(f, violation):
@@ -24,6 +29,33 @@ def test_constraint_domination_rules():
     assert not constraint_dominates(_ind(3.0, 0.0), _ind(2.0, 0.0))
     same = _ind(2.0, 0.0)
     assert not constraint_dominates(same, same)  # no strict domination
+
+
+def _scored(f, g, threshold=0.9):
+    return Individual(x=np.zeros(2), f=f, g=g, violation=constraint_violation(g, threshold))
+
+
+def test_nan_constraint_value_is_infinitely_violating():
+    far, unknown = _scored(1.0, 0.1), _scored(0.0, float("nan"))
+    assert constraint_violation(0.95, 0.9) == 0.0
+    assert constraint_violation(0.5, 0.9) == pytest.approx(0.4)
+    assert not unknown.feasible
+    assert constraint_dominates(far, unknown)
+    assert not constraint_dominates(unknown, far)
+    ranked = sorted([unknown, far, _scored(5.0, 0.95)], key=_rank_key)
+    assert [ind.f for ind in ranked] == [5.0, 1.0, 0.0]
+
+
+def test_ga_stops_breeding_from_points_without_a_constraint_value():
+    def half_nan(x):
+        # the cheap half of the box has no defined constraint value
+        return float(x[0]), math.nan if x[0] < 0.5 else 1.0
+
+    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    report = run_ga(half_nan, space, GaConfig(pop_size=10, generations=5, threshold=0.5, seed=0))
+    last = [e for e in report.evaluations if e.step_index == 5]
+    # NaN-g points rank below every finite g, so the population leaves the cheap half
+    assert sum(math.isnan(e.g) for e in last) < len(last) // 2
 
 
 class _FixedPicks:

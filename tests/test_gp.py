@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -191,3 +194,33 @@ def test_variance_clamped_nonnegative():
     model = fit_gp(x, y)
     _, variances = predict_batch(model, rng.random((200, 2)))
     assert np.all(variances >= 0.0)
+
+
+def _golden_dataset():
+    """40 points in 4-d with a smooth objective, a saturating cure-like g and a
+    constant output; the constant one ends L-BFGS-B runs with ABNORMAL
+    line-search exits, where res.fun is not the objective at res.x."""
+    rng = np.random.default_rng(20240601)
+    x = rng.random((40, 4))
+    queries = rng.random((20, 4))
+    f = np.sin(3.0 * x[:, 0]) + 0.5 * (x ** 2).sum(axis=1) + np.cos(2.0 * x[:, 2] * x[:, 3])
+    g = 1.0 - 0.2 * np.exp(-3.0 * (x[:, 0] + x[:, 1] + 0.5 * x[:, 2] * x[:, 3]))
+    return x, queries, {"f": f, "g": g, "flat": np.full(40, 2.5)}
+
+
+def test_fit_and_predict_are_bit_identical_to_recorded_values():
+    # Recorded with numpy 2.4.6 / scipy 1.17.1 (bundled OpenBLAS). A speedup
+    # to fit_gp or predict_batch that keeps the numerics must keep every bit
+    # of these numbers; another BLAS/LAPACK build may round differently.
+    golden = json.loads((Path(__file__).parent / "gp_golden.json").read_text())
+    x, queries, outputs = _golden_dataset()
+    for name, y in outputs.items():
+        model = fit_gp(x, y)
+        means, variances = predict_batch(model, queries)
+        got = {
+            "length_scales": [float(v).hex() for v in model.kernel.length_scales],
+            "log_likelihood": float(model.log_likelihood).hex(),
+            "means": [float(v).hex() for v in means],
+            "variances": [float(v).hex() for v in variances],
+        }
+        assert got == golden[name], name

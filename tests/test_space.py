@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from curebo.problems import four_point_problem
 from curebo.space import (
     CandidatePool,
     DesignSpace,
@@ -115,6 +119,22 @@ def test_sieve_preserves_order_and_is_idempotent(cure_space):
     # order preserved: kept points appear in original relative order
     idx = [np.flatnonzero((pool.points == p).all(axis=1))[0] for p in once.points]
     assert idx == sorted(idx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.integers(1, 60).flatmap(
+        lambda k: arrays(np.float64, (k, 4), elements=st.floats(0.0, 1.0))
+    ),
+    rising=st.booleans(),
+)
+def test_vectorized_slope_sieve_matches_a_per_row_loop(points, rising):
+    problem = four_point_problem(require_rising_second_ramp=rising)
+    pool = CandidatePool(points=points, m=len(points))
+    kept = sieve(pool, problem.sieve_raw, problem.space)
+    raws = problem.space.denormalize(points)
+    expected = [bool(problem.sieve_raw(row)) for row in raws]
+    assert np.array_equal(kept.points, points[expected])
 
 
 def test_drop_near_duplicates():

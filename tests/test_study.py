@@ -234,3 +234,16 @@ def test_cli_run_smoke(tmp_path):
     res = runner.invoke(main, ["run", str(cfg)])
     assert res.exit_code == 0
     assert "median best-feasible" in res.output
+
+
+def test_cli_run_reports_a_study_that_reaches_no_step(tmp_path):
+    # every initial evaluation fails to integrate, so no replication reaches step 1
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(small_config(
+        tmp_path, problem="sim2pt", replications=1,
+        problem_options={"kinetics": {"a1": 1e300}},
+    )))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert "cbo: 1 replications, step n/a: median best-feasible n/a, 95th percentile n/a" in res.output
+    assert (tmp_path / "out" / "cbo_summary.json").exists()
