@@ -4,7 +4,8 @@ Each run spends its budget as exactly n_init space-filling evaluations
 followed by n_steps acquisition-driven evaluations. Every learn step refits
 both surrogates on all data so far, scores a fresh Latin hypercube candidate
 pool by expected constrained improvement, and evaluates the true functions at
-the argmax. With no feasible incumbent the acquisition degrades to the
+the best-scoring candidate that is not a near-duplicate of an evaluated
+point. With no feasible incumbent the acquisition degrades to the
 probability of feasibility alone.
 """
 
@@ -17,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from curebo.acquisition import ei_values, pf_values
-from curebo.gp import FitConfig, fit_gp, predict_batch
+from curebo.gp import FitConfig, NumericalError, fit_gp, predict_batch
 from curebo.records import (
     PHASE_INIT,
     PHASE_LEARN,
@@ -26,7 +27,7 @@ from curebo.records import (
     best_feasible,
     build_report,
 )
-from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
+from curebo.space import CandidatePool, DesignSpace, drop_near_duplicates, lhs_sample, sieve
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,9 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
     config : CboConfig.
 
     The report is bitwise reproducible for identical inputs. A failing
-    problem evaluation, or a candidate pool the duplicate guard empties,
-    ends the run early and returns the partial report with complete=False.
+    problem evaluation, a surrogate that cannot be fitted, or a candidate
+    pool whose every candidate is a near-duplicate of an evaluated point ends
+    the run early and returns the partial report with complete=False.
     """
     t0 = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
@@ -104,8 +106,12 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
         train_x = np.array([e.x for e in evaluations])
         y_f = np.array([e.f for e in evaluations])
         y_g = np.array([e.g for e in evaluations])
-        model_f = fit_gp(train_x, y_f, config.fit)
-        model_g = fit_gp(train_x, y_g, config.fit)
+        try:
+            model_f = fit_gp(train_x, y_f, config.fit)
+            model_g = fit_gp(train_x, y_g, config.fit)
+        except (NumericalError, ValueError) as exc:
+            events.append(f"step {step}: surrogate fit failed: {exc}")
+            return finish(complete=False)
 
         if config.fresh_pool or fixed_pool is None:
             pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
@@ -123,11 +129,6 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             else:
                 pool = sieved
 
-        pool = drop_near_duplicates(pool, train_x, config.duplicate_tol)
-        if len(pool) == 0:
-            events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
-            return finish(complete=False)
-
         mean_g, var_g = predict_batch(model_g, pool.points)
         pf = pf_values(mean_g, var_g, config.threshold)
         incumbent = best_feasible(evaluations, config.threshold)
@@ -137,7 +138,10 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             mean_f, var_f = predict_batch(model_f, pool.points)
             scores = ei_values(mean_f, var_f, incumbent.y_min) * pf
 
-        pick = int(np.argmax(scores))  # first maximum on ties
+        pick = _best_distinct(pool, scores, train_x, config.duplicate_tol)
+        if pick is None:
+            events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
+            return finish(complete=False)
         x_next = pool.points[pick]
         try:
             f, g = problem(x_next)
@@ -150,3 +154,14 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
         acq_trace.append(float(scores[pick]))
 
     return finish(complete=True)
+
+
+def _best_distinct(pool: CandidatePool, scores, train_x, tol: float) -> Optional[int]:
+    """Index of the best-scoring candidate farther than tol (L-inf) from every
+    evaluated point, first index on ties as np.argmax; None when there is
+    none. The duplicate guard runs on candidates in descending score, so
+    normally only the winner is checked."""
+    for i in np.argsort(-scores, kind="stable").tolist():
+        if len(drop_near_duplicates(CandidatePool(pool.points[i : i + 1]), train_x, tol)):
+            return i
+    return None

@@ -2,10 +2,21 @@
 
 The degree of cure follows a two-branch autocatalytic rate law integrated
 with fixed-step RK4; the step grid is aligned to the cycle vertices so the
-right-hand side is smooth within every integration step. Alongside the cure
-state the simulator tracks the exotherm rate diagnostic, resin viscosity,
-instantaneous glass transition, the cure-hardening modulus, volumetric
-shrinkage and its linear strain, and a scalar residual measure
+right-hand side is smooth within every integration step.
+
+Temperature is prescribed, so the Arrhenius factors a1 exp(-e1/RT),
+exp(-e2/RT) and a3 exp(-e3/RT) are computed at every grid node and step
+midpoint before integration, with math.exp element by element so each has
+the bits of the scalar rate law; the RK4 loop then only evaluates
+polynomials in alpha. The loop has two phases. While alpha <= branch_switch
+every stage tests the branch, and the one step that crosses the switch is
+redone in substeps, the only place an exponential is computed inside the
+loop. Past the switch rates are never negative, so alpha cannot come back
+and the stages evaluate the high-alpha branch alone.
+
+Alongside the cure state the simulator tracks the exotherm rate diagnostic,
+resin viscosity, instantaneous glass transition, the cure-hardening modulus,
+volumetric shrinkage and its linear strain, and a scalar residual measure
 
     sigma_bar[k] = sigma_bar[k-1] + E_r(alpha_k) * (CTE dT_k + CCS d eps_k)
 
@@ -220,6 +231,104 @@ def _time_grid(cycle: CureCycle, dt: float) -> np.ndarray:
     return np.concatenate(pieces)
 
 
+def _arrhenius(temps_k, kin: KineticParams) -> list[tuple[float, float, float]]:
+    """(a1 exp(-e1 s), exp(-e2 s), a3 exp(-e3 s)) with s = 1 / (R T), per temperature.
+
+    math.exp on each element gives the bits of the scalar rate law; a2 is left
+    out of the middle factor because the rate law forms a * a2 first.
+    """
+    scale = ((1.0 / R_GAS) / np.asarray(temps_k, dtype=float)).tolist()
+    return [
+        (kin.a1 * math.exp(-kin.e1 * s), math.exp(-kin.e2 * s), kin.a3 * math.exp(-kin.e3 * s))
+        for s in scale
+    ]
+
+
+def _out_of_range(a: float, t_now: float) -> IntegrationError:
+    if not math.isfinite(a):
+        return IntegrationError(f"non-finite cure state at t={t_now:.4f} min")
+    return IntegrationError(f"degree of cure left [0, 1] at t={t_now:.4f} min")
+
+
+def _integrate_alpha(t, temps_k, mid_k, kin: KineticParams) -> np.ndarray:
+    """Degree of cure at every grid node: fixed-step RK4 in two phases.
+
+    Phase one runs while alpha <= branch_switch and tests the branch at every
+    stage; the step that crosses the switch is redone in 64 substeps, so the
+    jump of the rate law is confined to one of them. Phase two starts once
+    alpha > branch_switch: rates are never negative, so no stage input can
+    fall back to the switch and only the high-alpha branch is evaluated.
+    Cure is irreversible: every rate is clamped at zero.
+    """
+    switch, crit, a2 = kin.branch_switch, kin.alpha_crit, kin.a2
+    steps = np.diff(t).tolist()
+    node_f = _arrhenius(temps_k, kin)
+    mid_f = _arrhenius(mid_k, kin)
+
+    def rate(a: float, factors) -> float:
+        b1, e2, b3 = factors
+        if a <= switch:
+            r = (b1 + a * a2 * e2) * (1.0 - a) * (crit - a)
+        else:
+            r = b3 * (1.0 - a)
+        return r if r > 0.0 else 0.0
+
+    def rk4_step(a: float, h: float, lo, mid, hi) -> float:
+        k1 = rate(a, lo)
+        k2 = rate(a + 0.5 * h * k1, mid)
+        k3 = rate(a + 0.5 * h * k2, mid)
+        k4 = rate(a + h * k3, hi)
+        return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    n = len(t)
+    alpha = [0.0]
+    append = alpha.append
+    a = 0.0
+    k = 0
+    while k < n - 1 and a <= switch:
+        h = steps[k]
+        trial = rk4_step(a, h, node_f[k], mid_f[k], node_f[k + 1])
+        if a < switch < trial:
+            # temperature is linear within a step (the grid is vertex aligned);
+            # substep j runs from fraction 2j / (2 sub) to (2j + 2) / (2 sub)
+            # of it, with its midpoint at (2j + 1) / (2 sub)
+            sub = 64
+            t_lo = temps_k[k]
+            fractions = np.arange(2 * sub + 1) / (2 * sub)
+            sub_f = _arrhenius(t_lo + (temps_k[k + 1] - t_lo) * fractions, kin)
+            hs = h / sub
+            trial = a
+            for j in range(0, 2 * sub, 2):
+                trial = rk4_step(trial, hs, sub_f[j], sub_f[j + 1], sub_f[j + 2])
+        a = trial
+        if not -1e-9 <= a <= 1.0 + 1e-9:
+            raise _out_of_range(a, t[k + 1])
+        a = min(max(a, 0.0), 1.0)
+        append(a)
+        k += 1
+
+    b3_node = [f[2] for f in node_f]
+    b3_mid = [f[2] for f in mid_f]
+    for k in range(k, n - 1):
+        h = steps[k]
+        b_mid = b3_mid[k]
+        k1 = b3_node[k] * (1.0 - a)
+        k1 = k1 if k1 > 0.0 else 0.0
+        k2 = b_mid * (1.0 - (a + 0.5 * h * k1))
+        k2 = k2 if k2 > 0.0 else 0.0
+        k3 = b_mid * (1.0 - (a + 0.5 * h * k2))
+        k3 = k3 if k3 > 0.0 else 0.0
+        k4 = b3_node[k + 1] * (1.0 - (a + h * k3))
+        k4 = k4 if k4 > 0.0 else 0.0
+        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not -1e-9 <= a <= 1.0 + 1e-9:
+            raise _out_of_range(a, t[k + 1])
+        if a > 1.0:  # the clamp to [0, 1]: a never decreases in this phase
+            a = 1.0
+        append(a)
+    return np.array(alpha)
+
+
 def simulate_cure(
     cycle: CureCycle,
     kin: KineticParams = KineticParams(),
@@ -247,55 +356,8 @@ def simulate_cure(
     temps_k = temps_c + KELVIN_OFFSET
     mid_k = cycle.temperature(0.5 * (t[:-1] + t[1:])) + KELVIN_OFFSET
 
-    # scalar rate for the hot loop; same formula as cure_rate
-    inv_r = 1.0 / R_GAS
-    switch, crit = kin.branch_switch, kin.alpha_crit
-
-    def rhs(a: float, tk: float) -> float:
-        # cure is irreversible: never allow a negative rate
-        scale = inv_r / tk
-        if a <= switch:
-            rate = (
-                kin.a1 * math.exp(-kin.e1 * scale) + a * kin.a2 * math.exp(-kin.e2 * scale)
-            ) * (1.0 - a) * (crit - a)
-        else:
-            rate = kin.a3 * math.exp(-kin.e3 * scale) * (1.0 - a)
-        return rate if rate > 0.0 else 0.0
-
-    def rk4_step(a: float, h: float, t_lo: float, t_mid: float, t_hi: float) -> float:
-        k1 = rhs(a, t_lo)
-        k2 = rhs(a + 0.5 * h * k1, t_mid)
-        k3 = rhs(a + 0.5 * h * k2, t_mid)
-        k4 = rhs(a + h * k3, t_hi)
-        return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     n = len(t)
-    alpha = np.empty(n)
-    alpha[0] = 0.0
-    a = 0.0
-    for k in range(n - 1):
-        h = t[k + 1] - t[k]
-        t_lo, t_hi = temps_k[k], temps_k[k + 1]
-        trial = rk4_step(a, h, t_lo, mid_k[k], t_hi)
-        if a < switch < trial:
-            # the rate law jumps at the branch switch; refine the straddling
-            # step so the discontinuity is confined to a tiny substep
-            # (temperature is linear within a step: the grid is vertex aligned)
-            sub = 64
-            hs = h / sub
-            trial = a
-            for j in range(sub):
-                f_lo = t_lo + (t_hi - t_lo) * (j / sub)
-                f_mid = t_lo + (t_hi - t_lo) * ((j + 0.5) / sub)
-                f_hi = t_lo + (t_hi - t_lo) * ((j + 1.0) / sub)
-                trial = rk4_step(trial, hs, f_lo, f_mid, f_hi)
-        a = trial
-        if not math.isfinite(a):
-            raise IntegrationError(f"non-finite cure state at t={t[k + 1]:.4f} min")
-        if a < -1e-9 or a > 1.0 + 1e-9:
-            raise IntegrationError(f"degree of cure left [0, 1] at t={t[k + 1]:.4f} min")
-        a = min(max(a, 0.0), 1.0)
-        alpha[k + 1] = a
+    alpha = _integrate_alpha(t, temps_k, mid_k, kin)
 
     rate = np.maximum(cure_rate(alpha, temps_k, kin), 0.0)
     heat_rate = rate * (1.0 - kin.fiber_volume_fraction) * kin.resin_density * kin.heat_of_reaction

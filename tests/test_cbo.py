@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from curebo import cbo
 from curebo.cbo import CboConfig, run_cbo
+from curebo.gp import NumericalError
 from curebo.problems import analytical_problem
 from curebo.records import Evaluation, best_feasible
-from curebo.space import DesignSpace
+from curebo.space import CandidatePool, DesignSpace
 
 UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
 
@@ -112,6 +114,44 @@ def test_exhausted_fixed_pool_returns_partial_report():
     assert any("duplicate guard emptied the pool" in e for e in report.events)
     xs = {tuple(e.x) for e in report.evaluations}
     assert len(xs) == report.n_evaluations
+
+
+def test_near_duplicate_winner_gives_way_to_the_next_best(monkeypatch):
+    init = np.array([[0.2, 0.2], [0.8, 0.8]])
+    pool = np.array([[0.5, 0.5], [0.2, 0.2 + 1e-12], [0.3, 0.3], [0.8, 0.8], [0.25, 0.2]])
+
+    def fixed_lhs(space, m, seed=None):
+        return CandidatePool(points=(init if m == len(init) else pool).copy(), seed=seed, m=m)
+
+    def peak_at_first_init_point(model, points):
+        return -np.abs(points - init[0]).max(axis=1), np.ones(len(points))
+
+    monkeypatch.setattr(cbo, "lhs_sample", fixed_lhs)
+    monkeypatch.setattr(cbo, "predict_batch", peak_at_first_init_point)
+    config = CboConfig(n_init=2, n_steps=1, pool_size=len(pool), threshold=0.5, seed=0)
+    report = run_cbo(lambda x: (0.0, 0.0), UNIT_SQUARE, config)
+    # row 1 scores highest but lies 1e-12 from an evaluated point; row 4 is next
+    assert report.complete
+    assert np.array_equal(report.evaluations[-1].x, pool[4])
+    assert report.events == []
+
+
+def test_surrogate_fit_failure_returns_partial_report(monkeypatch):
+    real_fit = cbo.fit_gp
+    calls = {"n": 0}
+
+    def fit_failing_at_step_2(x, y, config):
+        calls["n"] += 1
+        if calls["n"] > 2:  # both fits of step 1 succeed
+            raise NumericalError("not positive definite")
+        return real_fit(x, y, config)
+
+    monkeypatch.setattr(cbo, "fit_gp", fit_failing_at_step_2)
+    report = run_cbo(bowl, UNIT_SQUARE, CboConfig(n_init=4, n_steps=5, pool_size=100, seed=0))
+    assert not report.complete
+    assert report.n_evaluations == 5
+    assert len(report.best_trace) == 1
+    assert report.events == ["step 2: surrogate fit failed: not positive definite"]
 
 
 def test_failing_problem_returns_partial_report():

@@ -1,4 +1,6 @@
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from curebo.problems import (
     KineticParams,
     MechanicalParams,
     baseline_cycle,
+    build_cycle,
     chile_modulus,
     cure_rate,
     glass_transition_c,
@@ -171,6 +174,15 @@ def test_blowup_raises_integration_error():
         simulate_cure(baseline_cycle(), runaway, MECH, dt=0.5)
 
 
+def test_unstable_step_past_the_branch_switch_raises_integration_error():
+    # the low-alpha branch keeps its default constants, so the cure reaches the
+    # switch in the step ending at t=53.5980 and the refined substeps of that
+    # step stay stable; the next whole step (h * b3 about 15) overshoots
+    stiff = KineticParams(a3=1e8)
+    with pytest.raises(IntegrationError, match=r"^degree of cure left \[0, 1\] at t=54\.5906 min$"):
+        simulate_cure(baseline_cycle(), stiff, MECH, dt=1.0)
+
+
 def test_viscosity_and_tg_models():
     # viscosity falls with temperature and rises with cure
     assert viscosity(0.0, 453.15, MECH) < viscosity(0.0, 293.15, MECH)
@@ -204,3 +216,53 @@ def test_param_validation():
         MechanicalParams(gamma=2.0)
     with pytest.raises(ValueError):
         MechanicalParams(modulus_liquid=1e10)
+
+
+GOLDEN_CYCLES = {
+    "baseline": ("baseline", ()),
+    "two-point 45 127": ("two-point", (45.0, 127.0)),
+    "two-point 20 165": ("two-point", (20.0, 165.0)),
+    "four-point 100 175 190 155": ("four-point", (100.0, 175.0, 190.0, 155.0)),
+    "four-point 50 135 130 178": ("four-point", (50.0, 135.0, 130.0, 178.0)),
+}
+GOLDEN_DTS = (0.1, 0.37)
+
+
+def golden_snapshot(trace):
+    """Scalar outputs and about 20 alpha/sigma_bar nodes as float.hex().
+
+    Half the nodes span the trace; the other half span the second half of the
+    climb to the branch switch, where the low-alpha rate law is most sensitive
+    to its order of operations, up to the node after the refined step that
+    crosses the switch."""
+    n = len(trace.alpha)
+    cross = int(np.argmax(trace.alpha > KIN.branch_switch))
+    spread = np.linspace(0, n - 1, 10).round().astype(int).tolist()
+    climb = np.linspace(cross // 2, cross, 10).round().astype(int).tolist()
+    nodes = sorted(set(spread + climb + [cross - 1]))
+    return {
+        "final_doc": trace.final_doc.hex(),
+        "u_proxy": trace.u_proxy.hex(),
+        "gel_index": trace.gel_index,
+        "vitrification_index": trace.vitrification_index,
+        "nodes": nodes,
+        "alpha": [float(trace.alpha[k]).hex() for k in nodes],
+        "sigma_bar": [float(trace.sigma_bar[k]).hex() for k in nodes],
+    }
+
+
+def golden_traces():
+    for name, (variant, params) in GOLDEN_CYCLES.items():
+        for dt in GOLDEN_DTS:
+            yield f"{name} dt={dt}", simulate_cure(build_cycle(variant, params), KIN, MECH, dt=dt)
+
+
+def test_simulation_is_bit_identical_to_recorded_values():
+    # Recorded with Python 3.11 / numpy 2.4.6. A speedup of simulate_cure that
+    # keeps its arithmetic must keep every bit of these numbers; writing the
+    # a2 term as a * (a2 * exp(-e2/RT)) in place of a * a2 * exp(-e2/RT)
+    # already changes alpha nodes of several of these traces.
+    golden = json.loads((Path(__file__).parent / "sim_golden.json").read_text())
+    got = {name: golden_snapshot(trace) for name, trace in golden_traces()}
+    assert list(got) == list(golden)
+    assert [name for name in got if got[name] != golden[name]] == []
