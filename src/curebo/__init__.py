@@ -5,15 +5,9 @@ an elitist constrained GA baseline, a lumped-point thermoset cure simulator,
 and a batch study runner with seeded replications.
 """
 
-from curebo.space import CandidatePool, DesignSpace, lhs_sample, sieve
-from curebo.gp import FitConfig, GpSurrogate, KernelParams, Posterior, fit_gp, matern52, predict
-from curebo.acquisition import (
-    Incumbent,
-    argmax_pool,
-    constrained_ei,
-    expected_improvement,
-    prob_feasible,
-)
+from curebo.space import DesignSpace, lhs_sample, sieve
+from curebo.gp import FitConfig, GpSurrogate, fit_gp, predict_batch
+from curebo.acquisition import ei_values, pf_values
 from curebo.records import Evaluation, RunReport, best_feasible, running_best
 from curebo.cbo import CboConfig, run_cbo
 from curebo.ga import GaConfig, Individual, constraint_dominates, run_ga
@@ -27,31 +21,24 @@ from curebo.problems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidatePool",
     "CboConfig",
     "DesignSpace",
     "Evaluation",
     "FitConfig",
     "GaConfig",
     "GpSurrogate",
-    "Incumbent",
     "Individual",
-    "KernelParams",
-    "Posterior",
     "Problem",
     "RunReport",
     "analytical_problem",
-    "argmax_pool",
     "best_feasible",
-    "constrained_ei",
     "constraint_dominates",
-    "expected_improvement",
+    "ei_values",
     "fit_gp",
     "four_point_problem",
     "lhs_sample",
-    "matern52",
-    "predict",
-    "prob_feasible",
+    "pf_values",
+    "predict_batch",
     "run_cbo",
     "run_ga",
     "running_best",

@@ -1,42 +1,25 @@
-"""Acquisition functions: EI, probability of feasibility, and their product.
+"""Acquisition values, elementwise on arrays of posterior means and variances.
 
-All formulas use the posterior standard deviation s = sqrt(variance):
+Both formulas use the posterior standard deviation s = sqrt(variance):
 
     EI  = (y_min - mean) Phi(z) + s phi(z),  z = (y_min - mean) / s
     PF  = Phi((mean - c) / s)
-    EIC = EI * PF   (PF alone while no feasible point is known)
 
 with the degenerate s = 0 limits max(0, y_min - mean) and the 0/1 indicator.
+`run_cbo` scores its pool by EI * PF, or by PF alone while no feasible point
+is known.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 from scipy.special import ndtr
-
-from curebo.gp import Posterior
-from curebo.space import CandidatePool
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def _phi(z):
     return np.exp(-0.5 * z * z) / _SQRT_2PI
-
-
-@dataclass(frozen=True)
-class Incumbent:
-    """Best feasible observation so far, if any."""
-
-    y_min: Optional[float] = None
-    x_best: Optional[np.ndarray] = None
-
-    @property
-    def found(self) -> bool:
-        return self.y_min is not None
 
 
 def ei_values(means, variances, y_min: float) -> np.ndarray:
@@ -61,29 +44,3 @@ def pf_values(means, variances, threshold: float) -> np.ndarray:
     if np.any(pos):
         out[pos] = ndtr((means[pos] - threshold) / s[pos])
     return out
-
-
-def expected_improvement(post_f: Posterior, y_min: float) -> float:
-    return float(ei_values(np.array([post_f.mean]), np.array([post_f.variance]), y_min)[0])
-
-
-def prob_feasible(post_g: Posterior, c: float) -> float:
-    return float(pf_values(np.array([post_g.mean]), np.array([post_g.variance]), c)[0])
-
-
-def constrained_ei(
-    post_f: Posterior, post_g: Posterior, incumbent: Incumbent, c: float
-) -> float:
-    """EI weighted by feasibility; pure feasibility search with no incumbent."""
-    pf = prob_feasible(post_g, c)
-    if not incumbent.found:
-        return pf
-    return expected_improvement(post_f, incumbent.y_min) * pf
-
-
-def argmax_pool(pool: CandidatePool, scorer: Callable[[np.ndarray], float]) -> np.ndarray:
-    """Candidate with the largest score; ties broken by lowest pool index."""
-    if len(pool) == 0:
-        raise ValueError("cannot select from an empty candidate pool")
-    scores = np.fromiter((float(scorer(p)) for p in pool.points), dtype=float, count=len(pool))
-    return pool.points[int(np.argmax(scores))]

@@ -27,7 +27,7 @@ from curebo.records import (
     best_feasible,
     build_report,
 )
-from curebo.space import CandidatePool, DesignSpace, drop_near_duplicates, lhs_sample, sieve
+from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             acq_trace=acq_trace,
         )
 
-    for x in lhs_sample(space, config.n_init, init_ss).points:
+    for x in lhs_sample(space, config.n_init, init_ss):
         try:
             f, g = problem(x)
         except Exception as exc:  # noqa: BLE001 - report partial run
@@ -129,20 +129,20 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             else:
                 pool = sieved
 
-        mean_g, var_g = predict_batch(model_g, pool.points)
+        mean_g, var_g = predict_batch(model_g, pool)
         pf = pf_values(mean_g, var_g, config.threshold)
         incumbent = best_feasible(evaluations, config.threshold)
-        if pf_only or not incumbent.found:
+        if pf_only or incumbent is None:
             scores = pf
         else:
-            mean_f, var_f = predict_batch(model_f, pool.points)
-            scores = ei_values(mean_f, var_f, incumbent.y_min) * pf
+            mean_f, var_f = predict_batch(model_f, pool)
+            scores = ei_values(mean_f, var_f, incumbent.f) * pf
 
         pick = _best_distinct(pool, scores, train_x, config.duplicate_tol)
         if pick is None:
             events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
             return finish(complete=False)
-        x_next = pool.points[pick]
+        x_next = pool[pick]
         try:
             f, g = problem(x_next)
         except Exception as exc:  # noqa: BLE001
@@ -156,12 +156,12 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
     return finish(complete=True)
 
 
-def _best_distinct(pool: CandidatePool, scores, train_x, tol: float) -> Optional[int]:
+def _best_distinct(pool: np.ndarray, scores, train_x, tol: float) -> Optional[int]:
     """Index of the best-scoring candidate farther than tol (L-inf) from every
     evaluated point, first index on ties as np.argmax; None when there is
     none. The duplicate guard runs on candidates in descending score, so
     normally only the winner is checked."""
     for i in np.argsort(-scores, kind="stable").tolist():
-        if len(drop_near_duplicates(CandidatePool(pool.points[i : i + 1]), train_x, tol)):
+        if len(drop_near_duplicates(pool[i : i + 1], train_x, tol)):
             return i
     return None

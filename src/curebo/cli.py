@@ -111,7 +111,11 @@ def trace(cycle_config, out):
     params = data.get("params", [])
     if isinstance(params, dict):
         order = {"two-point": ("t1", "T1"), "four-point": ("t1", "T1", "t2", "T2")}
-        params = [params[k] for k in order.get(variant, ())]
+        keys = order.get(variant, ())
+        missing = [k for k in keys if k not in params]
+        if missing:
+            raise ValueError(f"{variant} params lack {', '.join(missing)}")
+        params = [params[k] for k in keys]
     cycle = build_cycle(variant, params, start_temp=float(data.get("start_temp", 20.0)))
     kin = replace(KineticParams(), **data.get("kinetics", {}))
     mech = replace(MechanicalParams(), **data.get("mechanical", {}))

@@ -146,7 +146,7 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
         )
 
     population: list[Individual] = []
-    for x in lhs_sample(space, config.pop_size, init_ss).points:
+    for x in lhs_sample(space, config.pop_size, init_ss):
         ind = record(x, 0, PHASE_INIT)
         if ind is None:
             return finish(complete=False)

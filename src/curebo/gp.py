@@ -9,8 +9,8 @@ variance are profiled out in closed form,
     sigma2_hat = (y - mu_hat)' R^-1 (y - mu_hat) / n
 
 so the only free hyperparameters are the per-dimension length scales, chosen
-by maximizing the concentrated log marginal likelihood. Posterior prediction
-includes the mean-estimation term in the variance:
+by maximizing the concentrated log marginal likelihood. The predictive
+variance includes the mean-estimation term:
 
     s2(x) = sigma2_hat * [1 - r' R^-1 r + (1 - 1' R^-1 r)^2 / (1' R^-1 1)]
 
@@ -42,31 +42,6 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class KernelParams:
-    """Matern-5/2 ARD hyperparameters.
-
-    The kernel is evaluated as a correlation with the process variance
-    profiled, so the length scales are its only parameters.
-    """
-
-    length_scales: np.ndarray
-
-    def __post_init__(self):
-        ls = np.atleast_1d(np.asarray(self.length_scales, dtype=float))
-        object.__setattr__(self, "length_scales", ls)
-        if np.any(ls <= 0):
-            raise ValueError("length scales must be positive")
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Predictive mean and (clamped, nonnegative) variance at one point."""
-
-    mean: float
-    variance: float
-
-
-@dataclass(frozen=True)
 class FitConfig:
     """Hyperparameter-search settings for fit_gp.
 
@@ -85,11 +60,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class GpSurrogate:
-    """Fitted GP state: kernel, Cholesky factor, profile estimates, caches."""
+    """Fitted GP state: length scales, Cholesky factor, profile estimates, caches."""
 
     train_x: np.ndarray
     train_y: np.ndarray
-    kernel: KernelParams
+    length_scales: np.ndarray  # Matern-5/2 ARD, one per input dimension
     factor: np.ndarray  # lower-triangular L with L L' = R + jitter I
     jitter: float
     mu_hat: float
@@ -98,10 +73,6 @@ class GpSurrogate:
     resid_solve: np.ndarray = field(repr=False, default=None)  # R^-1 (y - mu 1)
     ones_solve: np.ndarray = field(repr=False, default=None)  # R^-1 1
     one_r_one: float = 0.0  # 1' R^-1 1
-
-    @property
-    def n(self) -> int:
-        return len(self.train_y)
 
     @property
     def dims(self) -> int:
@@ -130,15 +101,6 @@ def matern52_matrix(x: np.ndarray, z: np.ndarray, length_scales: np.ndarray) -> 
     """Correlation matrix between row sets x (n,d) and z (m,d)."""
     d2 = cdist(x / length_scales, z / length_scales, metric="sqeuclidean")
     return _matern52_from_d2(d2)[0]
-
-
-def matern52(a, b, params: KernelParams) -> float:
-    """Matern-5/2 correlation between two points; 1 at zero distance."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("point dimensions differ")
-    return float(matern52_matrix(a[None, :], b[None, :], params.length_scales)[0, 0])
 
 
 def _chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
@@ -258,6 +220,8 @@ def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
         best_ls = np.atleast_1d(np.asarray(config.length_scales, dtype=float))
         if best_ls.size != d:
             raise ValueError("pinned length_scales dimension mismatch")
+        if not np.all(np.isfinite(best_ls) & (best_ls > 0)):
+            raise ValueError("pinned length_scales must be finite and positive")
     else:
         init = np.log(_initial_length_scales(x))
         starts = [init]
@@ -304,7 +268,7 @@ def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
     return GpSurrogate(
         train_x=x,
         train_y=y,
-        kernel=KernelParams(length_scales=best_ls),
+        length_scales=best_ls,
         factor=L,
         jitter=jitter,
         mu_hat=mu,
@@ -317,11 +281,11 @@ def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
 
 
 def predict_batch(model: GpSurrogate, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances at many query points, vectorized."""
+    """Predictive means and variances at many query points, vectorized."""
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != model.dims:
         raise ValueError(f"expected {model.dims}-dimensional queries, got {q.shape[1]}")
-    r = matern52_matrix(q, model.train_x, model.kernel.length_scales)  # (m, n)
+    r = matern52_matrix(q, model.train_x, model.length_scales)  # (m, n)
     means = model.mu_hat + r @ model.resid_solve
     one_rinv_r = r @ model.ones_solve
     v = dtrtrs(model.factor, r.T, lower=1, overwrite_b=1)[0]  # (n, m), overwrites r
@@ -330,19 +294,3 @@ def predict_batch(model: GpSurrogate, queries: np.ndarray) -> tuple[np.ndarray, 
         1.0 - r_rinv_r + (1.0 - one_rinv_r) ** 2 / model.one_r_one
     )
     return means, np.maximum(variances, 0.0)
-
-
-def predict(model: GpSurrogate, query) -> Posterior:
-    """Posterior at a single query point."""
-    means, variances = predict_batch(model, np.asarray(query, dtype=float)[None, :])
-    return Posterior(mean=float(means[0]), variance=float(variances[0]))
-
-
-def diagnostics(model: GpSurrogate) -> str:
-    """One-line hyperparameter and likelihood summary for reports."""
-    ls = ", ".join(f"{v:.4g}" for v in model.kernel.length_scales)
-    return (
-        f"n={model.n} length_scales=[{ls}] mu_hat={model.mu_hat:.6g} "
-        f"sigma2_hat={model.sigma2_hat:.6g} jitter={model.jitter:g} "
-        f"loglik={model.log_likelihood:.6g}"
-    )

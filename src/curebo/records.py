@@ -8,8 +8,6 @@ from typing import Optional
 
 import numpy as np
 
-from curebo.acquisition import Incumbent
-
 PHASE_INIT = "init"
 PHASE_LEARN = "learn"
 
@@ -69,13 +67,11 @@ def running_best(evaluations, threshold: float) -> list[Optional[int]]:
     return best
 
 
-def best_feasible(evaluations, threshold: float) -> Incumbent:
-    """Minimum-f evaluation among those with g >= threshold; ties to earliest."""
+def best_feasible(evaluations, threshold: float) -> Optional[Evaluation]:
+    """Minimum-f evaluation among those with g >= threshold, ties to the
+    earliest; None when no evaluation is feasible."""
     best = running_best(evaluations, threshold)
-    if not best or best[-1] is None:
-        return Incumbent()
-    e = evaluations[best[-1]]
-    return Incumbent(y_min=e.f, x_best=e.x)
+    return evaluations[best[-1]] if best and best[-1] is not None else None
 
 
 def build_report(

@@ -60,20 +60,8 @@ class DesignSpace:
         return self.lower + unit * (self.upper - self.lower)
 
 
-@dataclass(frozen=True)
-class CandidatePool:
-    """Finite set of normalized candidate points, kept in generation order."""
-
-    points: np.ndarray  # (k, d) coordinates in [0, 1]
-    seed: object = None
-    m: int = 0  # requested sample count; len(points) <= m after sieving
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def lhs_sample(space: DesignSpace, m: int, seed=None) -> CandidatePool:
-    """Latin hypercube sample of m points over the unit box.
+def lhs_sample(space: DesignSpace, m: int, seed=None) -> np.ndarray:
+    """Latin hypercube sample of m points over the unit box, as an (m, d) array.
 
     Each dimension is split into m equal strata and receives exactly one
     point per stratum, placed uniformly at random within the stratum.
@@ -87,41 +75,38 @@ def lhs_sample(space: DesignSpace, m: int, seed=None) -> CandidatePool:
     strata = np.empty((m, d))
     for h in range(d):
         strata[:, h] = rng.permutation(m)
-    return CandidatePool(points=(strata + offsets) / m, seed=seed, m=m)
+    return (strata + offsets) / m
 
 
 def sieve(
-    pool: CandidatePool,
+    points: np.ndarray,
     predicate: Callable[[np.ndarray], np.ndarray],
-    space: DesignSpace | None = None,
-) -> CandidatePool:
-    """Keep the candidates passing a deterministic predicate, order preserved.
+    space: DesignSpace,
+) -> np.ndarray:
+    """Keep the normalized (k, d) candidates passing a deterministic predicate,
+    order preserved.
 
-    The predicate is called once, dimension first: raw[h] is the column of
-    coordinate h over the whole pool (raw coordinates when a space is
-    supplied, otherwise normalized ones). It returns one boolean per
-    candidate, or a single boolean for all of them. Written with elementwise
-    operations, the same predicate also accepts one point, where raw[h] is a
-    scalar. An empty result is a valid (empty) pool.
+    The predicate is called once, dimension first, on raw coordinates:
+    raw[h] is the column of coordinate h over the whole pool. It returns one
+    boolean per candidate, or a single boolean for all of them. Written with
+    elementwise operations, the same predicate also accepts one point, where
+    raw[h] is a scalar. An empty result is a valid (0, d) array.
     """
-    pts = pool.points
-    if len(pts) == 0:
-        return pool
-    shown = space.denormalize(pts) if space is not None else pts
-    keep = np.broadcast_to(np.asarray(predicate(shown.T), dtype=bool), (len(pts),))
-    return CandidatePool(points=pts[keep], seed=pool.seed, m=pool.m)
+    if len(points) == 0:
+        return points
+    keep = np.broadcast_to(
+        np.asarray(predicate(space.denormalize(points).T), dtype=bool), (len(points),)
+    )
+    return points[keep]
 
 
-def drop_near_duplicates(
-    pool: CandidatePool, evaluated: np.ndarray, tol: float = 1e-9
-) -> CandidatePool:
+def drop_near_duplicates(points: np.ndarray, evaluated, tol: float = 1e-9) -> np.ndarray:
     """Remove candidates within L-inf distance tol of any evaluated point.
 
     Keeps the correlation matrix of the surrogates well conditioned.
     """
     evaluated = np.asarray(evaluated, dtype=float)
-    if len(pool.points) == 0 or evaluated.size == 0:
-        return pool
-    gaps = cdist(pool.points, np.atleast_2d(evaluated), metric="chebyshev")
-    keep = gaps.min(axis=1) > tol
-    return CandidatePool(points=pool.points[keep], seed=pool.seed, m=pool.m)
+    if len(points) == 0 or evaluated.size == 0:
+        return points
+    gaps = cdist(points, np.atleast_2d(evaluated), metric="chebyshev")
+    return points[gaps.min(axis=1) > tol]

@@ -50,6 +50,15 @@ _TOP_KEYS = {
 }
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 class ConfigError(ValueError):
     """Invalid run configuration; message lists every violation found."""
 
@@ -89,25 +98,25 @@ class RunConfig:
         if optimizer not in _OPTIMIZERS:
             violations.append(f"optimizer must be one of {_OPTIMIZERS}")
         reps = data.get("replications")
-        if not isinstance(reps, int) or reps < 1:
+        if not _is_int(reps) or reps < 1:
             violations.append("replications must be an integer >= 1")
         seed = data.get("seed")
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             violations.append("seed must be an integer")
         out_dir = data.get("output_dir")
         if not isinstance(out_dir, str) or not out_dir:
             violations.append("output_dir must be a nonempty string")
         workers = data.get("workers", 1)
-        if not isinstance(workers, int) or workers < 1:
+        if not _is_int(workers) or workers < 1:
             violations.append("workers must be an integer >= 1")
         for key in ("cbo", "ga", "problem_options"):
             if not isinstance(data.get(key, {}), dict):
                 violations.append(f"{key} must be an object")
         ref = data.get("reference_optimum")
-        if ref is not None and not isinstance(ref, (int, float)):
+        if ref is not None and not _is_number(ref):
             violations.append("reference_optimum must be a number")
         tol = data.get("convergence_tol", 2e-4)
-        if not isinstance(tol, (int, float)) or tol <= 0:
+        if not _is_number(tol) or tol <= 0:
             violations.append("convergence_tol must be a positive number")
         if violations:
             raise ConfigError(violations)

@@ -14,10 +14,10 @@ import pytest
 from click.testing import CliRunner
 from scipy.integrate import solve_ivp
 
-from curebo.acquisition import expected_improvement
+from curebo.acquisition import ei_values
 from curebo.cbo import CboConfig, run_cbo
 from curebo.cli import main as cli_main
-from curebo.gp import Posterior, fit_gp, predict_batch, profile_log_likelihood
+from curebo.gp import fit_gp, predict_batch, profile_log_likelihood
 from curebo.problems import (
     KineticParams,
     MechanicalParams,
@@ -151,7 +151,7 @@ def test_criterion_5_ei_matches_monte_carlo():
         samples = np.maximum(0.0, y_min - draws)
         mc = samples.mean()
         se = samples.std(ddof=1) / 1000.0
-        closed = expected_improvement(Posterior(mean, sd ** 2), y_min)
+        closed = float(ei_values(np.array([mean]), np.array([sd ** 2]), y_min)[0])
         if se == 0.0:
             # improvement so unlikely that a million draws found none: both
             # routes must agree the EI sits below Monte-Carlo resolution

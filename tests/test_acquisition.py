@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from curebo.acquisition import (
-    Incumbent,
-    argmax_pool,
-    constrained_ei,
-    ei_values,
-    expected_improvement,
-    pf_values,
-    prob_feasible,
-)
-from curebo.gp import Posterior
-from curebo.space import CandidatePool
+from curebo.acquisition import ei_values, pf_values
+
+
+def ei(mean, variance, y_min):
+    return float(ei_values(np.array([mean]), np.array([variance]), y_min)[0])
+
+
+def pf(mean, variance, c):
+    return float(pf_values(np.array([mean]), np.array([variance]), c)[0])
 
 
 def mc_expected_improvement(mean, sd, y_min, rng, draws=10 ** 6):
@@ -22,15 +20,14 @@ def mc_expected_improvement(mean, sd, y_min, rng, draws=10 ** 6):
 
 def test_ei_at_incumbent_mean_is_half_sd_density():
     # z = 0: first term vanishes, EI = s * phi(0)
-    post = Posterior(mean=2.0, variance=0.25)
     expected = 0.5 / np.sqrt(2.0 * np.pi)
-    assert expected_improvement(post, 2.0) == pytest.approx(expected, rel=1e-12)
-    assert expected_improvement(post, 2.0) == pytest.approx(0.199471, abs=1e-6)
+    assert ei(2.0, 0.25, 2.0) == pytest.approx(expected, rel=1e-12)
+    assert ei(2.0, 0.25, 2.0) == pytest.approx(0.199471, abs=1e-6)
 
 
 def test_ei_degenerate_variance():
-    assert expected_improvement(Posterior(1.0, 0.0), 3.0) == pytest.approx(2.0)
-    assert expected_improvement(Posterior(5.0, 0.0), 3.0) == 0.0
+    assert ei(1.0, 0.0, 3.0) == pytest.approx(2.0)
+    assert ei(5.0, 0.0, 3.0) == 0.0
 
 
 def test_ei_closed_form_matches_monte_carlo_oracle():
@@ -40,7 +37,7 @@ def test_ei_closed_form_matches_monte_carlo_oracle():
         sd = rng.uniform(0.05, 2.0)
         y_min = rng.uniform(-2.0, 2.0)
         mc, se = mc_expected_improvement(mean, sd, y_min, rng)
-        closed = expected_improvement(Posterior(mean, sd ** 2), y_min)
+        closed = ei(mean, sd ** 2, y_min)
         if se == 0.0:  # no improvement mass at Monte-Carlo resolution
             assert mc == 0.0 and closed <= 1e-5
             continue
@@ -52,78 +49,41 @@ def test_ei_nonnegative_and_nondecreasing_in_sd():
     for mean in np.linspace(-1.5, 1.5, 7):
         previous = -1.0
         for sd in np.linspace(0.01, 2.0, 40):
-            value = expected_improvement(Posterior(mean, sd ** 2), y_min)
+            value = ei(mean, sd ** 2, y_min)
             assert value >= 0.0
             assert value >= previous - 1e-12
             previous = value
 
 
 def test_pf_examples():
-    assert prob_feasible(Posterior(0.5, 0.04), 0.5) == pytest.approx(0.5, rel=1e-12)
+    assert pf(0.5, 0.04, 0.5) == pytest.approx(0.5, rel=1e-12)
     s = 0.2
-    post = Posterior(0.5 + 1.6449 * s, s ** 2)
-    assert prob_feasible(post, 0.5) == pytest.approx(0.95, abs=1e-4)
-    assert prob_feasible(Posterior(0.9, 0.0), 0.5) == 1.0
-    assert prob_feasible(Posterior(0.2, 0.0), 0.5) == 0.0
+    assert pf(0.5 + 1.6449 * s, s ** 2, 0.5) == pytest.approx(0.95, abs=1e-4)
+    assert pf(0.9, 0.0, 0.5) == 1.0
+    assert pf(0.2, 0.0, 0.5) == 0.0
 
 
 def test_pf_monotone_in_mean_and_bounded():
-    values = [prob_feasible(Posterior(m, 0.01), 0.5) for m in np.linspace(0.0, 1.0, 21)]
+    values = [pf(m, 0.01, 0.5) for m in np.linspace(0.0, 1.0, 21)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_constrained_ei_product_form():
-    post_f = Posterior(mean=1.0, variance=0.04)
-    incumbent = Incumbent(y_min=1.2, x_best=np.array([0.5]))
-    ei = expected_improvement(post_f, 1.2)
-
-    certain = Posterior(mean=0.99, variance=0.0)  # PF = 1
-    assert constrained_ei(post_f, certain, incumbent, 0.5) == pytest.approx(ei, rel=1e-12)
-    impossible = Posterior(mean=0.2, variance=0.0)  # PF = 0
-    assert constrained_ei(post_f, impossible, incumbent, 0.5) == 0.0
+    # the EI x PF product run_cbo scores with, at PF = 1, 0 and 1/2
+    improvement = ei(1.0, 0.04, 1.2)
+    assert improvement * pf(0.99, 0.0, 0.5) == pytest.approx(improvement, rel=1e-12)
+    assert improvement * pf(0.2, 0.0, 0.5) == 0.0
     # EI = 0.2 and PF = 0.5 multiply to 0.1
-    flat = Posterior(mean=1.0, variance=0.0)
-    half = Posterior(mean=0.5, variance=0.01)
-    assert constrained_ei(flat, half, Incumbent(y_min=1.2), 0.5) == pytest.approx(0.1, rel=1e-9)
-
-
-def test_constrained_ei_without_incumbent_is_pf():
-    post_f = Posterior(mean=1.0, variance=0.04)
-    post_g = Posterior(mean=0.6, variance=0.01)
-    pf = prob_feasible(post_g, 0.5)
-    assert constrained_ei(post_f, post_g, Incumbent(), 0.5) == pytest.approx(pf, rel=1e-12)
+    assert ei(1.0, 0.0, 1.2) * pf(0.5, 0.01, 0.5) == pytest.approx(0.1, rel=1e-9)
 
 
 def test_constrained_ei_never_exceeds_ei():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        post_f = Posterior(rng.normal(), rng.uniform(0.0, 1.0))
-        post_g = Posterior(rng.normal(0.5, 0.5), rng.uniform(0.0, 0.2))
-        inc = Incumbent(y_min=rng.normal())
-        eic = constrained_ei(post_f, post_g, inc, 0.5)
-        assert eic <= expected_improvement(post_f, inc.y_min) + 1e-12
+        mean_f, var_f = rng.normal(), rng.uniform(0.0, 1.0)
+        mean_g, var_g = rng.normal(0.5, 0.5), rng.uniform(0.0, 0.2)
+        y_min = rng.normal()
+        eic = ei(mean_f, var_f, y_min) * pf(mean_g, var_g, 0.5)
+        assert eic <= ei(mean_f, var_f, y_min) + 1e-12
         assert eic >= 0.0
-
-
-def test_argmax_pool_tie_and_selection_rules():
-    pool = CandidatePool(points=np.array([[0.1], [0.5], [0.9]]), m=3)
-    assert argmax_pool(pool, lambda p: 1.0)[0] == 0.1  # all equal: first
-    scores = {0.1: 0.1, 0.5: 0.9, 0.9: 0.3}
-    assert argmax_pool(pool, lambda p: scores[round(p[0], 1)])[0] == 0.5
-    single = CandidatePool(points=np.array([[0.7]]), m=1)
-    assert argmax_pool(single, lambda p: 0.0)[0] == 0.7
-    with pytest.raises(ValueError):
-        argmax_pool(CandidatePool(points=np.empty((0, 1)), m=0), lambda p: 0.0)
-
-
-def test_vectorized_values_match_scalar_path():
-    rng = np.random.default_rng(7)
-    means = rng.normal(size=20)
-    variances = rng.uniform(0.0, 1.0, size=20)
-    variances[::5] = 0.0
-    eis = ei_values(means, variances, 0.3)
-    pfs = pf_values(means, variances, 0.1)
-    for i in range(20):
-        assert eis[i] == pytest.approx(expected_improvement(Posterior(means[i], variances[i]), 0.3), rel=1e-12, abs=1e-300)
-        assert pfs[i] == pytest.approx(prob_feasible(Posterior(means[i], variances[i]), 0.1), rel=1e-12, abs=1e-300)

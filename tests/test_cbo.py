@@ -5,8 +5,9 @@ from curebo import cbo
 from curebo.cbo import CboConfig, run_cbo
 from curebo.gp import NumericalError
 from curebo.problems import analytical_problem
+from curebo.acquisition import ei_values, pf_values
 from curebo.records import Evaluation, best_feasible
-from curebo.space import CandidatePool, DesignSpace
+from curebo.space import DesignSpace
 
 UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
 
@@ -20,14 +21,14 @@ def _eval(f, g, step=0, phase="init"):
 
 
 def test_best_feasible_rules():
-    assert not best_feasible([], 0.5).found
-    assert not best_feasible([_eval(1.0, 0.1), _eval(0.5, 0.2)], 0.5).found
+    assert best_feasible([], 0.5) is None
+    assert best_feasible([_eval(1.0, 0.1), _eval(0.5, 0.2)], 0.5) is None
     # global minimum infeasible: the feasible runner-up wins
     mixed = [_eval(0.1, 0.2), _eval(0.7, 0.9), _eval(0.4, 0.6)]
     inc = best_feasible(mixed, 0.5)
-    assert inc.found and inc.y_min == 0.4
+    assert inc is mixed[2] and inc.f == 0.4
     # boundary equality counts as feasible
-    assert best_feasible([_eval(1.0, 0.5)], 0.5).found
+    assert best_feasible([_eval(1.0, 0.5)], 0.5) is not None
 
 
 def test_budget_exactness_forty_evaluations():
@@ -118,10 +119,12 @@ def test_exhausted_fixed_pool_returns_partial_report():
 
 def test_near_duplicate_winner_gives_way_to_the_next_best(monkeypatch):
     init = np.array([[0.2, 0.2], [0.8, 0.8]])
-    pool = np.array([[0.5, 0.5], [0.2, 0.2 + 1e-12], [0.3, 0.3], [0.8, 0.8], [0.25, 0.2]])
+    pool = np.array(
+        [[0.5, 0.5], [0.2, 0.2 + 1e-12], [0.3, 0.3], [0.8, 0.8], [0.25, 0.2], [0.2, 0.25]]
+    )
 
     def fixed_lhs(space, m, seed=None):
-        return CandidatePool(points=(init if m == len(init) else pool).copy(), seed=seed, m=m)
+        return (init if m == len(init) else pool).copy()
 
     def peak_at_first_init_point(model, points):
         return -np.abs(points - init[0]).max(axis=1), np.ones(len(points))
@@ -130,10 +133,45 @@ def test_near_duplicate_winner_gives_way_to_the_next_best(monkeypatch):
     monkeypatch.setattr(cbo, "predict_batch", peak_at_first_init_point)
     config = CboConfig(n_init=2, n_steps=1, pool_size=len(pool), threshold=0.5, seed=0)
     report = run_cbo(lambda x: (0.0, 0.0), UNIT_SQUARE, config)
-    # row 1 scores highest but lies 1e-12 from an evaluated point; row 4 is next
+    # row 1 scores highest but lies 1e-12 from an evaluated point; rows 4 and 5
+    # tie next, and the tie goes to the first
     assert report.complete
     assert np.array_equal(report.evaluations[-1].x, pool[4])
     assert report.events == []
+
+
+def test_acquisition_value_is_ei_times_pf_or_pf_alone(monkeypatch):
+    real_predict = cbo.predict_batch
+    calls = []
+
+    def wide_predict(model, points):
+        # widened posteriors keep PF strictly between 0 and 1
+        means, variances = real_predict(model, points)
+        variances = variances + 0.05
+        calls.append((sorted(model.train_y), points, means, variances))
+        return means, variances
+
+    monkeypatch.setattr(cbo, "predict_batch", wide_predict)
+    config = CboConfig(n_init=4, n_steps=1, pool_size=50, threshold=0.5, seed=0)
+    # g = x1 leaves some initial points feasible; g = 0.4 x1 leaves none
+    for g_scale, feasible in ((1.0, True), (0.4, False)):
+        calls.clear()
+        report = run_cbo(lambda x: (float(x[0]), g_scale * float(x[1])), UNIT_SQUARE, config)
+        init = report.evaluations[:4]
+        y_f = sorted(e.f for e in init)
+        posterior = {"f" if ys == y_f else "g": rest for ys, *rest in calls}
+        points, mean_g, var_g = posterior["g"]
+        pf = pf_values(mean_g, var_g, 0.5)
+        if feasible:
+            _, mean_f, var_f = posterior["f"]
+            best_f = min(e.f for e in init if e.g >= 0.5)
+            scores = ei_values(mean_f, var_f, best_f) * pf
+        else:
+            assert "f" not in posterior  # PF alone needs no f prediction
+            scores = pf
+        pick = np.flatnonzero((points == report.evaluations[-1].x).all(axis=1))[0]
+        assert 0.0 < pf[pick] < 1.0
+        assert report.acq_trace == [scores[pick]] == [scores.max()]
 
 
 def test_surrogate_fit_failure_returns_partial_report(monkeypatch):

@@ -6,10 +6,10 @@ import pytest
 
 from curebo.gp import (
     FitConfig,
-    KernelParams,
+    NumericalError,
+    _chol_with_jitter,
     fit_gp,
-    matern52,
-    predict,
+    matern52_matrix,
     predict_batch,
     profile_log_likelihood,
 )
@@ -23,33 +23,44 @@ def _random_dataset(rng, n, d):
     return x, y
 
 
+def correlation(a, b, length_scales):
+    """Correlation between two points, as the one-entry kernel matrix."""
+    return float(matern52_matrix(np.array([a], float), np.array([b], float), length_scales)[0, 0])
+
+
+def predict_one(model, query):
+    """Mean and variance at one point, as a one-row batch."""
+    means, variances = predict_batch(model, np.array([query], float))
+    return float(means[0]), float(variances[0])
+
+
 def test_matern52_unit_at_zero_distance():
-    params = KernelParams(length_scales=[0.3, 0.7])
     a = np.array([0.2, 0.9])
-    assert matern52(a, a, params) == pytest.approx(1.0, abs=0.0)
+    assert correlation(a, a, np.array([0.3, 0.7])) == pytest.approx(1.0, abs=0.0)
 
 
 def test_matern52_decays_to_zero():
-    params = KernelParams(length_scales=[1e-3])
-    assert matern52([0.0], [1.0], params) < 1e-300
+    assert correlation([0.0], [1.0], np.array([1e-3])) < 1e-300
 
 
 def test_matern52_unit_separation_value():
     # direct formula at r = 1: (1 + sqrt5 + 5/3) exp(-sqrt5)
     expected = (1.0 + SQRT5 + 5.0 / 3.0) * np.exp(-SQRT5)
-    got = matern52([0.0], [1.0], KernelParams(length_scales=[1.0]))
+    got = correlation([0.0], [1.0], np.array([1.0]))
     assert got == pytest.approx(expected, rel=1e-14)
     assert got == pytest.approx(0.5240, abs=5e-5)
 
 
 def test_matern52_dimension_mismatch():
     with pytest.raises(ValueError):
-        matern52([0.0], [0.0, 1.0], KernelParams(length_scales=[1.0]))
+        correlation([0.0], [0.0, 1.0], np.array([1.0]))
 
 
-def test_kernel_params_validation():
-    with pytest.raises(ValueError):
-        KernelParams(length_scales=[0.0])
+@pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf])
+def test_fit_rejects_bad_pinned_length_scales(bad):
+    x = np.array([[0.1], [0.5], [0.9]])
+    with pytest.raises(ValueError, match="finite and positive"):
+        fit_gp(x, np.array([1.0, 2.0, 0.5]), FitConfig(length_scales=np.array([bad])))
 
 
 def test_fit_constant_outputs():
@@ -57,9 +68,9 @@ def test_fit_constant_outputs():
     model = fit_gp(x, np.full(7, 3.25))
     assert model.mu_hat == pytest.approx(3.25, rel=1e-12)
     assert model.sigma2_hat == pytest.approx(0.0, abs=1e-12)
-    post = predict(model, [0.33])
-    assert post.mean == pytest.approx(3.25, rel=1e-9)
-    assert post.variance == pytest.approx(0.0, abs=1e-12)
+    mean, variance = predict_one(model, [0.33])
+    assert mean == pytest.approx(3.25, rel=1e-9)
+    assert variance == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_rejects_tiny_or_duplicated_data():
@@ -86,17 +97,16 @@ def test_leave_one_out_on_sine_within_three_sd():
     for i in range(5):
         keep = np.arange(5) != i
         model = fit_gp(x[keep], y[keep])
-        post = predict(model, x[i])
-        sd = np.sqrt(post.variance)
-        assert abs(post.mean - y[i]) <= 3.0 * sd + 1e-9
+        mean, variance = predict_one(model, x[i])
+        assert abs(mean - y[i]) <= 3.0 * np.sqrt(variance) + 1e-9
 
 
 def test_predict_symmetric_pair_averages():
     x = np.array([[0.25], [0.75]])
     y = np.array([1.0, 3.0])
     model = fit_gp(x, y)
-    post = predict(model, [0.5])
-    assert post.mean == pytest.approx(2.0, rel=1e-10)
+    mean, _ = predict_one(model, [0.5])
+    assert mean == pytest.approx(2.0, rel=1e-10)
 
 
 def test_predict_far_field_limits():
@@ -104,10 +114,10 @@ def test_predict_far_field_limits():
     x = np.array([[0.40], [0.42], [0.44]])
     y = np.array([1.0, 1.5, 0.5])
     model = fit_gp(x, y, FitConfig(optimize=False, length_scales=np.array([0.01])))
-    post = predict(model, [0.99])
-    assert post.mean == pytest.approx(model.mu_hat, abs=1e-8)
+    mean, variance = predict_one(model, [0.99])
+    assert mean == pytest.approx(model.mu_hat, abs=1e-8)
     expected_var = model.sigma2_hat * (1.0 + 1.0 / model.one_r_one)
-    assert post.variance == pytest.approx(expected_var, rel=1e-6)
+    assert variance == pytest.approx(expected_var, rel=1e-6)
 
 
 def test_predict_dimension_mismatch():
@@ -115,7 +125,7 @@ def test_predict_dimension_mismatch():
     x, y = _random_dataset(rng, 8, 2)
     model = fit_gp(x, y)
     with pytest.raises(ValueError):
-        predict(model, [0.5])
+        predict_one(model, [0.5])
 
 
 def test_permutation_invariance():
@@ -134,7 +144,7 @@ def test_profile_estimates_consistent_with_factor():
     x, y = _random_dataset(rng, 12, 1)
     model = fit_gp(x, y)
     # recompute mu and sigma2 from the cached factorization
-    n = model.n
+    n = len(model.train_y)
     ones = np.ones(n)
     from scipy.linalg import cho_solve
 
@@ -151,9 +161,7 @@ def test_factorization_identity_within_tolerance():
     rng = np.random.default_rng(8)
     x, y = _random_dataset(rng, 10, 2)
     model = fit_gp(x, y)
-    from curebo.gp import matern52_matrix
-
-    r = matern52_matrix(model.train_x, model.train_x, model.kernel.length_scales)
+    r = matern52_matrix(model.train_x, model.train_x, model.length_scales)
     rebuilt = model.factor @ model.factor.T
     target = r + model.jitter * np.eye(len(r))
     assert np.max(np.abs(rebuilt - target)) <= 1e-8 * np.max(np.abs(target))
@@ -177,8 +185,6 @@ def test_fit_survives_nearly_coincident_points():
 
 
 def test_jitter_escalates_and_eventually_raises():
-    from curebo.gp import NumericalError, _chol_with_jitter
-
     # indefinite beyond the starting jitter: escalation required
     r = np.ones((3, 3)) - 1e-8 * np.eye(3)
     _, jitter = _chol_with_jitter(r)
@@ -218,7 +224,7 @@ def test_fit_and_predict_are_bit_identical_to_recorded_values():
         model = fit_gp(x, y)
         means, variances = predict_batch(model, queries)
         got = {
-            "length_scales": [float(v).hex() for v in model.kernel.length_scales],
+            "length_scales": [float(v).hex() for v in model.length_scales],
             "log_likelihood": float(model.log_likelihood).hex(),
             "means": [float(v).hex() for v in means],
             "variances": [float(v).hex() for v in variances],

@@ -44,12 +44,8 @@ def test_running_best_matches_plain_loop(pairs):
     expected = reference_running_best(pairs, THRESHOLD)
     assert running_best(evaluations, THRESHOLD) == expected
 
-    inc = best_feasible(evaluations, THRESHOLD)
     last = expected[-1] if expected else None
-    assert inc.found == (last is not None)
-    if last is not None:
-        assert inc.y_min == pairs[last][0]
-        assert inc.x_best is evaluations[last].x
+    assert best_feasible(evaluations, THRESHOLD) is (None if last is None else evaluations[last])
 
     report = build_report(
         evaluations, THRESHOLD, trace_from=2, n_init=2, n_steps=10, started=0.0,

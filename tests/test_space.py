@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from curebo.problems import four_point_problem
-from curebo.space import (
-    CandidatePool,
-    DesignSpace,
-    drop_near_duplicates,
-    lhs_sample,
-    sieve,
-)
+from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
 
 
 @pytest.fixture
@@ -51,7 +45,7 @@ def test_space_validation():
 def test_lhs_one_point_per_stratum_1d():
     space = DesignSpace(lower=[0.0], upper=[1.0])
     pool = lhs_sample(space, 4, seed=0)
-    strata = np.floor(pool.points[:, 0] * 4).astype(int)
+    strata = np.floor(pool[:, 0] * 4).astype(int)
     assert sorted(strata) == [0, 1, 2, 3]
 
 
@@ -59,10 +53,10 @@ def test_lhs_stratification_2d_and_general():
     for d, m, seed in [(2, 2, 0), (2, 17, 3), (4, 9, 11), (1, 50, 5)]:
         space = DesignSpace(lower=[0.0] * d, upper=[1.0] * d)
         pool = lhs_sample(space, m, seed=seed)
-        assert pool.points.shape == (m, d)
-        assert np.all(pool.points >= 0.0) and np.all(pool.points < 1.0)
+        assert pool.shape == (m, d)
+        assert np.all(pool >= 0.0) and np.all(pool < 1.0)
         for h in range(d):
-            strata = np.floor(pool.points[:, h] * m).astype(int)
+            strata = np.floor(pool[:, h] * m).astype(int)
             assert sorted(strata) == list(range(m)), f"dim {h} not stratified"
 
 
@@ -70,8 +64,8 @@ def test_lhs_deterministic_given_seed(cure_space):
     a = lhs_sample(cure_space, 25, seed=123)
     b = lhs_sample(cure_space, 25, seed=123)
     c = lhs_sample(cure_space, 25, seed=124)
-    assert np.array_equal(a.points, b.points)
-    assert not np.array_equal(a.points, c.points)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_lhs_rejects_zero_samples(cure_space):
@@ -82,10 +76,9 @@ def test_lhs_rejects_zero_samples(cure_space):
 def test_sieve_identity_and_empty(cure_space):
     pool = lhs_sample(cure_space, 20, seed=7)
     kept = sieve(pool, lambda p: True, cure_space)
-    assert np.array_equal(kept.points, pool.points)
+    assert np.array_equal(kept, pool)
     gone = sieve(pool, lambda p: False, cure_space)
-    assert len(gone) == 0
-    assert gone.m == pool.m
+    assert gone.shape == (0, 2)
 
 
 def test_sieve_slope_predicate_matches_direct_arithmetic(cure_space):
@@ -99,15 +92,14 @@ def test_sieve_slope_predicate_matches_direct_arithmetic(cure_space):
     pool = lhs_sample(cure_space, 200, seed=9)
     # append the baseline-rate point A = (61.538, 180): slope1 = 2.6, slope2 = 0
     baseline_raw = np.array([(180.0 - 20.0) / 2.6, 180.0])
-    points = np.vstack([pool.points, cure_space.normalize(baseline_raw)])
-    pool = CandidatePool(points=points, seed=9, m=201)
+    pool = np.vstack([pool, cure_space.normalize(baseline_raw)])
 
     kept = sieve(pool, slopes_ok, cure_space)
-    raws = cure_space.denormalize(pool.points)
+    raws = cure_space.denormalize(pool)
     expected = np.array([(r[1] - 20.0) / r[0] > (180.0 - r[1]) / (120.0 - r[0]) for r in raws])
-    assert np.array_equal(kept.points, pool.points[expected])
+    assert np.array_equal(kept, pool[expected])
     assert slopes_ok(baseline_raw)  # 2.6 > 0: baseline retained
-    assert any(np.array_equal(p, pool.points[-1]) for p in kept.points)
+    assert any(np.array_equal(p, pool[-1]) for p in kept)
 
 
 def test_sieve_preserves_order_and_is_idempotent(cure_space):
@@ -115,9 +107,9 @@ def test_sieve_preserves_order_and_is_idempotent(cure_space):
     pred = lambda raw: raw[0] > 50.0
     once = sieve(pool, pred, cure_space)
     twice = sieve(once, pred, cure_space)
-    assert np.array_equal(once.points, twice.points)
+    assert np.array_equal(once, twice)
     # order preserved: kept points appear in original relative order
-    idx = [np.flatnonzero((pool.points == p).all(axis=1))[0] for p in once.points]
+    idx = [np.flatnonzero((pool == p).all(axis=1))[0] for p in once]
     assert idx == sorted(idx)
 
 
@@ -130,20 +122,19 @@ def test_sieve_preserves_order_and_is_idempotent(cure_space):
 )
 def test_vectorized_slope_sieve_matches_a_per_row_loop(points, rising):
     problem = four_point_problem(require_rising_second_ramp=rising)
-    pool = CandidatePool(points=points, m=len(points))
-    kept = sieve(pool, problem.sieve_raw, problem.space)
+    kept = sieve(points, problem.sieve_raw, problem.space)
     raws = problem.space.denormalize(points)
     expected = [bool(problem.sieve_raw(row)) for row in raws]
-    assert np.array_equal(kept.points, points[expected])
+    assert np.array_equal(kept, points[expected])
 
 
 def test_drop_near_duplicates():
     space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
     pool = lhs_sample(space, 50, seed=4)
-    evaluated = np.vstack([pool.points[10] + 5e-10, pool.points[20]])
+    evaluated = np.vstack([pool[10] + 5e-10, pool[20]])
     kept = drop_near_duplicates(pool, evaluated, tol=1e-9)
     assert len(kept) == 48
-    for gone in (pool.points[10], pool.points[20]):
-        assert not any(np.array_equal(p, gone) for p in kept.points)
+    for gone in (pool[10], pool[20]):
+        assert not any(np.array_equal(p, gone) for p in kept)
     untouched = drop_near_duplicates(pool, np.empty((0, 2)))
-    assert np.array_equal(untouched.points, pool.points)
+    assert np.array_equal(untouched, pool)

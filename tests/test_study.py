@@ -63,6 +63,14 @@ def test_config_rejects_unknown_keys_and_nested_errors(tmp_path):
         RunConfig.from_dict(small_config(tmp_path, problem_options={"t1_min": "x"}))
 
 
+@pytest.mark.parametrize(
+    "key", ["replications", "seed", "workers", "reference_optimum", "convergence_tol"]
+)
+def test_config_rejects_json_booleans_as_numbers(tmp_path, key):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(small_config(tmp_path, **{key: True}))
+
+
 def test_single_replication_percentiles_collapse(tmp_path):
     config = RunConfig.from_dict(small_config(tmp_path, replications=1))
     summary = run_study(config)["cbo"]
@@ -225,6 +233,15 @@ def test_cli_trace_writes_csv(tmp_path):
     assert res.exit_code == 0
     assert out.exists()
     assert out.read_text().startswith("time_min,T_C,alpha")
+
+
+def test_cli_trace_names_a_missing_parameter(tmp_path):
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text(json.dumps({"variant": "two-point", "params": {"t1": 60}}))
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2
+    assert "validation error:" in res.output and "T1" in res.output
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_cli_run_smoke(tmp_path):
