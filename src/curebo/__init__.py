@@ -6,11 +6,11 @@ and a batch study runner with seeded replications.
 """
 
 from curebo.space import DesignSpace, lhs_sample, sieve
-from curebo.gp import FitConfig, GpSurrogate, fit_gp, predict_batch
+from curebo.gp import GpSurrogate, fit_gp, predict_batch
 from curebo.acquisition import ei_values, pf_values
 from curebo.records import Evaluation, RunReport, best_feasible, running_best
 from curebo.cbo import CboConfig, run_cbo
-from curebo.ga import GaConfig, Individual, constraint_dominates, run_ga
+from curebo.ga import GaConfig, Individual, run_ga
 from curebo.problems import (
     Problem,
     analytical_problem,
@@ -24,7 +24,6 @@ __all__ = [
     "CboConfig",
     "DesignSpace",
     "Evaluation",
-    "FitConfig",
     "GaConfig",
     "GpSurrogate",
     "Individual",
@@ -32,7 +31,6 @@ __all__ = [
     "RunReport",
     "analytical_problem",
     "best_feasible",
-    "constraint_dominates",
     "ei_values",
     "fit_gp",
     "four_point_problem",

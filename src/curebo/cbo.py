@@ -12,13 +12,13 @@ probability of feasibility alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from curebo.acquisition import ei_values, pf_values
-from curebo.gp import FitConfig, NumericalError, fit_gp, predict_batch
+from curebo.gp import NumericalError, fit_gp, predict_batch
 from curebo.records import (
     PHASE_INIT,
     PHASE_LEARN,
@@ -29,6 +29,9 @@ from curebo.records import (
 )
 from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
 
+# L-inf distance within which a candidate counts as an already evaluated point.
+DUPLICATE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CboConfig:
@@ -38,8 +41,9 @@ class CboConfig:
     coordinates applied to every candidate pool before scoring. It is called
     once per pool, dimension first (raw[h] is the column of coordinate h, see
     `space.sieve`), so `lambda raw: raw[0] < 0.5` keeps the candidates whose
-    first coordinate is below 0.5. fresh_pool controls whether the pool is
-    regenerated each step (default) or drawn once and reused.
+    first coordinate is below 0.5. Every learn step draws a fresh pool of
+    pool_size candidates and never picks one within DUPLICATE_TOL of an
+    evaluated point.
     """
 
     n_init: int = 10
@@ -47,10 +51,7 @@ class CboConfig:
     pool_size: int = 10_000
     threshold: float = 0.995
     seed: int = 0
-    fresh_pool: bool = True
-    duplicate_tol: float = 1e-9
     sieve_predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
         problems = []
@@ -101,25 +102,18 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             return finish(complete=False)
         evaluations.append(Evaluation(x=x, f=float(f), g=float(g), step_index=0, phase=PHASE_INIT))
 
-    fixed_pool = None
     for step in range(1, config.n_steps + 1):
         train_x = np.array([e.x for e in evaluations])
         y_f = np.array([e.f for e in evaluations])
         y_g = np.array([e.g for e in evaluations])
         try:
-            model_f = fit_gp(train_x, y_f, config.fit)
-            model_g = fit_gp(train_x, y_g, config.fit)
+            model_f = fit_gp(train_x, y_f)
+            model_g = fit_gp(train_x, y_g)
         except (NumericalError, ValueError) as exc:
             events.append(f"step {step}: surrogate fit failed: {exc}")
             return finish(complete=False)
 
-        if config.fresh_pool or fixed_pool is None:
-            pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
-            if not config.fresh_pool:
-                fixed_pool = pool
-        else:
-            pool = fixed_pool
-
+        pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
         pf_only = False
         if config.sieve_predicate is not None:
             sieved = sieve(pool, config.sieve_predicate, space)
@@ -138,7 +132,7 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             mean_f, var_f = predict_batch(model_f, pool)
             scores = ei_values(mean_f, var_f, incumbent.f) * pf
 
-        pick = _best_distinct(pool, scores, train_x, config.duplicate_tol)
+        pick = _best_distinct(pool, scores, train_x)
         if pick is None:
             events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
             return finish(complete=False)
@@ -156,12 +150,12 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
     return finish(complete=True)
 
 
-def _best_distinct(pool: np.ndarray, scores, train_x, tol: float) -> Optional[int]:
-    """Index of the best-scoring candidate farther than tol (L-inf) from every
-    evaluated point, first index on ties as np.argmax; None when there is
-    none. The duplicate guard runs on candidates in descending score, so
-    normally only the winner is checked."""
+def _best_distinct(pool: np.ndarray, scores, train_x) -> Optional[int]:
+    """Index of the best-scoring candidate farther than DUPLICATE_TOL (L-inf)
+    from every evaluated point, first index on ties as np.argmax; None when
+    there is none. The duplicate guard runs on candidates in descending
+    score, so normally only the winner is checked."""
     for i in np.argsort(-scores, kind="stable").tolist():
-        if len(drop_near_duplicates(pool[i : i + 1], train_x, tol)):
+        if len(drop_near_duplicates(pool[i : i + 1], train_x, DUPLICATE_TOL)):
             return i
     return None

@@ -107,6 +107,8 @@ def trace(cycle_config, out):
     """Simulate one cure cycle described by a JSON file and write its trace."""
     with open(cycle_config) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("cycle config must be a JSON object")
     variant = data.get("variant", "baseline")
     params = data.get("params", [])
     if isinstance(params, dict):

@@ -1,4 +1,4 @@
-"""Elitist constrained GA baseline: tournament selection under
+"""Elitist constrained GA baseline: binary tournament selection under
 constraint domination, simulated-binary crossover, polynomial mutation.
 
 Single-objective specialization: with one objective there are no fronts to
@@ -18,16 +18,17 @@ import numpy as np
 from curebo.records import PHASE_INIT, PHASE_LEARN, Evaluation, RunReport, build_report
 from curebo.space import DesignSpace, lhs_sample
 
+# Fixed operators: SBX applied to a pair with probability CROSSOVER_PROB,
+# polynomial mutation applied to each gene with probability 1/d.
+CROSSOVER_PROB = 0.9
+CROSSOVER_ETA = 15.0
+MUTATION_ETA = 20.0
+
 
 @dataclass(frozen=True)
 class GaConfig:
     pop_size: int = 100
     generations: int = 10
-    crossover_prob: float = 0.9
-    crossover_eta: float = 15.0
-    mutation_prob: Optional[float] = None  # default 1/d
-    mutation_eta: float = 20.0
-    tournament_size: int = 2
     threshold: float = 0.995
     seed: int = 0
 
@@ -37,12 +38,6 @@ class GaConfig:
             problems.append("pop_size must be an even count of at least 2")
         if self.generations < 1:
             problems.append("generations must be at least 1")
-        for name in ("crossover_prob", "mutation_prob"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                problems.append(f"{name} must lie in [0, 1]")
-        if self.tournament_size < 1:
-            problems.append("tournament_size must be at least 1")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -64,18 +59,10 @@ def constraint_violation(g: float, threshold: float) -> float:
     return math.inf if math.isnan(g) else max(0.0, threshold - g)
 
 
-def constraint_dominates(a: Individual, b: Individual) -> bool:
-    """Feasible beats infeasible; else smaller violation; else smaller f."""
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and not b.feasible:
-        return a.violation < b.violation
-    if a.feasible and b.feasible:
-        return a.f < b.f
-    return False
-
-
 def _rank_key(ind: Individual):
+    """Constraint-domination order, smaller first: feasible before
+    infeasible, then smaller f among the feasible and smaller violation
+    among the infeasible."""
     return (1, ind.violation) if not ind.feasible else (0, ind.f)
 
 
@@ -100,14 +87,12 @@ def polynomial_mutation(x: np.ndarray, eta: float, prob: float, rng) -> np.ndarr
     return np.clip(np.where(apply, x + delta, x), 0.0, 1.0)
 
 
-def _tournament(population: list[Individual], rng, size: int) -> Individual:
-    picks = rng.integers(0, len(population), size=size)
-    winner = population[picks[0]]
-    for idx in picks[1:]:
-        challenger = population[idx]
-        if constraint_dominates(challenger, winner):
-            winner = challenger
-    return winner
+def _tournament(population: list[Individual], rng) -> Individual:
+    """Binary tournament: the better of two draws with replacement under
+    _rank_key; the first drawn wins ties."""
+    i, j = rng.integers(0, len(population), size=2)
+    first, second = population[i], population[j]
+    return second if _rank_key(second) < _rank_key(first) else first
 
 
 def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
@@ -122,8 +107,7 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
     root = np.random.SeedSequence(config.seed)
     init_ss, evo_ss = root.spawn(2)
     rng = np.random.default_rng(evo_ss)
-    d = space.dims
-    p_mut = config.mutation_prob if config.mutation_prob is not None else 1.0 / d
+    p_mut = 1.0 / space.dims
 
     evaluations: list[Evaluation] = []
     events: list[str] = []
@@ -155,14 +139,14 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
     for generation in range(1, config.generations + 1):
         offspring_genes: list[np.ndarray] = []
         while len(offspring_genes) < config.pop_size:
-            p1 = _tournament(population, rng, config.tournament_size)
-            p2 = _tournament(population, rng, config.tournament_size)
-            if rng.random() < config.crossover_prob:
-                c1, c2 = sbx_pair(p1.x, p2.x, config.crossover_eta, rng)
+            p1 = _tournament(population, rng)
+            p2 = _tournament(population, rng)
+            if rng.random() < CROSSOVER_PROB:
+                c1, c2 = sbx_pair(p1.x, p2.x, CROSSOVER_ETA, rng)
             else:
                 c1, c2 = p1.x.copy(), p2.x.copy()
-            c1 = polynomial_mutation(c1, config.mutation_eta, p_mut, rng)
-            c2 = polynomial_mutation(c2, config.mutation_eta, p_mut, rng)
+            c1 = polynomial_mutation(c1, MUTATION_ETA, p_mut, rng)
+            c2 = polynomial_mutation(c2, MUTATION_ETA, p_mut, rng)
             offspring_genes.extend([c1, c2])
         offspring: list[Individual] = []
         for x in offspring_genes[: config.pop_size]:

@@ -20,7 +20,6 @@ Fitted models are immutable and safe for concurrent prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -36,26 +35,16 @@ LENGTH_SCALE_BOUNDS = (1e-3, 1e3)
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 
+# Hyperparameter search: the default start plus RESTARTS perturbed starts
+# (drawn from a generator seeded with RESTART_SEED), each refined by at most
+# MAXITER L-BFGS-B iterations.
+RESTARTS = 2
+RESTART_SEED = 0
+MAXITER = 60
+
 
 class NumericalError(RuntimeError):
     """Linear-algebra failure that survived jitter escalation."""
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Hyperparameter-search settings for fit_gp.
-
-    restarts counts perturbed starts added on top of the default
-    initialization (length scale = per-dimension standard deviation of the
-    training inputs). Setting optimize=False or pinning length_scales skips
-    the search entirely.
-    """
-
-    restarts: int = 2
-    seed: int = 0
-    optimize: bool = True
-    length_scales: Optional[np.ndarray] = None
-    maxiter: int = 60
 
 
 @dataclass(frozen=True)
@@ -180,7 +169,7 @@ def _nll_and_grad(delta: np.ndarray, y: np.ndarray, log_ls: np.ndarray):
     return -ll, -grad
 
 
-def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
+def fit_gp(train_x, train_y, length_scales=None) -> GpSurrogate:
     """Fit the surrogate by maximizing the profile log likelihood.
 
     Training rows are sorted into a canonical order internally, so the fit
@@ -191,8 +180,8 @@ def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
     ----------
     train_x : (n, d) array of normalized inputs, pairwise distinct, n >= 2.
     train_y : (n,) array of outputs.
-    config : FitConfig
-        Search settings; pin `length_scales` to skip the search.
+    length_scales : optional (d,) array; when given, the model is built at
+        these length scales and the search is skipped.
 
     Raises
     ------
@@ -216,8 +205,8 @@ def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
 
     lo, hi = np.log(LENGTH_SCALE_BOUNDS[0]), np.log(LENGTH_SCALE_BOUNDS[1])
 
-    if config.length_scales is not None:
-        best_ls = np.atleast_1d(np.asarray(config.length_scales, dtype=float))
+    if length_scales is not None:
+        best_ls = np.atleast_1d(np.asarray(length_scales, dtype=float))
         if best_ls.size != d:
             raise ValueError("pinned length_scales dimension mismatch")
         if not np.all(np.isfinite(best_ls) & (best_ls > 0)):
@@ -225,8 +214,8 @@ def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
     else:
         init = np.log(_initial_length_scales(x))
         starts = [init]
-        rng = np.random.default_rng(config.seed)
-        for _ in range(max(config.restarts, 0)):
+        rng = np.random.default_rng(RESTART_SEED)
+        for _ in range(RESTARTS):
             starts.append(np.clip(init + rng.normal(0.0, 0.7, size=d), lo, hi))
 
         delta = x[:, None, :] - x[None, :, :]
@@ -246,17 +235,16 @@ def fit_gp(train_x, train_y, config: FitConfig = FitConfig()) -> GpSurrogate:
             return -(nll_at[key] if key in nll_at else objective(v)[0])
 
         candidates = list(starts)
-        if config.optimize:
-            for s in starts:
-                res = minimize(
-                    objective,
-                    s,
-                    method="L-BFGS-B",
-                    jac=True,
-                    bounds=[(lo, hi)] * d,
-                    options={"maxiter": config.maxiter},
-                )
-                candidates.append(np.clip(res.x, lo, hi))
+        for s in starts:
+            res = minimize(
+                objective,
+                s,
+                method="L-BFGS-B",
+                jac=True,
+                bounds=[(lo, hi)] * d,
+                options={"maxiter": MAXITER},
+            )
+            candidates.append(np.clip(res.x, lo, hi))
         # The untouched starts stay in the candidate set, so the selected
         # optimum can never fall below the default initialization.
         scores = [score(c) for c in candidates]

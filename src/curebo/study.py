@@ -48,6 +48,9 @@ _TOP_KEYS = {
     "reference_optimum",
     "convergence_tol",
 }
+# The only optimizer settings a study config may set; each is a JSON integer.
+# Every other CboConfig/GaConfig field comes from the problem or the seed.
+_OPTIMIZER_KEYS = {"cbo": ("n_init", "n_steps", "pool_size"), "ga": ("pop_size", "generations")}
 
 
 def _is_int(value) -> bool:
@@ -77,8 +80,8 @@ class RunConfig:
     seed: int
     output_dir: str
     workers: int = 1
-    cbo: dict = field(default_factory=dict)
-    ga: dict = field(default_factory=dict)
+    cbo: dict = field(default_factory=dict)  # subset of _OPTIMIZER_KEYS["cbo"]
+    ga: dict = field(default_factory=dict)  # subset of _OPTIMIZER_KEYS["ga"]
     problem_options: dict = field(default_factory=dict)
     reference_optimum: Optional[float] = None
     convergence_tol: float = 2e-4
@@ -112,6 +115,12 @@ class RunConfig:
         for key in ("cbo", "ga", "problem_options"):
             if not isinstance(data.get(key, {}), dict):
                 violations.append(f"{key} must be an object")
+            elif key in _OPTIMIZER_KEYS:
+                for name, value in sorted(data.get(key, {}).items()):
+                    if name not in _OPTIMIZER_KEYS[key]:
+                        violations.append(f"unknown {key} key: {name}")
+                    elif not _is_int(value):
+                        violations.append(f"{key}.{name} must be an integer")
         ref = data.get("reference_optimum")
         if ref is not None and not _is_number(ref):
             violations.append("reference_optimum must be a number")
@@ -171,20 +180,13 @@ def build_problem(config: RunConfig) -> Problem:
 
 
 def _cbo_config(config: RunConfig, problem: Problem, seed: int) -> CboConfig:
-    kwargs = dict(config.cbo)
-    use_sieve = kwargs.pop("use_sieve", True)
-    kwargs.setdefault("threshold", problem.threshold)
-    kwargs["seed"] = seed
-    if use_sieve and problem.sieve_raw is not None:
-        kwargs.setdefault("sieve_predicate", problem.sieve_raw)
-    return CboConfig(**kwargs)
+    return CboConfig(
+        **config.cbo, threshold=problem.threshold, seed=seed, sieve_predicate=problem.sieve_raw
+    )
 
 
 def _ga_config(config: RunConfig, problem: Problem, seed: int) -> GaConfig:
-    kwargs = dict(config.ga)
-    kwargs.setdefault("threshold", problem.threshold)
-    kwargs["seed"] = seed
-    return GaConfig(**kwargs)
+    return GaConfig(**config.ga, threshold=problem.threshold, seed=seed)
 
 
 def percentile(values, p: float) -> float:
@@ -354,8 +356,7 @@ def _write_convergence_csv(path: Path, summary: StudySummary) -> None:
 
 
 def _replicate(args) -> tuple[int, RunReport]:
-    config_data, optimizer, index = args
-    config = RunConfig.from_dict(config_data)
+    config, optimizer, index = args
     problem = build_problem(config)
     seed = config.seed + index
     if optimizer == "cbo":
@@ -390,11 +391,10 @@ def run_study(config: RunConfig) -> dict[str, StudySummary]:
 
     problem = build_problem(config)
     optimizers = ["cbo", "ga"] if config.optimizer == "both" else [config.optimizer]
-    config_data = asdict(config)
 
     summaries: dict[str, StudySummary] = {}
     for optimizer in optimizers:
-        jobs = [(config_data, optimizer, i) for i in range(config.replications)]
+        jobs = [(config, optimizer, i) for i in range(config.replications)]
         if config.workers > 1 and config.replications > 1:
             with worker_pool(config.workers) as pool:
                 results = list(pool.map(_replicate, jobs))

@@ -96,18 +96,18 @@ def test_sieve_predicate_filters_candidates():
             assert e.x[0] < 0.5
 
 
-def test_fixed_pool_mode_reuses_candidates():
-    problem = analytical_problem()
-    config = CboConfig(n_init=5, n_steps=5, pool_size=100, seed=9, fresh_pool=False)
-    report = run_cbo(problem, problem.space, config)
-    assert report.n_evaluations == 10
-    assert report.complete
+def test_exhausted_fixed_pool_returns_partial_report(monkeypatch):
+    # every pool is the same 6 candidates; they run out after 6 learn steps,
+    # and the duplicate guard then empties the pool
+    rng = np.random.default_rng(1)
+    init, pool = rng.random((2, 2)), rng.random((6, 2))
 
+    def fixed_lhs(space, m, seed=None):
+        return (init if m == len(init) else pool).copy()
 
-def test_exhausted_fixed_pool_returns_partial_report():
-    # 6 fixed candidates run out after 6 learn steps; the guard then empties the pool
+    monkeypatch.setattr(cbo, "lhs_sample", fixed_lhs)
     problem = analytical_problem()
-    config = CboConfig(n_init=2, n_steps=8, pool_size=6, seed=1, fresh_pool=False)
+    config = CboConfig(n_init=2, n_steps=8, pool_size=len(pool), seed=1)
     report = run_cbo(problem, problem.space, config)
     assert not report.complete
     assert report.n_evaluations == 8
@@ -178,11 +178,11 @@ def test_surrogate_fit_failure_returns_partial_report(monkeypatch):
     real_fit = cbo.fit_gp
     calls = {"n": 0}
 
-    def fit_failing_at_step_2(x, y, config):
+    def fit_failing_at_step_2(x, y):
         calls["n"] += 1
         if calls["n"] > 2:  # both fits of step 1 succeed
             raise NumericalError("not positive definite")
-        return real_fit(x, y, config)
+        return real_fit(x, y)
 
     monkeypatch.setattr(cbo, "fit_gp", fit_failing_at_step_2)
     report = run_cbo(bowl, UNIT_SQUARE, CboConfig(n_init=4, n_steps=5, pool_size=100, seed=0))

@@ -8,7 +8,6 @@ from curebo.ga import (
     Individual,
     _rank_key,
     _tournament,
-    constraint_dominates,
     constraint_violation,
     polynomial_mutation,
     run_ga,
@@ -22,13 +21,17 @@ def _ind(f, violation):
     return Individual(x=np.zeros(2), f=f, g=0.0, violation=violation)
 
 
+def _before(a, b):
+    return _rank_key(a) < _rank_key(b)
+
+
 def test_constraint_domination_rules():
-    assert constraint_dominates(_ind(5.0, 0.0), _ind(1.0, 0.3))  # feasible beats infeasible
-    assert constraint_dominates(_ind(9.0, 0.01), _ind(1.0, 0.02))  # smaller violation
-    assert constraint_dominates(_ind(2.0, 0.0), _ind(3.0, 0.0))  # smaller f
-    assert not constraint_dominates(_ind(3.0, 0.0), _ind(2.0, 0.0))
+    assert _before(_ind(5.0, 0.0), _ind(1.0, 0.3))  # feasible beats infeasible
+    assert _before(_ind(9.0, 0.01), _ind(1.0, 0.02))  # smaller violation
+    assert _before(_ind(2.0, 0.0), _ind(3.0, 0.0))  # smaller f
+    assert not _before(_ind(3.0, 0.0), _ind(2.0, 0.0))
     same = _ind(2.0, 0.0)
-    assert not constraint_dominates(same, same)  # no strict domination
+    assert not _before(same, same)  # no strict domination
 
 
 def _scored(f, g, threshold=0.9):
@@ -40,8 +43,8 @@ def test_nan_constraint_value_is_infinitely_violating():
     assert constraint_violation(0.95, 0.9) == 0.0
     assert constraint_violation(0.5, 0.9) == pytest.approx(0.4)
     assert not unknown.feasible
-    assert constraint_dominates(far, unknown)
-    assert not constraint_dominates(unknown, far)
+    assert _before(far, unknown)
+    assert not _before(unknown, far)
     ranked = sorted([unknown, far, _scored(5.0, 0.95)], key=_rank_key)
     assert [ind.f for ind in ranked] == [5.0, 1.0, 0.0]
 
@@ -72,13 +75,13 @@ def test_tournament_feasible_beats_infeasible_whenever_drawn():
     feasible, infeasible = _ind(5.0, 0.0), _ind(1.0, 0.4)
     pop = [infeasible, feasible]
     # feasible (f=5) beats infeasible (f=1) regardless of draw order
-    assert _tournament(pop, _FixedPicks([0, 1]), 2) is feasible
-    assert _tournament(pop, _FixedPicks([1, 0]), 2) is feasible
-    assert _tournament(pop, _FixedPicks([0, 0]), 2) is infeasible  # never drawn
+    assert _tournament(pop, _FixedPicks([0, 1])) is feasible
+    assert _tournament(pop, _FixedPicks([1, 0])) is feasible
+    assert _tournament(pop, _FixedPicks([0, 0])) is infeasible  # never drawn
     better = _ind(2.0, 0.0)
-    assert _tournament([feasible, better], _FixedPicks([0, 1]), 2) is better
+    assert _tournament([feasible, better], _FixedPicks([0, 1])) is better
     closer = _ind(9.0, 0.1)
-    assert _tournament([infeasible, closer], _FixedPicks([0, 1]), 2) is closer
+    assert _tournament([infeasible, closer], _FixedPicks([0, 1])) is closer
 
 
 def test_operators_respect_unit_box():
@@ -156,7 +159,5 @@ def test_failing_problem_returns_partial_report():
 def test_config_validation():
     with pytest.raises(ValueError, match="even"):
         GaConfig(pop_size=7)
-    with pytest.raises(ValueError, match="crossover_prob"):
-        GaConfig(crossover_prob=1.5)
     with pytest.raises(ValueError, match="generations"):
         GaConfig(generations=0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from curebo.gp import (
-    FitConfig,
     NumericalError,
     _chol_with_jitter,
     fit_gp,
@@ -60,7 +59,7 @@ def test_matern52_dimension_mismatch():
 def test_fit_rejects_bad_pinned_length_scales(bad):
     x = np.array([[0.1], [0.5], [0.9]])
     with pytest.raises(ValueError, match="finite and positive"):
-        fit_gp(x, np.array([1.0, 2.0, 0.5]), FitConfig(length_scales=np.array([bad])))
+        fit_gp(x, np.array([1.0, 2.0, 0.5]), length_scales=np.array([bad]))
 
 
 def test_fit_constant_outputs():
@@ -113,7 +112,7 @@ def test_predict_far_field_limits():
     # pin a short length scale so a far query decorrelates completely
     x = np.array([[0.40], [0.42], [0.44]])
     y = np.array([1.0, 1.5, 0.5])
-    model = fit_gp(x, y, FitConfig(optimize=False, length_scales=np.array([0.01])))
+    model = fit_gp(x, y, length_scales=np.array([0.01]))
     mean, variance = predict_one(model, [0.99])
     assert mean == pytest.approx(model.mu_hat, abs=1e-8)
     expected_var = model.sigma2_hat * (1.0 + 1.0 / model.one_r_one)
@@ -179,7 +178,7 @@ def test_likelihood_ascent_over_default_initialization():
 def test_fit_survives_nearly_coincident_points():
     x = np.array([[0.5], [0.5 + 1e-12], [0.9]])
     y = np.array([1.0, 1.0, 2.0])
-    model = fit_gp(x, y, FitConfig(optimize=False, length_scales=np.array([0.3])))
+    model = fit_gp(x, y, length_scales=np.array([0.3]))
     means, variances = predict_batch(model, np.array([[0.7]]))
     assert np.isfinite(means).all() and np.isfinite(variances).all()
 

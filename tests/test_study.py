@@ -63,6 +63,47 @@ def test_config_rejects_unknown_keys_and_nested_errors(tmp_path):
         RunConfig.from_dict(small_config(tmp_path, problem_options={"t1_min": "x"}))
 
 
+# Optimizer settings a study config cannot set: fit and operator settings are
+# fixed, threshold and sieve come from the problem, seed from the replication,
+# and the budget keys must be JSON integers.
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("cbo", "fit", {"restarts": 0}),
+        ("cbo", "sieve_predicate", "x"),
+        ("cbo", "duplicate_tol", "x"),
+        ("cbo", "threshold", "high"),
+        ("cbo", "pool_size", 50.0),
+        ("cbo", "seed", 5),
+        ("cbo", "use_sieve", "no"),
+        ("cbo", "n_steps", True),
+        ("ga", "pop_size", 4.0),
+        ("ga", "tournament_size", 2.5),
+        ("ga", "generations", True),
+    ],
+)
+def test_config_rejects_optimizer_settings_outside_the_schema(tmp_path, section, key, value):
+    data = small_config(tmp_path, optimizer=section, ga={"pop_size": 4, "generations": 1})
+    data[section][key] = value
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(data)
+
+
+def test_cli_run_rejects_a_fixed_setting_before_writing(tmp_path):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(small_config(tmp_path, cbo={"n_init": 5, "fit": {"restarts": 0}})))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert "validation error:" in res.output and "fit" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")))
+def test_shipped_configs_load(path):
+    config = RunConfig.from_file(path)
+    assert config.output_dir
+
+
 @pytest.mark.parametrize(
     "key", ["replications", "seed", "workers", "reference_optimum", "convergence_tol"]
 )
@@ -241,6 +282,15 @@ def test_cli_trace_names_a_missing_parameter(tmp_path):
     res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
     assert res.exit_code == 2
     assert "validation error:" in res.output and "T1" in res.output
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_trace_rejects_a_config_that_is_not_an_object(tmp_path):
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text("[1, 2]")
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2
+    assert "validation error: cycle config must be a JSON object" in res.output
     assert not (tmp_path / "t.csv").exists()
 
 
