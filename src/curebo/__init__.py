@@ -10,7 +10,7 @@ from curebo.gp import GpSurrogate, fit_gp, predict_batch
 from curebo.acquisition import ei_values, pf_values
 from curebo.records import Evaluation, RunReport, best_feasible, running_best
 from curebo.cbo import CboConfig, run_cbo
-from curebo.ga import GaConfig, Individual, run_ga
+from curebo.ga import GaConfig, run_ga
 from curebo.problems import (
     Problem,
     analytical_problem,
@@ -26,7 +26,6 @@ __all__ = [
     "Evaluation",
     "GaConfig",
     "GpSurrogate",
-    "Individual",
     "Problem",
     "RunReport",
     "analytical_problem",

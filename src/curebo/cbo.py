@@ -19,14 +19,7 @@ import numpy as np
 
 from curebo.acquisition import ei_values, pf_values
 from curebo.gp import NumericalError, fit_gp, predict_batch
-from curebo.records import (
-    PHASE_INIT,
-    PHASE_LEARN,
-    Evaluation,
-    RunReport,
-    best_feasible,
-    build_report,
-)
+from curebo.records import Evaluation, RunReport, best_feasible, build_report, evaluate
 from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
 
 # L-inf distance within which a candidate counts as an already evaluated point.
@@ -85,22 +78,16 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
 
     evaluations: list[Evaluation] = []
     events: list[str] = []
-    acq_trace: list[float] = []
 
     def finish(complete: bool) -> RunReport:
         return build_report(
-            evaluations, config.threshold, trace_from=config.n_init, n_init=config.n_init,
-            n_steps=config.n_steps, started=t0, complete=complete, events=events,
-            acq_trace=acq_trace,
+            evaluations, config.threshold, trace_from=config.n_init, started=t0,
+            complete=complete, events=events,
         )
 
     for x in lhs_sample(space, config.n_init, init_ss):
-        try:
-            f, g = problem(x)
-        except Exception as exc:  # noqa: BLE001 - report partial run
-            events.append(f"evaluation failed during init: {exc}")
+        if evaluate(problem, x, 0, None, evaluations, events) is None:
             return finish(complete=False)
-        evaluations.append(Evaluation(x=x, f=float(f), g=float(g), step_index=0, phase=PHASE_INIT))
 
     for step in range(1, config.n_steps + 1):
         train_x = np.array([e.x for e in evaluations])
@@ -136,16 +123,8 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
         if pick is None:
             events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
             return finish(complete=False)
-        x_next = pool[pick]
-        try:
-            f, g = problem(x_next)
-        except Exception as exc:  # noqa: BLE001
-            events.append(f"evaluation failed at step {step}: {exc}")
+        if evaluate(problem, pool[pick], step, float(scores[pick]), evaluations, events) is None:
             return finish(complete=False)
-        evaluations.append(
-            Evaluation(x=x_next, f=float(f), g=float(g), step_index=step, phase=PHASE_LEARN)
-        )
-        acq_trace.append(float(scores[pick]))
 
     return finish(complete=True)
 

@@ -22,6 +22,7 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 _DEFAULT_ORACLE_GRID = {"analytical": 2001, "sim2pt": 15, "sim4pt": 7}
+_TRACE_KEYS = {"variant", "params", "start_temp", "kinetics", "mechanical", "dt"}
 
 
 def _guarded(fn):
@@ -109,6 +110,9 @@ def trace(cycle_config, out):
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("cycle config must be a JSON object")
+    unknown = sorted(set(data) - _TRACE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
     variant = data.get("variant", "baseline")
     params = data.get("params", [])
     if isinstance(params, dict):

@@ -1,5 +1,5 @@
 """Elitist constrained GA baseline: binary tournament selection under
-constraint domination, simulated-binary crossover, polynomial mutation.
+Deb's feasibility rule, simulated-binary crossover, polynomial mutation.
 
 Single-objective specialization: with one objective there are no fronts to
 spread, so crowding distance is replaced by plain objective ordering within
@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from curebo.records import PHASE_INIT, PHASE_LEARN, Evaluation, RunReport, build_report
+from curebo.records import Evaluation, RunReport, build_report, evaluate
 from curebo.space import DesignSpace, lhs_sample
 
 # Fixed operators: SBX applied to a pair with probability CROSSOVER_PROB,
@@ -42,28 +41,15 @@ class GaConfig:
             raise ValueError("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class Individual:
-    x: np.ndarray
-    f: float
-    g: float
-    violation: float  # see constraint_violation; zero iff feasible
-
-    @property
-    def feasible(self) -> bool:
-        return self.violation == 0.0
-
-
-def constraint_violation(g: float, threshold: float) -> float:
-    """max(0, threshold - g); infinite for a NaN g, which has no constraint value."""
-    return math.inf if math.isnan(g) else max(0.0, threshold - g)
-
-
-def _rank_key(ind: Individual):
-    """Constraint-domination order, smaller first: feasible before
-    infeasible, then smaller f among the feasible and smaller violation
-    among the infeasible."""
-    return (1, ind.violation) if not ind.feasible else (0, ind.f)
+def _rank_key(e: Evaluation, threshold: float):
+    """Deb's feasibility rule as a sort key, smaller first: feasible
+    (g >= threshold, the test of records.running_best) before infeasible,
+    then smaller f among the feasible and smaller violation threshold - g
+    among the infeasible. A NaN g, which has no constraint value, counts as
+    infinitely violating."""
+    if e.g >= threshold:
+        return (0, e.f)
+    return (1, math.inf if math.isnan(e.g) else threshold - e.g)
 
 
 def sbx_pair(x1: np.ndarray, x2: np.ndarray, eta: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -87,12 +73,12 @@ def polynomial_mutation(x: np.ndarray, eta: float, prob: float, rng) -> np.ndarr
     return np.clip(np.where(apply, x + delta, x), 0.0, 1.0)
 
 
-def _tournament(population: list[Individual], rng) -> Individual:
+def _tournament(population: list[Evaluation], rng, threshold: float) -> Evaluation:
     """Binary tournament: the better of two draws with replacement under
     _rank_key; the first drawn wins ties."""
     i, j = rng.integers(0, len(population), size=2)
     first, second = population[i], population[j]
-    return second if _rank_key(second) < _rank_key(first) else first
+    return second if _rank_key(second, threshold) < _rank_key(first, threshold) else first
 
 
 def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
@@ -100,8 +86,8 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
 
     Generation 0 is a Latin hypercube of pop_size; each later generation
     breeds pop_size offspring and truncates the combined population under
-    the constraint-domination ordering. The best-feasible trace has one
-    entry per raw evaluation.
+    Deb's feasibility rule (_rank_key). Every evaluation's step_index is its
+    generation. The best-feasible trace has one entry per raw evaluation.
     """
     t0 = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
@@ -109,38 +95,25 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
     rng = np.random.default_rng(evo_ss)
     p_mut = 1.0 / space.dims
 
+    threshold = config.threshold
     evaluations: list[Evaluation] = []
     events: list[str] = []
 
-    def record(x: np.ndarray, generation: int, phase: str) -> Optional[Individual]:
-        try:
-            f, g = problem(x)
-        except Exception as exc:  # noqa: BLE001 - report partial run
-            events.append(f"evaluation failed in generation {generation}: {exc}")
-            return None
-        f, g = float(f), float(g)
-        evaluations.append(Evaluation(x=x, f=f, g=g, step_index=generation, phase=phase))
-        return Individual(x=x, f=f, g=g, violation=constraint_violation(g, config.threshold))
-
     def finish(complete: bool) -> RunReport:
         return build_report(
-            evaluations, config.threshold, trace_from=0, n_init=config.pop_size,
-            n_steps=config.pop_size * config.generations, started=t0, complete=complete,
-            events=events, acq_trace=[],
+            evaluations, threshold, trace_from=0, started=t0, complete=complete, events=events
         )
 
-    population: list[Individual] = []
     for x in lhs_sample(space, config.pop_size, init_ss):
-        ind = record(x, 0, PHASE_INIT)
-        if ind is None:
+        if evaluate(problem, x, 0, None, evaluations, events) is None:
             return finish(complete=False)
-        population.append(ind)
+    population = list(evaluations)
 
     for generation in range(1, config.generations + 1):
         offspring_genes: list[np.ndarray] = []
         while len(offspring_genes) < config.pop_size:
-            p1 = _tournament(population, rng)
-            p2 = _tournament(population, rng)
+            p1 = _tournament(population, rng, threshold)
+            p2 = _tournament(population, rng, threshold)
             if rng.random() < CROSSOVER_PROB:
                 c1, c2 = sbx_pair(p1.x, p2.x, CROSSOVER_ETA, rng)
             else:
@@ -148,14 +121,11 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
             c1 = polynomial_mutation(c1, MUTATION_ETA, p_mut, rng)
             c2 = polynomial_mutation(c2, MUTATION_ETA, p_mut, rng)
             offspring_genes.extend([c1, c2])
-        offspring: list[Individual] = []
         for x in offspring_genes[: config.pop_size]:
-            ind = record(x, generation, PHASE_LEARN)
-            if ind is None:
+            if evaluate(problem, x, generation, None, evaluations, events) is None:
                 return finish(complete=False)
-            offspring.append(ind)
-        combined = population + offspring
-        combined.sort(key=_rank_key)  # stable: earlier individuals win ties
+        combined = population + evaluations[-config.pop_size :]
+        combined.sort(key=lambda e: _rank_key(e, threshold))  # stable: earlier ones win ties
         population = combined[: config.pop_size]
 
     return finish(complete=True)

@@ -128,7 +128,9 @@ def four_point_problem(
     )
 
 
-_FACTORIES = {
+# Config selector name -> factory. Study configs type-check problem_options
+# against the defaults of the factory's parameters.
+FACTORIES = {
     "analytical": analytical_problem,
     "sim2pt": two_point_problem,
     "sim4pt": four_point_problem,
@@ -138,7 +140,7 @@ _FACTORIES = {
 def problem_by_name(name: str, **options) -> Problem:
     """Instantiate a problem from its config selector name."""
     try:
-        factory = _FACTORIES[name]
+        factory = FACTORIES[name]
     except KeyError:
-        raise ValueError(f"unknown problem {name!r}; choose from {sorted(_FACTORIES)}") from None
+        raise ValueError(f"unknown problem {name!r}; choose from {sorted(FACTORIES)}") from None
     return factory(**options)

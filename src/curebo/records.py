@@ -14,13 +14,39 @@ PHASE_LEARN = "learn"
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One true black-box evaluation: normalized input, objective, constraint."""
+    """One true black-box evaluation: normalized input x, objective f,
+    constraint g and the step that made it (0 for initialization, else the
+    cBO learn step or GA generation). acq is the acquisition value that
+    chose a cBO learn point, None for every other evaluation."""
 
     x: np.ndarray
     f: float
     g: float
     step_index: int
-    phase: str
+    acq: Optional[float]
+
+    @property
+    def phase(self) -> str:
+        return PHASE_INIT if self.step_index == 0 else PHASE_LEARN
+
+
+def evaluate(
+    problem, x, step_index: int, acq: Optional[float], evaluations: list, events: list
+) -> Optional[Evaluation]:
+    """Evaluate problem at x and append the Evaluation to evaluations.
+
+    Returns the new Evaluation; when the problem raises, appends one
+    "evaluation failed at step k" event instead and returns None, so the
+    caller can end its run with a partial report.
+    """
+    try:
+        f, g = problem(x)
+    except Exception as exc:  # noqa: BLE001 - a failed evaluation ends the run, not the study
+        events.append(f"evaluation failed at step {step_index}: {exc}")
+        return None
+    e = Evaluation(x=x, f=float(f), g=float(g), step_index=step_index, acq=acq)
+    evaluations.append(e)
+    return e
 
 
 @dataclass
@@ -38,13 +64,10 @@ class RunReport:
     x_star: Optional[np.ndarray]
     f_star: Optional[float]
     g_star: Optional[float]
-    n_init: int
-    n_steps: int
     threshold: float
     wall_time: float
     complete: bool = True
     events: list[str] = field(default_factory=list)
-    acq_trace: list[float] = field(default_factory=list)
 
     @property
     def n_evaluations(self) -> int:
@@ -78,12 +101,9 @@ def build_report(
     evaluations: list[Evaluation],
     threshold: float,
     trace_from: int,
-    n_init: int,
-    n_steps: int,
     started: float,
     complete: bool,
     events: list[str],
-    acq_trace: list[float],
 ) -> RunReport:
     """RunReport of a finished or aborted run.
 
@@ -99,11 +119,8 @@ def build_report(
         x_star=None if star is None else star.x,
         f_star=None if star is None else star.f,
         g_star=None if star is None else star.g,
-        n_init=n_init,
-        n_steps=n_steps,
         threshold=threshold,
         wall_time=time.perf_counter() - started,
         complete=complete,
         events=events,
-        acq_trace=acq_trace,
     )

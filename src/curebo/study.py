@@ -14,11 +14,12 @@ initialization included.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,11 +30,11 @@ from curebo.cbo import CboConfig, run_cbo
 from curebo.ga import GaConfig, run_ga
 from curebo.problems import problem_by_name
 from curebo.problems.analytical import DOC_COEFFS, U_COEFFS, quad_surface
-from curebo.problems.blackbox import Problem
+from curebo.problems.blackbox import FACTORIES, Problem
 from curebo.problems.simulate import KineticParams, MechanicalParams
-from curebo.records import PHASE_LEARN, RunReport, running_best
+from curebo.records import RunReport, running_best
 
-_PROBLEMS = ("analytical", "sim2pt", "sim4pt")
+_PROBLEMS = tuple(FACTORIES)
 _OPTIMIZERS = ("cbo", "ga", "both")
 _TOP_KEYS = {
     "problem",
@@ -59,7 +60,54 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A finite JSON number. Python's json also reads NaN and Infinity, which
+    RFC 8259 does not allow and which would come back out in the summary."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _typed_violations(prefix: str, values: dict, defaults: dict) -> list[str]:
+    """Values whose JSON type does not match the default of the parameter
+    they set: a float default takes a finite number, a bool default true or
+    false, a None default (an optional float) null or a finite number, and
+    any other default cannot be set from JSON. Names that are not parameters
+    are left to the constructor, which rejects them."""
+    violations = []
+    for name, value in sorted(values.items()):
+        if name not in defaults:
+            continue
+        default = defaults[name]
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                violations.append(f"{prefix}{name} must be true or false")
+        elif default is None:
+            if value is not None and not _is_number(value):
+                violations.append(f"{prefix}{name} must be a finite number or null")
+        elif isinstance(default, float):
+            if not _is_number(value):
+                violations.append(f"{prefix}{name} must be a finite number")
+        else:
+            violations.append(f"{prefix}{name} cannot be set from a config")
+    return violations
+
+
+def _problem_option_violations(problem: str, options: dict) -> list[str]:
+    """Type violations in problem_options: every option against the problem
+    factory's parameters, kinetics and mechanical against the fields of
+    KineticParams and MechanicalParams."""
+    parameters = inspect.signature(FACTORIES[problem]).parameters
+    defaults = {name: p.default for name, p in parameters.items()}
+    materials = {"kinetics": KineticParams, "mechanical": MechanicalParams}
+    plain = {k: v for k, v in options.items() if k not in materials}
+    violations = _typed_violations("problem_options.", plain, defaults)
+    for key, params in materials.items():
+        if key not in options:
+            continue
+        if not isinstance(options[key], dict):
+            violations.append(f"problem_options.{key} must be an object")
+        else:
+            field_defaults = {f.name: f.default for f in fields(params)}
+            violations += _typed_violations(f"problem_options.{key}.", options[key], field_defaults)
+    return violations
 
 
 class ConfigError(ValueError):
@@ -115,6 +163,8 @@ class RunConfig:
         for key in ("cbo", "ga", "problem_options"):
             if not isinstance(data.get(key, {}), dict):
                 violations.append(f"{key} must be an object")
+            elif key == "problem_options" and problem in _PROBLEMS:
+                violations += _problem_option_violations(problem, data.get(key, {}))
             elif key in _OPTIMIZER_KEYS:
                 for name, value in sorted(data.get(key, {}).items()):
                     if name not in _OPTIMIZER_KEYS[key]:
@@ -123,10 +173,10 @@ class RunConfig:
                         violations.append(f"{key}.{name} must be an integer")
         ref = data.get("reference_optimum")
         if ref is not None and not _is_number(ref):
-            violations.append("reference_optimum must be a number")
+            violations.append("reference_optimum must be a finite number")
         tol = data.get("convergence_tol", 2e-4)
         if not _is_number(tol) or tol <= 0:
-            violations.append("convergence_tol must be a positive number")
+            violations.append("convergence_tol must be a finite positive number")
         if violations:
             raise ConfigError(violations)
 
@@ -313,15 +363,10 @@ def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> N
     best = running_best(evaluations, report.threshold)
     xs = np.array([e.x for e in evaluations]).reshape(-1, problem.space.dims)
     raws = problem.space.denormalize(xs)
-    learn_seen = 0
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for i, (e, b, raw) in enumerate(zip(evaluations, best, raws), start=1):
-            acq = None
-            if e.phase == PHASE_LEARN and learn_seen < len(report.acq_trace):
-                acq = report.acq_trace[learn_seen]
-                learn_seen += 1
             writer.writerow(
                 [
                     i,
@@ -331,7 +376,7 @@ def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> N
                     _fmt(e.f),
                     _fmt(e.g),
                     _fmt(None if b is None else evaluations[b].f),
-                    _fmt(acq),
+                    _fmt(e.acq),
                 ]
             )
 
@@ -375,10 +420,11 @@ def run_study(config: RunConfig) -> dict[str, StudySummary]:
     Replication i runs with seed root_seed + i; results are merged in
     replication order, so the artifacts do not depend on worker count.
 
-    With workers > 1 the replications run in a process pool. Each worker pins
-    every loaded OpenBLAS to one thread when it starts, since one BLAS thread
-    per core in every worker oversubscribes the cores several times over. The
-    calling process keeps its own BLAS thread count.
+    With workers > 1 the replications run in a pool of
+    min(workers, replications) processes. Each worker pins every loaded
+    OpenBLAS to one thread when it starts, since one BLAS thread per core in
+    every worker oversubscribes the cores several times over. The calling
+    process keeps its own BLAS thread count.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -396,7 +442,7 @@ def run_study(config: RunConfig) -> dict[str, StudySummary]:
     for optimizer in optimizers:
         jobs = [(config, optimizer, i) for i in range(config.replications)]
         if config.workers > 1 and config.replications > 1:
-            with worker_pool(config.workers) as pool:
+            with worker_pool(min(config.workers, config.replications)) as pool:
                 results = list(pool.map(_replicate, jobs))
         else:
             results = [_replicate(job) for job in jobs]

@@ -16,8 +16,8 @@ def bowl(x):
     return float((x[0] - 0.3) ** 2 + (x[1] - 0.7) ** 2), 1.0
 
 
-def _eval(f, g, step=0, phase="init"):
-    return Evaluation(x=np.array([0.0, 0.0]), f=f, g=g, step_index=step, phase=phase)
+def _eval(f, g):
+    return Evaluation(x=np.array([0.0, 0.0]), f=f, g=g, step_index=0, acq=None)
 
 
 def test_best_feasible_rules():
@@ -171,7 +171,8 @@ def test_acquisition_value_is_ei_times_pf_or_pf_alone(monkeypatch):
             scores = pf
         pick = np.flatnonzero((points == report.evaluations[-1].x).all(axis=1))[0]
         assert 0.0 < pf[pick] < 1.0
-        assert report.acq_trace == [scores[pick]] == [scores.max()]
+        assert [e.acq for e in report.evaluations] == [None] * 4 + [scores[pick]]
+        assert scores[pick] == scores.max()
 
 
 def test_surrogate_fit_failure_returns_partial_report(monkeypatch):
@@ -204,7 +205,12 @@ def test_failing_problem_returns_partial_report():
     report = run_cbo(flaky, UNIT_SQUARE, CboConfig(n_init=5, n_steps=10, pool_size=100, seed=0))
     assert not report.complete
     assert report.n_evaluations == 7
-    assert any("failed" in e for e in report.events)
+    assert report.events == ["evaluation failed at step 3: simulator crashed"]
+    # a failure among the initial points is step 0
+    calls["n"] = 4
+    report = run_cbo(flaky, UNIT_SQUARE, CboConfig(n_init=5, n_steps=10, pool_size=100, seed=0))
+    assert report.n_evaluations == 3
+    assert report.events == ["evaluation failed at step 0: simulator crashed"]
 
 
 def test_config_validation_lists_problems():

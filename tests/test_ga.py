@@ -2,51 +2,80 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curebo.ga import (
     GaConfig,
-    Individual,
     _rank_key,
     _tournament,
-    constraint_violation,
     polynomial_mutation,
     run_ga,
     sbx_pair,
 )
 from curebo.problems import analytical_problem
+from curebo.records import Evaluation, best_feasible, running_best
 from curebo.space import DesignSpace
 
-
-def _ind(f, violation):
-    return Individual(x=np.zeros(2), f=f, g=0.0, violation=violation)
+THRESHOLD = 1.0
 
 
-def _before(a, b):
-    return _rank_key(a) < _rank_key(b)
+def _ev(f, g):
+    return Evaluation(x=np.zeros(2), f=f, g=g, step_index=0, acq=None)
+
+
+def _before(a, b, threshold=THRESHOLD):
+    return _rank_key(a, threshold) < _rank_key(b, threshold)
 
 
 def test_constraint_domination_rules():
-    assert _before(_ind(5.0, 0.0), _ind(1.0, 0.3))  # feasible beats infeasible
-    assert _before(_ind(9.0, 0.01), _ind(1.0, 0.02))  # smaller violation
-    assert _before(_ind(2.0, 0.0), _ind(3.0, 0.0))  # smaller f
-    assert not _before(_ind(3.0, 0.0), _ind(2.0, 0.0))
-    same = _ind(2.0, 0.0)
+    assert _before(_ev(5.0, 1.0), _ev(1.0, 0.7))  # feasible beats infeasible
+    assert _before(_ev(9.0, 0.99), _ev(1.0, 0.98))  # smaller violation
+    assert _before(_ev(2.0, 1.0), _ev(3.0, 1.0))  # smaller f
+    assert not _before(_ev(3.0, 1.0), _ev(2.0, 1.0))
+    same = _ev(2.0, 1.0)
     assert not _before(same, same)  # no strict domination
 
 
-def _scored(f, g, threshold=0.9):
-    return Individual(x=np.zeros(2), f=f, g=g, violation=constraint_violation(g, threshold))
-
-
 def test_nan_constraint_value_is_infinitely_violating():
-    far, unknown = _scored(1.0, 0.1), _scored(0.0, float("nan"))
-    assert constraint_violation(0.95, 0.9) == 0.0
-    assert constraint_violation(0.5, 0.9) == pytest.approx(0.4)
-    assert not unknown.feasible
-    assert _before(far, unknown)
-    assert not _before(unknown, far)
-    ranked = sorted([unknown, far, _scored(5.0, 0.95)], key=_rank_key)
-    assert [ind.f for ind in ranked] == [5.0, 1.0, 0.0]
+    far, unknown = _ev(1.0, 0.1), _ev(0.0, float("nan"))
+    assert _rank_key(_ev(3.0, 0.95), 0.9) == (0, 3.0)
+    assert _rank_key(_ev(3.0, 0.5), 0.9) == (1, pytest.approx(0.4))
+    assert _rank_key(unknown, 0.9) == (1, math.inf)
+    assert _before(far, unknown, 0.9)
+    assert not _before(unknown, far, 0.9)
+    ranked = sorted([unknown, far, _ev(5.0, 0.95)], key=lambda e: _rank_key(e, 0.9))
+    assert [e.f for e in ranked] == [5.0, 1.0, 0.0]
+
+
+@st.composite
+def ranked_logs(draw):
+    """A finite threshold and (f, g) pairs whose g is often the threshold
+    itself, NaN or infinite, and whose f and violations often tie."""
+    t = draw(st.sampled_from([0.0, 0.5, 0.995, -1.0]) | st.floats(-2.0, 2.0))
+    g = st.sampled_from([t, t - 0.25, t + 0.25, math.nan, math.inf, -math.inf]) | st.floats(-3.0, 3.0)
+    f = st.sampled_from([0.0, 0.25, 1.0, -3.0])
+    return t, draw(st.lists(st.tuples(f, g), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_logs())
+def test_rank_key_uses_the_running_best_feasibility_rule(log):
+    t, pairs = log
+    evaluations = [_ev(f, g) for f, g in pairs]
+    feasible = [i for i, e in enumerate(evaluations) if running_best([e], t) == [0]]
+    assert feasible == [i for i, e in enumerate(evaluations) if _rank_key(e, t)[0] == 0]
+    assert feasible == [i for i, (_, g) in enumerate(pairs) if g >= t]
+
+    # feasible by f, then infeasible by t - g (NaN g last), each stable on ties
+    infeasible = [i for i in range(len(pairs)) if i not in feasible]
+    violation = [math.inf if math.isnan(g) else t - g for _, g in pairs]
+    expected = sorted(feasible, key=lambda i: pairs[i][0])
+    expected += sorted(infeasible, key=lambda i: violation[i])
+    order = sorted(range(len(pairs)), key=lambda i: _rank_key(evaluations[i], t))
+    assert order == expected
+    best = best_feasible(evaluations, t)
+    assert best is (evaluations[order[0]] if feasible else None)
 
 
 def test_ga_stops_breeding_from_points_without_a_constraint_value():
@@ -72,16 +101,16 @@ class _FixedPicks:
 
 
 def test_tournament_feasible_beats_infeasible_whenever_drawn():
-    feasible, infeasible = _ind(5.0, 0.0), _ind(1.0, 0.4)
+    feasible, infeasible = _ev(5.0, 1.0), _ev(1.0, 0.6)
     pop = [infeasible, feasible]
     # feasible (f=5) beats infeasible (f=1) regardless of draw order
-    assert _tournament(pop, _FixedPicks([0, 1])) is feasible
-    assert _tournament(pop, _FixedPicks([1, 0])) is feasible
-    assert _tournament(pop, _FixedPicks([0, 0])) is infeasible  # never drawn
-    better = _ind(2.0, 0.0)
-    assert _tournament([feasible, better], _FixedPicks([0, 1])) is better
-    closer = _ind(9.0, 0.1)
-    assert _tournament([infeasible, closer], _FixedPicks([0, 1])) is closer
+    assert _tournament(pop, _FixedPicks([0, 1]), THRESHOLD) is feasible
+    assert _tournament(pop, _FixedPicks([1, 0]), THRESHOLD) is feasible
+    assert _tournament(pop, _FixedPicks([0, 0]), THRESHOLD) is infeasible  # never drawn
+    better = _ev(2.0, 1.0)
+    assert _tournament([feasible, better], _FixedPicks([0, 1]), THRESHOLD) is better
+    closer = _ev(9.0, 0.9)
+    assert _tournament([infeasible, closer], _FixedPicks([0, 1]), THRESHOLD) is closer
 
 
 def test_operators_respect_unit_box():
@@ -142,18 +171,21 @@ def test_elitism_generation_best_never_regresses():
 
 
 def test_failing_problem_returns_partial_report():
-    calls = {"n": 0}
-
-    def flaky(x):
-        calls["n"] += 1
-        if calls["n"] > 15:
-            raise RuntimeError("boom")
-        return float(x[0]), 1.0
-
     problem = analytical_problem()
-    report = run_ga(flaky, problem.space, GaConfig(pop_size=10, generations=3, seed=0))
-    assert not report.complete
-    assert report.n_evaluations == 15
+    # 15 calls end in generation 1, 4 in the initial population (step 0)
+    for good_calls, step in ((15, 1), (4, 0)):
+        calls = {"n": 0}
+
+        def flaky(x):
+            calls["n"] += 1
+            if calls["n"] > good_calls:
+                raise RuntimeError("boom")
+            return float(x[0]), 1.0
+
+        report = run_ga(flaky, problem.space, GaConfig(pop_size=10, generations=3, seed=0))
+        assert not report.complete
+        assert report.n_evaluations == good_calls
+        assert report.events == [f"evaluation failed at step {step}: boom"]
 
 
 def test_config_validation():

@@ -18,7 +18,7 @@ logs = st.lists(st.tuples(f_values, g_values), max_size=12)
 
 def _log(pairs):
     return [
-        Evaluation(x=np.array([float(i)]), f=f, g=g, step_index=i, phase="init")
+        Evaluation(x=np.array([float(i)]), f=f, g=g, step_index=i, acq=None)
         for i, (f, g) in enumerate(pairs)
     ]
 
@@ -48,8 +48,7 @@ def test_running_best_matches_plain_loop(pairs):
     assert best_feasible(evaluations, THRESHOLD) is (None if last is None else evaluations[last])
 
     report = build_report(
-        evaluations, THRESHOLD, trace_from=2, n_init=2, n_steps=10, started=0.0,
-        complete=True, events=[], acq_trace=[],
+        evaluations, THRESHOLD, trace_from=2, started=0.0, complete=True, events=[]
     )
     assert report.best_trace == [None if i is None else pairs[i][0] for i in expected[2:]]
     if last is None:
@@ -57,6 +56,10 @@ def test_running_best_matches_plain_loop(pairs):
     else:
         assert (report.f_star, report.g_star) == pairs[last]
         assert report.x_star is evaluations[last].x
+
+
+def test_phase_follows_step_index():
+    assert [e.phase for e in _log([(1.0, 1.0)] * 3)] == ["init", "learn", "learn"]
 
 
 def test_rule_examples():

@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from curebo import study
 from curebo.blas import openblas_threads
 from curebo.cli import main
 from curebo.study import (
@@ -112,6 +114,66 @@ def test_config_rejects_json_booleans_as_numbers(tmp_path, key):
         RunConfig.from_dict(small_config(tmp_path, **{key: True}))
 
 
+@pytest.mark.parametrize(
+    "key, value", [("convergence_tol", math.nan), ("reference_optimum", math.inf),
+                   ("reference_optimum", -math.inf)]
+)
+def test_config_rejects_non_finite_numbers(tmp_path, key, value):
+    # json reads NaN and Infinity; the summary JSON must not write them back
+    with pytest.raises(ConfigError, match=f"{key} must be a finite"):
+        RunConfig.from_dict(small_config(tmp_path, **{key: value}))
+
+
+# Each value's JSON type differs from the default of the parameter it sets.
+@pytest.mark.parametrize(
+    "problem, options, message",
+    [
+        ("analytical", {"threshold": "high"}, "problem_options.threshold must be a finite number"),
+        ("analytical", {"threshold": math.nan}, "problem_options.threshold must be a finite number"),
+        ("sim2pt", {"kinetics": {"a1": "x"}}, "problem_options.kinetics.a1 must be a finite number"),
+        ("sim2pt", {"kin": {"a1": 1.0}}, "problem_options.kin cannot be set from a config"),
+        ("sim4pt", {"require_rising_second_ramp": 1}, "must be true or false"),
+        ("sim4pt", {"mechanical": {"shrink_profile_a": "x"}}, "finite number or null"),
+        ("sim4pt", {"mechanical": [0.1]}, "problem_options.mechanical must be an object"),
+    ],
+)
+def test_cli_run_rejects_mistyped_problem_options_before_writing(tmp_path, problem, options, message):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(small_config(tmp_path, problem=problem, problem_options=options)))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert "validation error:" in res.output and message in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_problem_options_of_the_default_types(tmp_path):
+    options = {"require_rising_second_ramp": True, "dt": 0.5, "threshold": 1,
+               "mechanical": {"shrink_profile_a": None, "gamma": 0.25}}
+    config = RunConfig.from_dict(small_config(tmp_path, problem="sim4pt", problem_options=options))
+    assert build_problem(config).threshold == 1
+
+
+def test_worker_pool_is_capped_at_the_replication_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(study, "worker_pool", InProcessPool)
+    run_study(RunConfig.from_dict(small_config(tmp_path, workers=64, replications=2)))
+    assert sizes == [2]
+
+
 def test_single_replication_percentiles_collapse(tmp_path):
     config = RunConfig.from_dict(small_config(tmp_path, replications=1))
     summary = run_study(config)["cbo"]
@@ -204,13 +266,13 @@ def test_evals_to_reach():
     from curebo.records import Evaluation, RunReport
 
     evals = [
-        Evaluation(x=np.zeros(1), f=2.0, g=1.0, step_index=0, phase="init"),
-        Evaluation(x=np.zeros(1), f=1.0, g=0.0, step_index=1, phase="learn"),
-        Evaluation(x=np.zeros(1), f=1.2, g=1.0, step_index=2, phase="learn"),
+        Evaluation(x=np.zeros(1), f=2.0, g=1.0, step_index=0, acq=None),
+        Evaluation(x=np.zeros(1), f=1.0, g=0.0, step_index=1, acq=0.5),
+        Evaluation(x=np.zeros(1), f=1.2, g=1.0, step_index=2, acq=0.25),
     ]
     report = RunReport(
         evaluations=evals, best_trace=[], x_star=None, f_star=None, g_star=None,
-        n_init=1, n_steps=2, threshold=0.5, wall_time=0.0,
+        threshold=0.5, wall_time=0.0,
     )
     assert evals_to_reach(report, 2.5) == 1
     assert evals_to_reach(report, 1.3) == 3  # the infeasible f=1.0 does not count
@@ -223,7 +285,7 @@ def test_summarize_counts_a_short_replication_only_up_to_its_last_step():
     def report(trace):
         return RunReport(
             evaluations=[], best_trace=trace, x_star=None, f_star=trace[-1], g_star=None,
-            n_init=1, n_steps=3, threshold=0.5, wall_time=0.0, complete=len(trace) == 3,
+            threshold=0.5, wall_time=0.0, complete=len(trace) == 3,
         )
 
     config = RunConfig(problem="analytical", optimizer="cbo", replications=2, seed=0, output_dir="-")
@@ -282,6 +344,16 @@ def test_cli_trace_names_a_missing_parameter(tmp_path):
     res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
     assert res.exit_code == 2
     assert "validation error:" in res.output and "T1" in res.output
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [{"kinetic": {"a1": 1e9}}, {"DT": 0.5}])
+def test_cli_trace_rejects_unknown_keys(tmp_path, extra):
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text(json.dumps({"variant": "baseline", **extra}))
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2
+    assert f"validation error: unknown keys: {next(iter(extra))}" in res.output
     assert not (tmp_path / "t.csv").exists()
 
 
