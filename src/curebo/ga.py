@@ -52,19 +52,20 @@ def _rank_key(e: Evaluation, threshold: float):
     return (1, math.inf if math.isnan(e.g) else threshold - e.g)
 
 
-def sbx_pair(x1: np.ndarray, x2: np.ndarray, eta: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover of two gene vectors, clamped to [0, 1]."""
-    u = rng.random(x1.size)
+def sbx_pair(
+    x1: np.ndarray, x2: np.ndarray, u: np.ndarray, eta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover of gene rows x1 and x2 under uniforms u of
+    the same shape, clamped to [0, 1]."""
     beta = np.where(u <= 0.5, (2.0 * u) ** (1.0 / (eta + 1.0)), (0.5 / (1.0 - u)) ** (1.0 / (eta + 1.0)))
     c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
     c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
     return np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
 
 
-def polynomial_mutation(x: np.ndarray, eta: float, prob: float, rng) -> np.ndarray:
-    """Per-gene polynomial mutation on the unit box, clamped to [0, 1]."""
-    u = rng.random(x.size)
-    apply = rng.random(x.size) < prob
+def polynomial_mutation(x: np.ndarray, u: np.ndarray, apply: np.ndarray, eta: float) -> np.ndarray:
+    """Polynomial mutation of the genes of x where apply is true, under
+    uniforms u of the same shape, clamped to [0, 1]."""
     delta = np.where(
         u < 0.5,
         (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0,
@@ -81,6 +82,35 @@ def _tournament(population: list[Evaluation], rng, threshold: float) -> Evaluati
     return second if _rank_key(second, threshold) < _rank_key(first, threshold) else first
 
 
+def _breed(population: list[Evaluation], rng, threshold: float) -> np.ndarray:
+    """One generation of len(population) children as rows c1, c2 of pair 1,
+    then pair 2, and so on.
+
+    The draws come pair by pair: two tournaments, the crossover coin, then
+    one block of uniforms holding, in this order, SBX's u (only when the
+    pair crosses) and the mutation u and apply draws of each child. The
+    arithmetic then runs on all pairs at once; a pair that does not cross
+    passes its parents' genes on to mutation unchanged.
+    """
+    n_pairs, d = len(population) // 2, population[0].x.size
+    parents = np.empty((2, n_pairs, d))
+    crosses = np.empty(n_pairs, dtype=bool)
+    u_sbx = np.full((n_pairs, d), 0.5)  # stays 0.5 (beta 1) where a pair does not cross
+    u_mut = np.empty((2, n_pairs, 2, d))  # (child, pair, u | apply, gene)
+    for k in range(n_pairs):
+        parents[0, k] = _tournament(population, rng, threshold).x
+        parents[1, k] = _tournament(population, rng, threshold).x
+        crosses[k] = rng.random() < CROSSOVER_PROB
+        draws = rng.random((5 if crosses[k] else 4) * d)
+        if crosses[k]:
+            u_sbx[k], draws = draws[:d], draws[d:]
+        u_mut[:, k] = draws.reshape(2, 2, d)
+    c1, c2 = sbx_pair(parents[0], parents[1], u_sbx, CROSSOVER_ETA)
+    genes = np.where(crosses[:, None], np.stack([c1, c2]), parents)
+    mutated = polynomial_mutation(genes, u_mut[:, :, 0], u_mut[:, :, 1] < 1.0 / d, MUTATION_ETA)
+    return mutated.transpose(1, 0, 2).reshape(2 * n_pairs, d)
+
+
 def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
     """Generational (mu + lambda) GA; logs every true evaluation.
 
@@ -93,7 +123,6 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
     root = np.random.SeedSequence(config.seed)
     init_ss, evo_ss = root.spawn(2)
     rng = np.random.default_rng(evo_ss)
-    p_mut = 1.0 / space.dims
 
     threshold = config.threshold
     evaluations: list[Evaluation] = []
@@ -110,18 +139,7 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
     population = list(evaluations)
 
     for generation in range(1, config.generations + 1):
-        offspring_genes: list[np.ndarray] = []
-        while len(offspring_genes) < config.pop_size:
-            p1 = _tournament(population, rng, threshold)
-            p2 = _tournament(population, rng, threshold)
-            if rng.random() < CROSSOVER_PROB:
-                c1, c2 = sbx_pair(p1.x, p2.x, CROSSOVER_ETA, rng)
-            else:
-                c1, c2 = p1.x.copy(), p2.x.copy()
-            c1 = polynomial_mutation(c1, MUTATION_ETA, p_mut, rng)
-            c2 = polynomial_mutation(c2, MUTATION_ETA, p_mut, rng)
-            offspring_genes.extend([c1, c2])
-        for x in offspring_genes[: config.pop_size]:
+        for x in _breed(population, rng, threshold):
             if evaluate(problem, x, generation, None, evaluations, events) is None:
                 return finish(complete=False)
         combined = population + evaluations[-config.pop_size :]

@@ -74,6 +74,9 @@ def two_point_problem(
 
     t1_min selects the case family (1 min or 10 min in the shipped configs).
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
     def fn(raw):
         trace = simulate_cure(two_point_cycle(raw[0], raw[1], start_temp), kin, mech, dt)
         return trace.u_proxy, trace.final_doc
@@ -100,6 +103,9 @@ def four_point_problem(
     the second; require_rising_second_ramp additionally demands a positive
     second slope.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
     def fn(raw):
         trace = simulate_cure(
             four_point_cycle(raw[0], raw[1], raw[2], raw[3], start_temp), kin, mech, dt

@@ -12,7 +12,7 @@ PHASE_INIT = "init"
 PHASE_LEARN = "learn"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evaluation:
     """One true black-box evaluation: normalized input x, objective f,
     constraint g and the step that made it (0 for initialization, else the

@@ -61,8 +61,14 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     """A finite JSON number. Python's json also reads NaN and Infinity, which
-    RFC 8259 does not allow and which would come back out in the summary."""
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    RFC 8259 does not allow and which would come back out in the summary,
+    and integers of any length, which float() cannot always convert."""
+    if _is_int(value):
+        try:
+            value = float(value)
+        except OverflowError:
+            return False
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def _typed_violations(prefix: str, values: dict, defaults: dict) -> list[str]:

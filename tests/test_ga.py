@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,10 +119,48 @@ def test_operators_respect_unit_box():
     rng = np.random.default_rng(1)
     for _ in range(200):
         x1, x2 = rng.random(3), rng.random(3)
-        c1, c2 = sbx_pair(x1, x2, 15.0, rng)
-        m = polynomial_mutation(c1, 20.0, 0.5, rng)
+        c1, c2 = sbx_pair(x1, x2, rng.random(3), 15.0)
+        m = polynomial_mutation(c1, rng.random(3), rng.random(3) < 0.5, 20.0)
         for v in (c1, c2, m):
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
+
+
+def _ridge4(x):
+    a, b, c, d = (float(v) for v in x)
+    return (a - 0.3) ** 2 + (b - 0.6) ** 2 + c * d, a + b - c * d
+
+
+def _golden_runs():
+    """An analytical run and a 4-d run. In the 4-d run one of the 12 pairs
+    does not cross and 31 genes mutate, so both the pass-through and the
+    mutation path reach the recorded genes."""
+    problem = analytical_problem()
+    yield "analytical pop10 gen3 seed0", run_ga(
+        problem, problem.space, GaConfig(pop_size=10, generations=3, seed=0)
+    )
+    space = DesignSpace(lower=[0.0] * 4, upper=[1.0] * 4)
+    yield "ridge4 pop6 gen4 seed0", run_ga(
+        _ridge4, space, GaConfig(pop_size=6, generations=4, threshold=0.8, seed=0)
+    )
+
+
+def _golden_snapshot(report):
+    return [
+        {"x": [float(v).hex() for v in e.x], "f": e.f.hex(), "g": e.g.hex()}
+        for e in report.evaluations
+    ]
+
+
+def test_runs_are_bit_identical_to_recorded_values():
+    # Recorded with Python 3.11 / numpy 2.4.6 on an AVX512 x86-64 host. A
+    # speedup of the breeding loop must keep every bit of these genes; taking
+    # the SBX or mutation powers with Python's scalar ** (libm pow) in place
+    # of numpy's array ** already changes them, and so does any reordering
+    # of a pair's random draws.
+    golden = json.loads((Path(__file__).parent / "ga_golden.json").read_text())
+    got = {name: _golden_snapshot(report) for name, report in _golden_runs()}
+    assert list(got) == list(golden)
+    assert [name for name in got if got[name] != golden[name]] == []
 
 
 def test_evaluation_count_pop100_gen10():

@@ -116,15 +116,19 @@ def test_config_rejects_json_booleans_as_numbers(tmp_path, key):
 
 @pytest.mark.parametrize(
     "key, value", [("convergence_tol", math.nan), ("reference_optimum", math.inf),
-                   ("reference_optimum", -math.inf)]
+                   ("reference_optimum", -math.inf),
+                   pytest.param("convergence_tol", 10**400, id="convergence_tol-1e400"),
+                   pytest.param("reference_optimum", -(10**400), id="reference_optimum--1e400")]
 )
 def test_config_rejects_non_finite_numbers(tmp_path, key, value):
-    # json reads NaN and Infinity; the summary JSON must not write them back
+    # json reads NaN and Infinity, which the summary JSON must not write back,
+    # and integers too long for float()
     with pytest.raises(ConfigError, match=f"{key} must be a finite"):
         RunConfig.from_dict(small_config(tmp_path, **{key: value}))
 
 
-# Each value's JSON type differs from the default of the parameter it sets.
+# Each value's JSON type differs from the default of the parameter it sets,
+# or it is an integer too long to convert to a float.
 @pytest.mark.parametrize(
     "problem, options, message",
     [
@@ -135,6 +139,8 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value):
         ("sim4pt", {"require_rising_second_ramp": 1}, "must be true or false"),
         ("sim4pt", {"mechanical": {"shrink_profile_a": "x"}}, "finite number or null"),
         ("sim4pt", {"mechanical": [0.1]}, "problem_options.mechanical must be an object"),
+        pytest.param("sim2pt", {"kinetics": {"a1": 10**400}},
+                     "problem_options.kinetics.a1 must be a finite number", id="sim2pt-a1-1e400"),
     ],
 )
 def test_cli_run_rejects_mistyped_problem_options_before_writing(tmp_path, problem, options, message):
@@ -143,6 +149,17 @@ def test_cli_run_rejects_mistyped_problem_options_before_writing(tmp_path, probl
     res = CliRunner().invoke(main, ["run", str(cfg)])
     assert res.exit_code == 2, res.output
     assert "validation error:" in res.output and message in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem", ["sim2pt", "sim4pt"])
+@pytest.mark.parametrize("dt", [0, -0.1])
+def test_cli_run_rejects_non_positive_dt_before_writing(tmp_path, problem, dt):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(small_config(tmp_path, problem=problem, problem_options={"dt": dt})))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert "validation error:" in res.output and "dt must be positive" in res.output
     assert not (tmp_path / "out").exists()
 
 
@@ -211,10 +228,13 @@ def test_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
-def test_worker_count_does_not_change_artifacts(tmp_path):
-    serial = RunConfig.from_dict(small_config(tmp_path, output_dir=str(tmp_path / "serial")))
+@pytest.mark.parametrize("optimizer", ["cbo", "ga"])
+def test_worker_count_does_not_change_artifacts(tmp_path, optimizer):
+    serial = RunConfig.from_dict(
+        small_config(tmp_path, optimizer=optimizer, output_dir=str(tmp_path / "serial"))
+    )
     parallel = RunConfig.from_dict(
-        small_config(tmp_path, output_dir=str(tmp_path / "parallel"), workers=2)
+        small_config(tmp_path, optimizer=optimizer, output_dir=str(tmp_path / "parallel"), workers=2)
     )
     run_study(serial)
     run_study(parallel)
