@@ -1,16 +1,19 @@
 """Thread counts of the OpenBLAS libraries loaded in this process.
 
 numpy and scipy wheels each bundle their own OpenBLAS, and each starts one
-thread per core. Study workers run side by side, so each pins every loaded
-OpenBLAS to one thread instead of letting the pools fight over the cores.
+thread per core. A study runs its replications with every loaded OpenBLAS
+pinned to one thread, in the calling process and in each worker, so that
+side-by-side workers do not fight over the cores and no result depends on
+the caller's thread count.
 
 Libraries are found with ``dl_iterate_phdr``. Where the C library lacks it
 (macOS, Windows), or where the BLAS is not OpenBLAS (MKL, Accelerate), no
-handle is found and both functions below see nothing.
+handle is found and the functions below see or pin nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import os
@@ -82,3 +85,17 @@ def pin_openblas_to_one_thread() -> None:
     """Set every OpenBLAS loaded in this process to one thread."""
     for _, _, set_ in _openblas_functions():
         set_(1)
+
+
+@contextlib.contextmanager
+def openblas_pinned_to_one_thread():
+    """Pin every OpenBLAS loaded in this process to one thread for the block,
+    then give each back the thread count it had before."""
+    functions = _openblas_functions()
+    counts = [get() for _, get, _ in functions]
+    pin_openblas_to_one_thread()
+    try:
+        yield
+    finally:
+        for (_, _, set_), count in zip(functions, counts):
+            set_(count)

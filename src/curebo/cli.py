@@ -15,7 +15,14 @@ import click
 from curebo.gp import NumericalError
 from curebo.problems import build_cycle, problem_by_name, simulate_cure
 from curebo.problems.simulate import IntegrationError, KineticParams, MechanicalParams
-from curebo.study import ConfigError, RunConfig, grid_oracle, run_study
+from curebo.study import (
+    ConfigError,
+    RunConfig,
+    _is_number,
+    _option_violations,
+    grid_oracle,
+    run_study,
+)
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
@@ -23,6 +30,7 @@ EXIT_NUMERICAL = 4
 
 _DEFAULT_ORACLE_GRID = {"analytical": 2001, "sim2pt": 15, "sim4pt": 7}
 _TRACE_KEYS = {"variant", "params", "start_temp", "kinetics", "mechanical", "dt"}
+_TRACE_DEFAULTS = {"start_temp": 20.0, "dt": 0.1}
 
 
 def _guarded(fn):
@@ -122,10 +130,17 @@ def trace(cycle_config, out):
         if missing:
             raise ValueError(f"{variant} params lack {', '.join(missing)}")
         params = [params[k] for k in keys]
-    cycle = build_cycle(variant, params, start_temp=float(data.get("start_temp", 20.0)))
+    # the value rules of a study's problem_options, and finite numbers as params
+    violations = _option_violations("", data, _TRACE_DEFAULTS)
+    if not isinstance(params, list) or not all(_is_number(p) for p in params):
+        violations.append("params must be a list of finite numbers")
+    if violations:
+        raise ConfigError(violations)
+    options = {**_TRACE_DEFAULTS, **data}
+    cycle = build_cycle(variant, params, start_temp=float(options["start_temp"]))
     kin = replace(KineticParams(), **data.get("kinetics", {}))
     mech = replace(MechanicalParams(), **data.get("mechanical", {}))
-    result = simulate_cure(cycle, kin, mech, dt=float(data.get("dt", 0.1)))
+    result = simulate_cure(cycle, kin, mech, dt=float(options["dt"]))
     result.write_csv(out)
     gel = "never" if result.gel_index is None else f"{result.time_min[result.gel_index]:.2f} min"
     click.echo(f"trace written to {out} ({len(result.time_min)} rows)")

@@ -127,13 +127,6 @@ def _profile_estimates(L: np.ndarray, y: np.ndarray):
     return mu, sigma2, ll, resid_solve, rinv_1, one_r_one
 
 
-def profile_log_likelihood(x: np.ndarray, y: np.ndarray, length_scales) -> float:
-    """Concentrated log marginal likelihood at given length scales."""
-    ls = np.atleast_1d(np.asarray(length_scales, dtype=float))
-    L, _ = _chol_with_jitter(matern52_matrix(x, x, ls))
-    return _profile_estimates(L, y)[2]
-
-
 def _initial_length_scales(x: np.ndarray) -> np.ndarray:
     """Default start: per-dimension standard deviation of the inputs."""
     ls = np.std(x, axis=0)

@@ -2,10 +2,11 @@
 
 A study executes one optimizer (or both) against one problem for a number of
 replications, seeding replication i with root_seed + i. Artifacts are a CSV
-evaluation log per replication, a combined per-step convergence CSV, and a
-JSON summary with mean/median/5th/95th percentile of the best-feasible
-objective at every step. Outputs depend only on the config contents, so
-reruns are byte identical regardless of worker count.
+evaluation log per replication, a CSV of the replications' events, a combined
+per-step convergence CSV, and a JSON summary with mean/median/5th/95th
+percentile of the best-feasible objective at every step. Outputs depend only
+on the config contents, so reruns are byte identical regardless of worker
+count.
 
 Step-axis convention: for cBO the step index counts acquisition-driven
 evaluations after initialization; for the GA it counts raw evaluations,
@@ -14,6 +15,7 @@ initialization included.
 
 from __future__ import annotations
 
+import csv
 import inspect
 import json
 import math
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from curebo.blas import pin_openblas_to_one_thread
+from curebo.blas import openblas_pinned_to_one_thread, pin_openblas_to_one_thread
 from curebo.cbo import CboConfig, run_cbo
 from curebo.ga import GaConfig, run_ga
 from curebo.problems import problem_by_name
@@ -96,23 +98,19 @@ def _typed_violations(prefix: str, values: dict, defaults: dict) -> list[str]:
     return violations
 
 
-def _problem_option_violations(problem: str, options: dict) -> list[str]:
-    """Type violations in problem_options: every option against the problem
-    factory's parameters, kinetics and mechanical against the fields of
-    KineticParams and MechanicalParams."""
-    parameters = inspect.signature(FACTORIES[problem]).parameters
-    defaults = {name: p.default for name, p in parameters.items()}
-    materials = {"kinetics": KineticParams, "mechanical": MechanicalParams}
-    plain = {k: v for k, v in options.items() if k not in materials}
-    violations = _typed_violations("problem_options.", plain, defaults)
-    for key, params in materials.items():
+def _option_violations(prefix: str, options: dict, defaults: dict) -> list[str]:
+    """Type violations in options, the problem_options of a study or a cycle
+    trace config: every option against defaults, kinetics and mechanical
+    against the fields of KineticParams and MechanicalParams."""
+    violations = _typed_violations(prefix, options, defaults)
+    for key, params in (("kinetics", KineticParams), ("mechanical", MechanicalParams)):
         if key not in options:
             continue
         if not isinstance(options[key], dict):
-            violations.append(f"problem_options.{key} must be an object")
+            violations.append(f"{prefix}{key} must be an object")
         else:
             field_defaults = {f.name: f.default for f in fields(params)}
-            violations += _typed_violations(f"problem_options.{key}.", options[key], field_defaults)
+            violations += _typed_violations(f"{prefix}{key}.", options[key], field_defaults)
     return violations
 
 
@@ -170,7 +168,9 @@ class RunConfig:
             if not isinstance(data.get(key, {}), dict):
                 violations.append(f"{key} must be an object")
             elif key == "problem_options" and problem in _PROBLEMS:
-                violations += _problem_option_violations(problem, data.get(key, {}))
+                parameters = inspect.signature(FACTORIES[problem]).parameters
+                defaults = {name: p.default for name, p in parameters.items()}
+                violations += _option_violations("problem_options.", data.get(key, {}), defaults)
             elif key in _OPTIMIZER_KEYS:
                 for name, value in sorted(data.get(key, {}).items()):
                     if name not in _OPTIMIZER_KEYS[key]:
@@ -270,6 +270,17 @@ def evals_to_reach(report: RunReport, target: float) -> Optional[int]:
     return None
 
 
+@dataclass(frozen=True)
+class Replication:
+    """One replication's summary inputs; evals_to_reach is None without a reference_optimum."""
+
+    best_trace: list[Optional[float]]
+    n_evaluations: int
+    f_star: Optional[float]
+    evals_to_reach: Optional[int]
+    events: list[str]
+
+
 @dataclass
 class StudySummary:
     """Per-step aggregates of the best-feasible objective over replications."""
@@ -305,17 +316,17 @@ class StudySummary:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def summarize(config: RunConfig, optimizer: str, reports: list[RunReport]) -> StudySummary:
+def summarize(config: RunConfig, optimizer: str, rows: list[Replication]) -> StudySummary:
     """Aggregate best-feasible traces across replications.
 
     The step axis runs to the longest trace; a replication that stopped early
     counts only at the steps it reached.
     """
-    n_steps = max((len(r.best_trace) for r in reports), default=0)
+    n_steps = max((len(r.best_trace) for r in rows), default=0)
     steps, counts, means, medians, p5s, p95s = [], [], [], [], [], []
     for s in range(n_steps):
         values = [
-            r.best_trace[s] for r in reports if s < len(r.best_trace) and r.best_trace[s] is not None
+            r.best_trace[s] for r in rows if s < len(r.best_trace) and r.best_trace[s] is not None
         ]
         steps.append(s + 1)
         counts.append(len(values))
@@ -333,19 +344,18 @@ def summarize(config: RunConfig, optimizer: str, reports: list[RunReport]) -> St
     summary = StudySummary(
         problem=config.problem,
         optimizer=optimizer,
-        replications=len(reports),
+        replications=len(rows),
         step_index=steps,
         n_feasible=counts,
         mean=means,
         median=medians,
         p5=p5s,
         p95=p95s,
-        evaluations_per_replication=[r.n_evaluations for r in reports],
-        final_best=[r.f_star for r in reports],
+        evaluations_per_replication=[r.n_evaluations for r in rows],
+        final_best=[r.f_star for r in rows],
     )
     if config.reference_optimum is not None:
-        target = config.reference_optimum + config.convergence_tol
-        conv = [evals_to_reach(r, target) for r in reports]
+        conv = [r.evals_to_reach for r in rows]
         summary.reference_optimum = config.reference_optimum
         summary.convergence_tol = config.convergence_tol
         summary.convergence_evals = conv
@@ -362,8 +372,6 @@ def _fmt(value) -> str:
 
 
 def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> None:
-    import csv
-
     header = ["eval", "phase", "step", *problem.space.names, "f", "g", "best_feasible", "acq"]
     evaluations = report.evaluations
     best = running_best(evaluations, report.threshold)
@@ -372,24 +380,14 @@ def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> N
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i, (e, b, raw) in enumerate(zip(evaluations, best, raws), start=1):
-            writer.writerow(
-                [
-                    i,
-                    e.phase,
-                    e.step_index,
-                    *(_fmt(v) for v in raw),
-                    _fmt(e.f),
-                    _fmt(e.g),
-                    _fmt(None if b is None else evaluations[b].f),
-                    _fmt(e.acq),
-                ]
-            )
+        writer.writerows(
+            [i, e.phase, e.step_index, *map(_fmt, raw), _fmt(e.f), _fmt(e.g),
+             _fmt(None if b is None else evaluations[b].f), _fmt(e.acq)]
+            for i, (e, b, raw) in enumerate(zip(evaluations, best, raws), start=1)
+        )
 
 
 def _write_convergence_csv(path: Path, summary: StudySummary) -> None:
-    import csv
-
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["step", "n_feasible", "mean", "median", "p5", "p95"])
@@ -406,13 +404,17 @@ def _write_convergence_csv(path: Path, summary: StudySummary) -> None:
             )
 
 
-def _replicate(args) -> tuple[int, RunReport]:
+def _replicate(args) -> Replication:
+    """Run one replication, write its CSV and return its summary inputs."""
     config, optimizer, index = args
     problem = build_problem(config)
-    seed = config.seed + index
-    if optimizer == "cbo":
-        return index, run_cbo(problem, problem.space, _cbo_config(config, problem, seed))
-    return index, run_ga(problem, problem.space, _ga_config(config, problem, seed))
+    run, make = (run_cbo, _cbo_config) if optimizer == "cbo" else (run_ga, _ga_config)
+    report = run(problem, problem.space, make(config, problem, config.seed + index))
+    out = Path(config.output_dir) / f"{optimizer}_rep{index:03d}.csv"
+    _write_replication_csv(out, problem, report)
+    ref = config.reference_optimum
+    reach = None if ref is None else evals_to_reach(report, ref + config.convergence_tol)
+    return Replication(report.best_trace, report.n_evaluations, report.f_star, reach, report.events)
 
 
 def worker_pool(workers: int) -> ProcessPoolExecutor:
@@ -420,47 +422,50 @@ def worker_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, initializer=pin_openblas_to_one_thread)
 
 
+def _replications(config: RunConfig, optimizer: str):
+    """Run the replications of optimizer and yield each one's summary inputs,
+    in replication order whatever the worker count."""
+    jobs = [(config, optimizer, i) for i in range(config.replications)]
+    if config.workers > 1 and config.replications > 1:
+        with worker_pool(min(config.workers, config.replications)) as pool:
+            yield from pool.map(_replicate, jobs)
+    else:
+        yield from map(_replicate, jobs)
+
+
 def run_study(config: RunConfig) -> dict[str, StudySummary]:
     """Execute all replications, write artifacts, and return the summaries.
 
-    Replication i runs with seed root_seed + i; results are merged in
-    replication order, so the artifacts do not depend on worker count.
+    Replication i runs with seed root_seed + i. Its CSV and events are
+    written as it finishes, so a study that raises keeps those of the
+    replications before the failing one.
 
     With workers > 1 the replications run in a pool of
-    min(workers, replications) processes. Each worker pins every loaded
-    OpenBLAS to one thread when it starts, since one BLAS thread per core in
-    every worker oversubscribes the cores several times over. The calling
-    process keeps its own BLAS thread count.
+    min(workers, replications) processes. Every loaded OpenBLAS runs one
+    thread for the whole study, in each worker and in the calling process,
+    which gets its own counts back on return: one BLAS thread per core in
+    every worker would oversubscribe the cores, and one rule for every
+    worker count keeps results independent of the caller's setting.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    probe = out_dir / ".write_probe"
-    try:
-        probe.write_text("")
-    finally:
-        if probe.exists():
-            probe.unlink()
-
-    problem = build_problem(config)
     optimizers = ["cbo", "ga"] if config.optimizer == "both" else [config.optimizer]
 
     summaries: dict[str, StudySummary] = {}
-    for optimizer in optimizers:
-        jobs = [(config, optimizer, i) for i in range(config.replications)]
-        if config.workers > 1 and config.replications > 1:
-            with worker_pool(min(config.workers, config.replications)) as pool:
-                results = list(pool.map(_replicate, jobs))
-        else:
-            results = [_replicate(job) for job in jobs]
-        results.sort(key=lambda pair: pair[0])
-        reports = [r for _, r in results]
-
-        for i, report in enumerate(reports):
-            _write_replication_csv(out_dir / f"{optimizer}_rep{i:03d}.csv", problem, report)
-        summary = summarize(config, optimizer, reports)
-        _write_convergence_csv(out_dir / f"{optimizer}_convergence.csv", summary)
-        (out_dir / f"{optimizer}_summary.json").write_text(summary.to_json())
-        summaries[optimizer] = summary
+    with openblas_pinned_to_one_thread():
+        for optimizer in optimizers:
+            # opened before any replication runs, so an unwritable directory fails first
+            with open(out_dir / f"{optimizer}_events.csv", "w", newline="") as handle:
+                events = csv.writer(handle)
+                events.writerow(["replication", "event"])
+                rows = []
+                for index, row in enumerate(_replications(config, optimizer)):
+                    events.writerows([index, event] for event in row.events)
+                    rows.append(row)
+            summary = summarize(config, optimizer, rows)
+            _write_convergence_csv(out_dir / f"{optimizer}_convergence.csv", summary)
+            (out_dir / f"{optimizer}_summary.json").write_text(summary.to_json())
+            summaries[optimizer] = summary
     return summaries
 
 

@@ -11,6 +11,7 @@ from curebo.blas import openblas_threads
 from curebo.cli import main
 from curebo.study import (
     ConfigError,
+    Replication,
     RunConfig,
     build_problem,
     evals_to_reach,
@@ -246,13 +247,50 @@ def test_worker_count_does_not_change_artifacts(tmp_path, optimizer):
 @pytest.mark.skipif(
     not openblas_threads(), reason="no loaded OpenBLAS exposes openblas_get_num_threads"
 )
-def test_study_workers_run_blas_single_threaded(tmp_path):
+def test_study_workers_run_blas_single_threaded(tmp_path, monkeypatch):
     parent = openblas_threads()
+    pinned = {path: 1 for path in parent}
     with worker_pool(2) as pool:
         in_worker = pool.submit(openblas_threads).result(timeout=60)
-    assert in_worker == {path: 1 for path in parent}
+    assert in_worker == pinned
     run_study(RunConfig.from_dict(small_config(tmp_path, workers=2)))
     assert openblas_threads() == parent
+
+    # workers=1 runs the replications in this process, also at one thread,
+    # and a study that raises gives the caller's counts back too
+    seen = []
+    run_cbo = study.run_cbo
+
+    def recording(problem, space, config):
+        seen.append(openblas_threads())
+        if len(seen) == 3:
+            raise RuntimeError("replication 2 failed")
+        return run_cbo(problem, space, config)
+
+    monkeypatch.setattr(study, "run_cbo", recording)
+    with pytest.raises(RuntimeError, match="replication 2 failed"):
+        run_study(RunConfig.from_dict(small_config(tmp_path, output_dir=str(tmp_path / "serial"))))
+    assert seen == [pinned] * 3
+    assert openblas_threads() == parent
+
+
+def test_a_failed_replication_keeps_the_csvs_of_those_before_it(tmp_path, monkeypatch):
+    config = RunConfig.from_dict(small_config(
+        tmp_path, optimizer="ga", replications=4, ga={"pop_size": 4, "generations": 1}
+    ))
+    run_ga = study.run_ga
+
+    def failing(problem, space, ga_config):
+        if ga_config.seed == config.seed + 2:
+            raise RuntimeError("replication 2 failed")
+        return run_ga(problem, space, ga_config)
+
+    monkeypatch.setattr(study, "run_ga", failing)
+    with pytest.raises(RuntimeError, match="replication 2 failed"):
+        run_study(config)
+    out = Path(config.output_dir)
+    assert sorted(p.name for p in out.glob("ga_rep*.csv")) == ["ga_rep000.csv", "ga_rep001.csv"]
+    assert (out / "ga_rep001.csv").read_text().count("\n") == 1 + 8  # header and 8 evaluations
 
 
 def test_both_optimizers_and_convergence_tracking(tmp_path):
@@ -300,20 +338,19 @@ def test_evals_to_reach():
 
 
 def test_summarize_counts_a_short_replication_only_up_to_its_last_step():
-    from curebo.records import RunReport
-
-    def report(trace):
-        return RunReport(
-            evaluations=[], best_trace=trace, x_star=None, f_star=trace[-1], g_star=None,
-            threshold=0.5, wall_time=0.0, complete=len(trace) == 3,
+    def row(trace):
+        return Replication(
+            best_trace=trace, n_evaluations=len(trace), f_star=trace[-1], evals_to_reach=None,
+            events=[],
         )
 
     config = RunConfig(problem="analytical", optimizer="cbo", replications=2, seed=0, output_dir="-")
-    summary = summarize(config, "cbo", [report([None, 3.0, 2.0]), report([1.0])])
+    summary = summarize(config, "cbo", [row([None, 3.0, 2.0]), row([1.0])])
     assert summary.step_index == [1, 2, 3]
     assert summary.n_feasible == [1, 1, 1]
     assert summary.median == [1.0, 3.0, 2.0]
     assert summary.final_best == [2.0, 1.0]
+    assert summary.evaluations_per_replication == [3, 1]
 
 
 def test_generic_grid_oracle_agrees_with_fast_path():
@@ -377,6 +414,29 @@ def test_cli_trace_rejects_unknown_keys(tmp_path, extra):
     assert not (tmp_path / "t.csv").exists()
 
 
+# the value rules of a study's problem_options, and params that are numbers
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ('"kinetics": {"a1": true}', "kinetics.a1 must be a finite number"),
+        ('"dt": true', "dt must be a finite number"),
+        ('"start_temp": "20"', "start_temp must be a finite number"),
+        ('"mechanical": {"cte": NaN}', "mechanical.cte must be a finite number"),
+        ('"dt": 1e400', "dt must be a finite number"),
+        ('"params": [true, 150]', "params must be a list of finite numbers"),
+        ('"params": 150', "params must be a list of finite numbers"),
+    ],
+)
+def test_cli_trace_rejects_values_that_a_study_rejects(tmp_path, fields, message):
+    cfg = tmp_path / "cycle.json"
+    params = "" if fields.startswith('"params"') else '"params": [60, 140], '
+    cfg.write_text(f'{{"variant": "two-point", {params}{fields}}}')
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2, res.output
+    assert "validation error:" in res.output and message in res.output
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_cli_trace_rejects_a_config_that_is_not_an_object(tmp_path):
     cfg = tmp_path / "cycle.json"
     cfg.write_text("[1, 2]")
@@ -384,6 +444,23 @@ def test_cli_trace_rejects_a_config_that_is_not_an_object(tmp_path):
     assert res.exit_code == 2
     assert "validation error: cycle config must be a JSON object" in res.output
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_failed_evaluations_reach_the_events_csv(tmp_path):
+    clean = RunConfig.from_dict(small_config(tmp_path, replications=1))
+    run_study(clean)
+    assert (Path(clean.output_dir) / "cbo_events.csv").read_bytes() == b"replication,event\r\n"
+
+    # every initial evaluation fails to integrate
+    failing = RunConfig.from_dict(small_config(
+        tmp_path, problem="sim2pt", replications=2, output_dir=str(tmp_path / "failing"),
+        problem_options={"kinetics": {"a1": 1e300}},
+    ))
+    run_study(failing)
+    lines = (Path(failing.output_dir) / "cbo_events.csv").read_text().splitlines()
+    assert lines[0] == "replication,event"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    assert all("evaluation failed at step 0" in line for line in lines[1:])
 
 
 def test_cli_run_smoke(tmp_path):
