@@ -93,8 +93,9 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
         train_x = np.array([e.x for e in evaluations])
         y_f = np.array([e.f for e in evaluations])
         y_g = np.array([e.g for e in evaluations])
+        finite_f = np.isfinite(y_f)  # a non-finite f is never feasible and trains no model
         try:
-            model_f = fit_gp(train_x, y_f)
+            model_f = fit_gp(train_x[finite_f], y_f[finite_f])
             model_g = fit_gp(train_x, y_g)
         except (NumericalError, ValueError) as exc:
             events.append(f"step {step}: surrogate fit failed: {exc}")

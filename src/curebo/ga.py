@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from curebo.records import Evaluation, RunReport, build_report, evaluate
+from curebo.records import Evaluation, RunReport, build_report, evaluate, feasible
 from curebo.space import DesignSpace, lhs_sample
 
 # Fixed operators: SBX applied to a pair with probability CROSSOVER_PROB,
@@ -43,13 +43,14 @@ class GaConfig:
 
 def _rank_key(e: Evaluation, threshold: float):
     """Deb's feasibility rule as a sort key, smaller first: feasible
-    (g >= threshold, the test of records.running_best) before infeasible,
-    then smaller f among the feasible and smaller violation threshold - g
-    among the infeasible. A NaN g, which has no constraint value, counts as
-    infinitely violating."""
-    if e.g >= threshold:
+    (records.feasible) before infeasible, then smaller f among the feasible
+    and smaller violation threshold - g among the infeasible. An infeasible
+    point without a positive violation, a NaN g or a non-finite f with
+    g >= threshold, counts as infinitely violating."""
+    if feasible(e, threshold):
         return (0, e.f)
-    return (1, math.inf if math.isnan(e.g) else threshold - e.g)
+    violation = threshold - e.g
+    return (1, violation if violation > 0.0 else math.inf)
 
 
 def sbx_pair(

@@ -188,6 +188,8 @@ def fit_gp(train_x, train_y, length_scales=None) -> GpSurrogate:
         raise ValueError("train_x and train_y lengths differ")
     if n < 2:
         raise ValueError("need at least two training points")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("training outputs must be finite")
     if len(np.unique(x, axis=0)) != n:
         raise ValueError("training inputs must be pairwise distinct")
 

@@ -4,15 +4,14 @@ The degree of cure follows a two-branch autocatalytic rate law integrated
 with fixed-step RK4; the step grid is aligned to the cycle vertices so the
 right-hand side is smooth within every integration step.
 
-Temperature is prescribed, so the Arrhenius factors a1 exp(-e1/RT),
-exp(-e2/RT) and a3 exp(-e3/RT) are computed at every grid node and step
-midpoint before integration, with math.exp element by element so each has
-the bits of the scalar rate law; the RK4 loop then only evaluates
-polynomials in alpha. The loop has two phases. While alpha <= branch_switch
-every stage tests the branch, and the one step that crosses the switch is
-redone in substeps, the only place an exponential is computed inside the
-loop. Past the switch rates are never negative, so alpha cannot come back
-and the stages evaluate the high-alpha branch alone.
+Temperature is prescribed, so the Arrhenius factors are arrays computed
+before integration, at every grid node and step midpoint, by the helper
+`cure_rate` uses too. While alpha <= branch_switch a scalar loop tests the
+branch at every stage and redoes the step that crosses the switch in
+substeps. Past the switch the rate law is linear in 1 - alpha, so each RK4
+step multiplies 1 - alpha by its stability polynomial (Hairer & Wanner,
+Solving ODEs II, IV.2), the rate clamps entering as stage factors, and the
+phase is one cumulative product.
 
 Alongside the cure state the simulator tracks the exotherm rate diagnostic,
 resin viscosity, instantaneous glass transition, the cure-hardening modulus,
@@ -82,6 +81,8 @@ class KineticParams:
     def __post_init__(self):
         if min(self.e1, self.e2, self.e3) <= 0:
             raise ValueError("activation energies must be positive")
+        if self.a3 < 0:
+            raise ValueError("a3 must be non-negative")
         if not self.branch_switch < self.alpha_crit <= 1.0:
             raise ValueError("alpha_crit must lie in (branch_switch, 1]")
         if not 0.0 <= self.fiber_volume_fraction < 1.0:
@@ -122,15 +123,18 @@ class MechanicalParams:
             raise ValueError("gamma must lie in [-1, 1]")
 
 
+def arrhenius_factors(temp_k, kin: KineticParams):
+    """(a1 exp(-e1/RT), exp(-e2/RT), a3 exp(-e3/RT)) at temperatures in K; the
+    rate law multiplies the middle factor by alpha * a2."""
+    s = 1.0 / (R_GAS * np.asarray(temp_k, dtype=float))
+    return kin.a1 * np.exp(-kin.e1 * s), np.exp(-kin.e2 * s), kin.a3 * np.exp(-kin.e3 * s)
+
+
 def cure_rate(alpha, temp_k, kin: KineticParams = KineticParams()):
     """Cure rate (per minute) at degree of cure alpha and temperature in K."""
     alpha = np.asarray(alpha, dtype=float)
-    temp_k = np.asarray(temp_k, dtype=float)
-    inv_rt = 1.0 / (R_GAS * temp_k)
-    b1 = kin.a1 * np.exp(-kin.e1 * inv_rt)
-    b2 = kin.a2 * np.exp(-kin.e2 * inv_rt)
-    b3 = kin.a3 * np.exp(-kin.e3 * inv_rt)
-    low = (b1 + alpha * b2) * (1.0 - alpha) * (kin.alpha_crit - alpha)
+    b1, e2, b3 = arrhenius_factors(temp_k, kin)
+    low = (b1 + alpha * kin.a2 * e2) * (1.0 - alpha) * (kin.alpha_crit - alpha)
     high = b3 * (1.0 - alpha)
     out = np.where(alpha <= kin.branch_switch, low, high)
     return out if out.ndim else float(out)
@@ -231,19 +235,6 @@ def _time_grid(cycle: CureCycle, dt: float) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _arrhenius(temps_k, kin: KineticParams) -> list[tuple[float, float, float]]:
-    """(a1 exp(-e1 s), exp(-e2 s), a3 exp(-e3 s)) with s = 1 / (R T), per temperature.
-
-    math.exp on each element gives the bits of the scalar rate law; a2 is left
-    out of the middle factor because the rate law forms a * a2 first.
-    """
-    scale = ((1.0 / R_GAS) / np.asarray(temps_k, dtype=float)).tolist()
-    return [
-        (kin.a1 * math.exp(-kin.e1 * s), math.exp(-kin.e2 * s), kin.a3 * math.exp(-kin.e3 * s))
-        for s in scale
-    ]
-
-
 def _out_of_range(a: float, t_now: float) -> IntegrationError:
     if not math.isfinite(a):
         return IntegrationError(f"non-finite cure state at t={t_now:.4f} min")
@@ -253,41 +244,44 @@ def _out_of_range(a: float, t_now: float) -> IntegrationError:
 def _integrate_alpha(t, temps_k, mid_k, kin: KineticParams) -> np.ndarray:
     """Degree of cure at every grid node: fixed-step RK4 in two phases.
 
-    Phase one runs while alpha <= branch_switch and tests the branch at every
-    stage; the step that crosses the switch is redone in 64 substeps, so the
-    jump of the rate law is confined to one of them. Phase two starts once
-    alpha > branch_switch: rates are never negative, so no stage input can
-    fall back to the switch and only the high-alpha branch is evaluated.
-    Cure is irreversible: every rate is clamped at zero.
+    Phase one runs while alpha <= branch_switch, tests the branch at every
+    stage and reads the factors as Python floats through memoryviews; the
+    step that crosses the switch is redone in 64 substeps, so the jump of the
+    rate law is confined to one of them. Phase two solves y' = -b3(T) y for
+    y = 1 - alpha: each step multiplies y by P = 1 - h/6 (b0 + 2 bm s2 +
+    2 bm s3 + b1 s4). Cure is irreversible: every rate is clamped at zero,
+    which is the max(., 0) of the stage factors s2, s3, s4 and the cut of a
+    1e-9 overshoot of full cure back to alpha = 1.
     """
     switch, crit, a2 = kin.branch_switch, kin.alpha_crit, kin.a2
-    steps = np.diff(t).tolist()
-    node_f = _arrhenius(temps_k, kin)
-    mid_f = _arrhenius(mid_k, kin)
+    h = np.diff(t)
+    # factors on the half-step grid: node k at 2k, the midpoint of step k at 2k + 1
+    half_k = np.empty(2 * len(t) - 1)
+    half_k[0::2], half_k[1::2] = temps_k, mid_k
+    half_f = arrhenius_factors(half_k, kin)
 
-    def rate(a: float, factors) -> float:
-        b1, e2, b3 = factors
+    def rate(a: float, f, i: int) -> float:
         if a <= switch:
-            r = (b1 + a * a2 * e2) * (1.0 - a) * (crit - a)
+            r = (f[0][i] + a * a2 * f[1][i]) * (1.0 - a) * (crit - a)
         else:
-            r = b3 * (1.0 - a)
+            r = f[2][i] * (1.0 - a)
         return r if r > 0.0 else 0.0
 
-    def rk4_step(a: float, h: float, lo, mid, hi) -> float:
-        k1 = rate(a, lo)
-        k2 = rate(a + 0.5 * h * k1, mid)
-        k3 = rate(a + 0.5 * h * k2, mid)
-        k4 = rate(a + h * k3, hi)
+    def rk4_step(a: float, h: float, f, j: int) -> float:  # factors f[.][j : j + 3]
+        k1 = rate(a, f, j)
+        k2 = rate(a + 0.5 * h * k1, f, j + 1)
+        k3 = rate(a + 0.5 * h * k2, f, j + 1)
+        k4 = rate(a + h * k3, f, j + 2)
         return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     n = len(t)
-    alpha = [0.0]
-    append = alpha.append
-    a = 0.0
+    steps = memoryview(h)
+    half_v = [memoryview(f) for f in half_f]
+    alpha = np.empty(n)
+    alpha[0] = a = 0.0
     k = 0
     while k < n - 1 and a <= switch:
-        h = steps[k]
-        trial = rk4_step(a, h, node_f[k], mid_f[k], node_f[k + 1])
+        trial = rk4_step(a, steps[k], half_v, 2 * k)
         if a < switch < trial:
             # temperature is linear within a step (the grid is vertex aligned);
             # substep j runs from fraction 2j / (2 sub) to (2j + 2) / (2 sub)
@@ -295,38 +289,34 @@ def _integrate_alpha(t, temps_k, mid_k, kin: KineticParams) -> np.ndarray:
             sub = 64
             t_lo = temps_k[k]
             fractions = np.arange(2 * sub + 1) / (2 * sub)
-            sub_f = _arrhenius(t_lo + (temps_k[k + 1] - t_lo) * fractions, kin)
-            hs = h / sub
+            sub_f = arrhenius_factors(t_lo + (temps_k[k + 1] - t_lo) * fractions, kin)
+            sub_v = [memoryview(f) for f in sub_f]
+            hs = steps[k] / sub
             trial = a
             for j in range(0, 2 * sub, 2):
-                trial = rk4_step(trial, hs, sub_f[j], sub_f[j + 1], sub_f[j + 2])
+                trial = rk4_step(trial, hs, sub_v, j)
         a = trial
         if not -1e-9 <= a <= 1.0 + 1e-9:
             raise _out_of_range(a, t[k + 1])
-        a = min(max(a, 0.0), 1.0)
-        append(a)
+        alpha[k + 1] = a = min(max(a, 0.0), 1.0)
         k += 1
 
-    b3_node = [f[2] for f in node_f]
-    b3_mid = [f[2] for f in mid_f]
-    for k in range(k, n - 1):
-        h = steps[k]
-        b_mid = b3_mid[k]
-        k1 = b3_node[k] * (1.0 - a)
-        k1 = k1 if k1 > 0.0 else 0.0
-        k2 = b_mid * (1.0 - (a + 0.5 * h * k1))
-        k2 = k2 if k2 > 0.0 else 0.0
-        k3 = b_mid * (1.0 - (a + 0.5 * h * k2))
-        k3 = k3 if k3 > 0.0 else 0.0
-        k4 = b3_node[k + 1] * (1.0 - (a + h * k3))
-        k4 = k4 if k4 > 0.0 else 0.0
-        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not -1e-9 <= a <= 1.0 + 1e-9:
-            raise _out_of_range(a, t[k + 1])
-        if a > 1.0:  # the clamp to [0, 1]: a never decreases in this phase
-            a = 1.0
-        append(a)
-    return np.array(alpha)
+    b3 = half_f[2][2 * k :]
+    h, b0, bm, b1 = h[k:], b3[0:-1:2], b3[1::2], b3[2::2]
+    s2 = np.maximum(1.0 - 0.5 * h * b0, 0.0)
+    s3 = np.maximum(1.0 - 0.5 * h * bm * s2, 0.0)
+    s4 = np.maximum(1.0 - h * bm * s3, 0.0)
+    p = 1.0 - (h / 6.0) * (b0 + 2.0 * bm * s2 + 2.0 * bm * s3 + b1 * s4)
+    # b3 >= 0 (a3 is checked), so P <= 1 and y falls up to the first step with
+    # P < 0 or NaN, which overshoots full cure; the cure stays full after it
+    over = np.flatnonzero(~(p >= 0.0))
+    end = int(over[0]) + 1 if len(over) else len(p)
+    y = np.zeros(len(p))
+    y[:end] = (1.0 - a) * np.cumprod(p[:end])
+    if len(over) and not y[end - 1] >= -1e-9:
+        raise _out_of_range(1.0 - y[end - 1], t[k + end])
+    alpha[k + 1 :] = 1.0 - np.maximum(y, 0.0)
+    return alpha
 
 
 def simulate_cure(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -74,17 +75,23 @@ class RunReport:
         return len(self.evaluations)
 
 
+def feasible(e: Evaluation, threshold: float) -> bool:
+    """g >= threshold and a finite f: a NaN g never is, and neither is an
+    evaluation whose f is NaN or infinite, whatever its g."""
+    return e.g >= threshold and math.isfinite(e.f)
+
+
 def running_best(evaluations, threshold: float) -> list[Optional[int]]:
     """Index of the best feasible evaluation after each evaluation in order.
 
-    An evaluation is feasible when g >= threshold, so a NaN g never is. A
-    later evaluation takes over only with a strictly smaller f, so ties go to
-    the earliest. Entries are None until the first feasible evaluation.
+    A later feasible evaluation takes over only with a strictly smaller f, so
+    ties go to the earliest. Entries are None until the first feasible
+    evaluation.
     """
     best: list[Optional[int]] = []
     current = None
     for i, e in enumerate(evaluations):
-        if e.g >= threshold and (current is None or e.f < evaluations[current].f):
+        if feasible(e, threshold) and (current is None or e.f < evaluations[current].f):
             current = i
         best.append(current)
     return best

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,23 @@ def test_surrogate_fit_failure_returns_partial_report(monkeypatch):
     assert report.n_evaluations == 5
     assert len(report.best_trace) == 1
     assert report.events == ["step 2: surrogate fit failed: not positive definite"]
+
+
+def nan_beyond_08(x):
+    # f has no value where x0 > 0.8; feasible (g >= 0.5) where x1 <= 0.5
+    f = math.nan if x[0] > 0.8 else float((x[0] - 0.4) ** 2 + (x[1] - 0.3) ** 2)
+    return f, 1.0 - float(x[1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_non_finite_objective_trains_no_model_and_is_never_incumbent(seed):
+    config = CboConfig(n_init=6, n_steps=8, pool_size=200, threshold=0.5, seed=seed)
+    report = run_cbo(nan_beyond_08, UNIT_SQUARE, config)
+    assert report.complete and report.events == []
+    assert report.f_star is not None and math.isfinite(report.f_star)
+    assert all(v is None or math.isfinite(v) for v in report.best_trace)
+    # a NaN in the f surrogate's data would make every posterior, so every acq, NaN
+    assert all(math.isfinite(e.acq) for e in report.evaluations[config.n_init :])
 
 
 def test_failing_problem_returns_partial_report():

@@ -1,9 +1,12 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from curebo.problems import (
@@ -15,6 +18,7 @@ from curebo.problems import (
     build_cycle,
     chile_modulus,
     cure_rate,
+    four_point_cycle,
     glass_transition_c,
     shrinkage_strain,
     simulate_cure,
@@ -22,6 +26,7 @@ from curebo.problems import (
     viscosity,
     volumetric_shrinkage,
 )
+from curebo.problems import simulate
 from curebo.problems.simulate import TRACE_COLUMNS
 
 KIN = KineticParams()
@@ -211,6 +216,8 @@ def test_param_validation():
     with pytest.raises(ValueError):
         KineticParams(fiber_volume_fraction=1.0)
     with pytest.raises(ValueError):
+        KineticParams(a3=-1.0)  # the high-alpha rate would be negative
+    with pytest.raises(ValueError):
         MechanicalParams(alpha_mod_lo=0.9, alpha_mod_hi=0.3)
     with pytest.raises(ValueError):
         MechanicalParams(gamma=2.0)
@@ -226,6 +233,7 @@ GOLDEN_CYCLES = {
     "four-point 50 135 130 178": ("four-point", (50.0, 135.0, 130.0, 178.0)),
 }
 GOLDEN_DTS = (0.1, 0.37)
+GOLDEN_PATH = Path(__file__).parent / "sim_golden.json"
 
 
 def golden_snapshot(trace):
@@ -258,11 +266,184 @@ def golden_traces():
 
 
 def test_simulation_is_bit_identical_to_recorded_values():
-    # Recorded with Python 3.11 / numpy 2.4.6. A speedup of simulate_cure that
-    # keeps its arithmetic must keep every bit of these numbers; writing the
-    # a2 term as a * (a2 * exp(-e2/RT)) in place of a * a2 * exp(-e2/RT)
-    # already changes alpha nodes of several of these traces.
-    golden = json.loads((Path(__file__).parent / "sim_golden.json").read_text())
+    # Recorded with Python 3.11 / numpy 2.4.6 on an AVX512 x86-64 host by
+    # running this file as a script. The golden fixes the bits of the array
+    # Arrhenius factors (numpy's exp kernel), of phase one's scalar loop and
+    # of phase two's cumulative product: a speedup that keeps that arithmetic
+    # keeps every bit, and a change to it is re-recorded once, on purpose.
+    golden = json.loads(GOLDEN_PATH.read_text())
     got = {name: golden_snapshot(trace) for name, trace in golden_traces()}
     assert list(got) == list(golden)
     assert [name for name in got if got[name] != golden[name]] == []
+
+
+def _scalar_arrhenius(temps_k, kin):
+    scale = ((1.0 / simulate.R_GAS) / np.asarray(temps_k, dtype=float)).tolist()
+    return [
+        (kin.a1 * math.exp(-kin.e1 * s), math.exp(-kin.e2 * s), kin.a3 * math.exp(-kin.e3 * s))
+        for s in scale
+    ]
+
+
+def scalar_alpha(t, temps_k, mid_k, kin):
+    """Reference integrator: the two-phase RK4 loop with a scalar step past
+    the branch switch, which the cumulative product replaced."""
+    switch, crit, a2 = kin.branch_switch, kin.alpha_crit, kin.a2
+    steps = np.diff(t).tolist()
+    node_f = _scalar_arrhenius(temps_k, kin)
+    mid_f = _scalar_arrhenius(mid_k, kin)
+
+    def rate(a, factors):
+        b1, e2, b3 = factors
+        if a <= switch:
+            r = (b1 + a * a2 * e2) * (1.0 - a) * (crit - a)
+        else:
+            r = b3 * (1.0 - a)
+        return r if r > 0.0 else 0.0
+
+    def rk4_step(a, h, lo, mid, hi):
+        k1 = rate(a, lo)
+        k2 = rate(a + 0.5 * h * k1, mid)
+        k3 = rate(a + 0.5 * h * k2, mid)
+        k4 = rate(a + h * k3, hi)
+        return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    n = len(t)
+    alpha = [0.0]
+    a = 0.0
+    k = 0
+    while k < n - 1 and a <= switch:
+        h = steps[k]
+        trial = rk4_step(a, h, node_f[k], mid_f[k], node_f[k + 1])
+        if a < switch < trial:
+            sub = 64
+            t_lo = temps_k[k]
+            fractions = np.arange(2 * sub + 1) / (2 * sub)
+            sub_f = _scalar_arrhenius(t_lo + (temps_k[k + 1] - t_lo) * fractions, kin)
+            hs = h / sub
+            trial = a
+            for j in range(0, 2 * sub, 2):
+                trial = rk4_step(trial, hs, sub_f[j], sub_f[j + 1], sub_f[j + 2])
+        a = trial
+        if not -1e-9 <= a <= 1.0 + 1e-9:
+            raise simulate._out_of_range(a, t[k + 1])
+        a = min(max(a, 0.0), 1.0)
+        alpha.append(a)
+        k += 1
+
+    b3_node = [f[2] for f in node_f]
+    b3_mid = [f[2] for f in mid_f]
+    for k in range(k, n - 1):
+        h = steps[k]
+        b_mid = b3_mid[k]
+        k1 = max(b3_node[k] * (1.0 - a), 0.0)
+        k2 = max(b_mid * (1.0 - (a + 0.5 * h * k1)), 0.0)
+        k3 = max(b_mid * (1.0 - (a + 0.5 * h * k2)), 0.0)
+        k4 = max(b3_node[k + 1] * (1.0 - (a + h * k3)), 0.0)
+        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not -1e-9 <= a <= 1.0 + 1e-9:
+            raise simulate._out_of_range(a, t[k + 1])
+        a = min(a, 1.0)
+        alpha.append(a)
+    return np.array(alpha)
+
+
+def simulate_both(cycle, dt, kin=KIN):
+    """(trace or IntegrationError message) of simulate_cure and of the same
+    simulation with the scalar reference integrator."""
+
+    def run():
+        try:
+            return simulate_cure(cycle, kin, MECH, dt=dt)
+        except IntegrationError as exc:
+            return str(exc)
+
+    got = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_integrate_alpha", scalar_alpha)
+        return got, run()
+
+
+def assert_matches_reference(got, ref):
+    if isinstance(ref, str) or isinstance(got, str):
+        assert got == ref
+        return
+    assert np.max(np.abs(got.alpha - ref.alpha)) <= 1e-13
+    assert got.gel_index == ref.gel_index
+    assert got.vitrification_index == ref.vitrification_index
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CYCLES))
+@pytest.mark.parametrize("dt", GOLDEN_DTS)
+def test_golden_cycles_match_the_scalar_reference(name, dt):
+    variant, params = GOLDEN_CYCLES[name]
+    got, ref = simulate_both(build_cycle(variant, params), dt)
+    assert not isinstance(ref, str)
+    assert_matches_reference(got, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t1=st.floats(1.0, 110.0),
+    temp1=st.floats(125.0, 180.0),
+    dt=st.sampled_from((0.1, 0.25, 0.37)),
+)
+def test_two_point_cycles_match_the_scalar_reference(t1, temp1, dt):
+    assert_matches_reference(*simulate_both(two_point_cycle(t1, temp1), dt))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t1=st.floats(10.0, 110.0),
+    temp1=st.floats(125.0, 180.0),
+    t2=st.floats(120.0, 200.0),
+    temp2=st.floats(150.0, 180.0),
+    dt=st.sampled_from((0.1, 0.25, 0.37)),
+)
+def test_four_point_cycles_match_the_scalar_reference(t1, temp1, t2, temp2, dt):
+    assert_matches_reference(*simulate_both(four_point_cycle(t1, temp1, t2, temp2), dt))
+
+
+# (cycle, dt, a3): a3 raised until h * b3 makes the stage rates of phase two
+# clamp at zero and one step overshoots full cure by less than 1e-9, which is
+# cut back to alpha = 1. A product that kept multiplying the negative 1 - alpha
+# after that step leaves full cure again (by more than 1e-13) or raises.
+STIFF_CLAMPED = [
+    ("baseline", 0.37, 3.0e7),
+    ("baseline", 1.0, 2.4e8),
+    ("baseline", 0.37, 7.5e8),
+    ("two-point 45 127", 1.0, 4.8e8),
+    ("four-point 100 175 190 155", 1.0, 1.2e7),
+]
+# (cycle, dt, a3, t): the first overshoot exceeds 1e-9 and raises at time t.
+STIFF_OVERSHOOT = [
+    ("baseline", 1.0, 9.5e6, "58.5608"),
+    ("baseline", 0.1, 1.5e8, "52.9471"),
+    ("two-point 45 127", 1.0, 2.4e7, "71.0000"),
+]
+
+
+@pytest.mark.parametrize("name, dt, a3", STIFF_CLAMPED)
+def test_stiff_phase_two_clamps_like_the_scalar_reference(name, dt, a3):
+    variant, params = GOLDEN_CYCLES[name]
+    got, ref = simulate_both(build_cycle(variant, params), dt, KineticParams(a3=a3))
+    assert not isinstance(ref, str) and ref.final_doc == 1.0
+    assert_matches_reference(got, ref)
+
+
+@pytest.mark.parametrize("name, dt, a3, t_raise", STIFF_OVERSHOOT)
+def test_stiff_phase_two_raises_like_the_scalar_reference(name, dt, a3, t_raise):
+    variant, params = GOLDEN_CYCLES[name]
+    got, ref = simulate_both(build_cycle(variant, params), dt, KineticParams(a3=a3))
+    assert ref == f"degree of cure left [0, 1] at t={t_raise} min"
+    assert got == ref
+
+
+if __name__ == "__main__":
+    # python tests/test_cure_sim.py re-records the golden: one trace per line
+    lines = [
+        f" {json.dumps(name)}: {json.dumps(golden_snapshot(trace))}"
+        for name, trace in golden_traces()
+    ]
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(lines)} traces to {GOLDEN_PATH}")

@@ -56,7 +56,7 @@ def ranked_logs(draw):
     itself, NaN or infinite, and whose f and violations often tie."""
     t = draw(st.sampled_from([0.0, 0.5, 0.995, -1.0]) | st.floats(-2.0, 2.0))
     g = st.sampled_from([t, t - 0.25, t + 0.25, math.nan, math.inf, -math.inf]) | st.floats(-3.0, 3.0)
-    f = st.sampled_from([0.0, 0.25, 1.0, -3.0])
+    f = st.sampled_from([0.0, 0.25, 1.0, -3.0, math.nan, math.inf, -math.inf])
     return t, draw(st.lists(st.tuples(f, g), max_size=10))
 
 
@@ -67,11 +67,12 @@ def test_rank_key_uses_the_running_best_feasibility_rule(log):
     evaluations = [_ev(f, g) for f, g in pairs]
     feasible = [i for i, e in enumerate(evaluations) if running_best([e], t) == [0]]
     assert feasible == [i for i, e in enumerate(evaluations) if _rank_key(e, t)[0] == 0]
-    assert feasible == [i for i, (_, g) in enumerate(pairs) if g >= t]
+    assert feasible == [i for i, (f, g) in enumerate(pairs) if g >= t and math.isfinite(f)]
 
-    # feasible by f, then infeasible by t - g (NaN g last), each stable on ties
+    # feasible by f, then infeasible by t - g, each stable on ties; a NaN g
+    # and a non-finite f with g >= t count as infinitely violating
     infeasible = [i for i in range(len(pairs)) if i not in feasible]
-    violation = [math.inf if math.isnan(g) else t - g for _, g in pairs]
+    violation = [math.inf if math.isnan(g) or g >= t else t - g for _, g in pairs]
     expected = sorted(feasible, key=lambda i: pairs[i][0])
     expected += sorted(infeasible, key=lambda i: violation[i])
     order = sorted(range(len(pairs)), key=lambda i: _rank_key(evaluations[i], t))
@@ -90,6 +91,28 @@ def test_ga_stops_breeding_from_points_without_a_constraint_value():
     last = [e for e in report.evaluations if e.step_index == 5]
     # NaN-g points rank below every finite g, so the population leaves the cheap half
     assert sum(math.isnan(e.g) for e in last) < len(last) // 2
+
+
+def test_non_finite_objective_ranks_below_every_finite_violation():
+    nan_f, inf_f, far = _ev(math.nan, 0.95), _ev(-math.inf, 0.95), _ev(1.0, 0.1)
+    assert _rank_key(nan_f, 0.9) == _rank_key(inf_f, 0.9) == (1, math.inf)
+    ranked = sorted([nan_f, far, _ev(5.0, 0.95)], key=lambda e: _rank_key(e, 0.9))
+    assert ranked[0].f == 5.0 and ranked[1] is far
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ga_incumbent_and_population_avoid_a_nan_objective(seed):
+    def nan_where_cheap(x):
+        # the cheap part of the box has no defined objective value
+        return (math.nan if x[0] < 0.7 else float(x[0])), 1.0
+
+    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    config = GaConfig(pop_size=10, generations=5, threshold=0.5, seed=seed)
+    report = run_ga(nan_where_cheap, space, config)
+    assert report.f_star is not None and 0.7 <= report.f_star <= 1.0
+    assert all(v is None or math.isfinite(v) for v in report.best_trace)
+    last = [e for e in report.evaluations if e.step_index == 5]
+    assert sum(math.isnan(e.f) for e in last) < len(last) // 2
 
 
 class _FixedPicks:

@@ -71,6 +71,13 @@ def test_fit_constant_outputs():
     assert variance == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_outputs(bad):
+    x = np.array([[0.1], [0.4], [0.7]])
+    with pytest.raises(ValueError, match="training outputs must be finite"):
+        fit_gp(x, np.array([1.0, bad, 2.0]))
+
+
 def test_fit_rejects_tiny_or_duplicated_data():
     with pytest.raises(ValueError):
         fit_gp(np.array([[0.5]]), np.array([1.0]))

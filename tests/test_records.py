@@ -11,7 +11,7 @@ from curebo.space import DesignSpace
 THRESHOLD = 0.5
 
 # few distinct values, so that ties in f and g == threshold come up often
-f_values = st.sampled_from([0.0, 0.25, 1.0, 2.0, -3.0])
+f_values = st.sampled_from([0.0, 0.25, 1.0, 2.0, -3.0, math.nan, math.inf, -math.inf])
 g_values = st.sampled_from([0.0, THRESHOLD, 0.75, math.nan])
 logs = st.lists(st.tuples(f_values, g_values), max_size=12)
 
@@ -25,10 +25,10 @@ def _log(pairs):
 
 def reference_running_best(pairs, threshold):
     """Plain loop: after each evaluation, the earliest of the feasible
-    evaluations so far with the smallest f."""
+    evaluations so far (g >= threshold and a finite f) with the smallest f."""
     out = []
     for n in range(1, len(pairs) + 1):
-        feasible = [i for i in range(n) if pairs[i][1] >= threshold]
+        feasible = [i for i in range(n) if pairs[i][1] >= threshold and math.isfinite(pairs[i][0])]
         if not feasible:
             out.append(None)
             continue
@@ -68,6 +68,15 @@ def test_rule_examples():
     assert running_best(_log(pairs), THRESHOLD) == [None, None, 2, 3, 3, 3]
     assert running_best(_log([(1.0, 0.0), (0.0, math.nan)]), THRESHOLD) == [None, None]
     assert running_best([], THRESHOLD) == []
+
+
+def test_non_finite_objective_is_never_feasible():
+    # a feasible NaN f must not become the incumbent that no later f can beat
+    assert running_best(_log([(math.nan, 1.0), (0.5, 1.0)]), THRESHOLD) == [None, 1]
+    infinite = [(-math.inf, 1.0), (math.inf, 1.0), (2.0, 1.0)]
+    assert running_best(_log(infinite), THRESHOLD) == [None, None, 2]
+    after = [(1.0, 1.0), (math.nan, 1.0), (-math.inf, 0.75)]
+    assert running_best(_log(after), THRESHOLD) == [0, 0, 0]
 
 
 def test_ga_trace_ends_at_its_incumbent_when_constraint_is_nan():
