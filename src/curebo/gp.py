@@ -42,6 +42,12 @@ RESTARTS = 2
 RESTART_SEED = 0
 MAXITER = 60
 
+# Rows per block of matern52_matrix, so that a block's distance and kernel
+# temporaries stay in cache. For a 10,000 x 50 matrix on a 2-core AVX512
+# Xeon, blocks of 128 to 2048 rows ran equally fast, one unblocked pass 1.7x
+# slower.
+KERNEL_BLOCK_ROWS = 512
+
 
 class NumericalError(RuntimeError):
     """Linear-algebra failure that survived jitter escalation."""
@@ -68,36 +74,51 @@ class GpSurrogate:
         return self.train_x.shape[1]
 
 
-def _matern52_from_d2(d2: np.ndarray):
+def _matern52_from_d2(d2: np.ndarray, out: np.ndarray | None = None):
     """Matern-5/2 correlation from squared scaled distances d2 = r^2.
 
-    Returns (1 + sqrt5 r + 5 r^2 / 3) exp(-sqrt5 r) together with the
-    factors 1 + sqrt5 r and exp(-sqrt5 r), which the likelihood gradient
-    reuses. d2 is not modified.
+    Returns (1 + sqrt5 r + 5 r^2 / 3) exp(-sqrt5 r), written into out when
+    given, together with the factors 1 + sqrt5 r and exp(-sqrt5 r), which
+    the likelihood gradient reuses. d2 is not modified.
     """
     rd = np.sqrt(d2)
     lin = rd * SQRT5
     lin += 1.0
     rd *= -SQRT5
     decay = np.exp(rd, out=rd)
-    corr = d2 * (5.0 / 3.0)
+    corr = np.multiply(d2, 5.0 / 3.0, out=out)
     corr += lin
     corr *= decay
     return corr, lin, decay
 
 
 def matern52_matrix(x: np.ndarray, z: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
-    """Correlation matrix between row sets x (n,d) and z (m,d)."""
-    d2 = cdist(x / length_scales, z / length_scales, metric="sqeuclidean")
-    return _matern52_from_d2(d2)[0]
+    """Correlation matrix between row sets x (m,d) and z (n,d).
+
+    The (m, n) result is filled in blocks of KERNEL_BLOCK_ROWS rows of x.
+    Each entry depends only on its own pair of rows, so the result has the
+    same bits at any block split.
+    """
+    xs = x / length_scales
+    zs = z / length_scales
+    out = np.empty((len(xs), len(zs)))
+    # one pass even for an empty x, so that cdist still checks the dimensions
+    for start in range(0, max(len(xs), 1), KERNEL_BLOCK_ROWS):
+        rows = slice(start, start + KERNEL_BLOCK_ROWS)
+        _matern52_from_d2(cdist(xs[rows], zs, metric="sqeuclidean"), out=out[rows])
+    return out
 
 
 def _chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky of r + jitter I, escalating jitter x10 up to JITTER_MAX."""
     jitter = JITTER_START
-    eye = np.eye(len(r))
+    diagonal = np.diag_indices(len(r))
     while True:
-        L, info = dpotrf(r + jitter * eye, lower=1, clean=1, overwrite_a=1)
+        # dpotrf reads the lower triangle only, so the result is that of
+        # r + jitter * I; a Fortran-ordered copy is factorized in place.
+        a = np.array(r, order="F")
+        a[diagonal] += jitter
+        L, info = dpotrf(a, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
         if jitter >= JITTER_MAX:
@@ -145,7 +166,12 @@ def _nll_and_grad(delta: np.ndarray, y: np.ndarray, log_ls: np.ndarray):
     n, _, d = delta.shape
     s = delta / np.exp(log_ls)
     s *= s  # (n, n, d) squared scaled separations
-    R, lin, decay = _matern52_from_d2(s.sum(axis=2))
+    # s.sum(axis=2), as plane by plane adds in order h = 0, 1, ...: for
+    # d < 8 that is numpy's order of summation too, and it runs faster.
+    d2 = s[:, :, 0].copy()
+    for h in range(1, d):
+        d2 += s[:, :, h]
+    R, lin, decay = _matern52_from_d2(d2)
     try:
         L, _ = _chol_with_jitter(R)
     except NumericalError:
@@ -268,6 +294,9 @@ def predict_batch(model: GpSurrogate, queries: np.ndarray) -> tuple[np.ndarray, 
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != model.dims:
         raise ValueError(f"expected {model.dims}-dimensional queries, got {q.shape[1]}")
+    # Only the elementwise kernel is blocked. The products with r run once on
+    # the whole (m, n) matrix: OpenBLAS's dgemv rounds its tail rows apart
+    # from the rest, so a means vector built from row blocks has other bits.
     r = matern52_matrix(q, model.train_x, model.length_scales)  # (m, n)
     means = model.mu_hat + r @ model.resid_solve
     one_rinv_r = r @ model.ones_solve

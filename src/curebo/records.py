@@ -38,7 +38,8 @@ def evaluate(
 
     Returns the new Evaluation; when the problem raises, appends one
     "evaluation failed at step k" event instead and returns None, so the
-    caller can end its run with a partial report.
+    caller can end its run with a partial report. An f or g that is NaN or
+    infinite is kept, and one "non-finite result at step k" event says so.
     """
     try:
         f, g = problem(x)
@@ -46,6 +47,8 @@ def evaluate(
         events.append(f"evaluation failed at step {step_index}: {exc}")
         return None
     e = Evaluation(x=x, f=float(f), g=float(g), step_index=step_index, acq=acq)
+    if not (math.isfinite(e.f) and math.isfinite(e.g)):
+        events.append(f"non-finite result at step {step_index}: f={e.f!r}, g={e.g!r}")
     evaluations.append(e)
     return e
 

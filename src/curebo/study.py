@@ -372,17 +372,21 @@ def _fmt(value) -> str:
 
 
 def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> None:
+    """One row per evaluation, in the bytes csv.writer would write: no field
+    needs quoting, "%.17g" % v is _fmt(v) for a float v, and the optional
+    best_feasible and acq columns go through _fmt."""
+    dims = problem.space.dims
     header = ["eval", "phase", "step", *problem.space.names, "f", "g", "best_feasible", "acq"]
+    row = ",".join(["%d", "%s", "%d", *["%.17g"] * (dims + 2), "%s", "%s"]) + "\r\n"
     evaluations = report.evaluations
     best = running_best(evaluations, report.threshold)
-    xs = np.array([e.x for e in evaluations]).reshape(-1, problem.space.dims)
-    raws = problem.space.denormalize(xs)
+    xs = np.array([e.x for e in evaluations]).reshape(-1, dims)
+    raws = problem.space.denormalize(xs).tolist()
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(
-            [i, e.phase, e.step_index, *map(_fmt, raw), _fmt(e.f), _fmt(e.g),
-             _fmt(None if b is None else evaluations[b].f), _fmt(e.acq)]
+        csv.writer(handle).writerow(header)
+        handle.writelines(
+            row % (i, e.phase, e.step_index, *raw, e.f, e.g,
+                   _fmt(None if b is None else evaluations[b].f), _fmt(e.acq))
             for i, (e, b, raw) in enumerate(zip(evaluations, best, raws), start=1)
         )
 
@@ -490,7 +494,8 @@ def grid_oracle(problem: Problem, grid: int) -> OracleResult:
         f, g = quad_surface(U_COEFFS, *cols), quad_surface(DOC_COEFFS, *cols)
     else:
         f, g = np.array([problem(x) for x in np.stack(cols, axis=1)]).T
-    feasible = np.flatnonzero(g >= problem.threshold)
+    # records.feasible's rule: g >= threshold and a finite f
+    feasible = np.flatnonzero((g >= problem.threshold) & np.isfinite(f))
     n_feasible = len(feasible)
     if n_feasible == 0:
         return OracleResult(None, None, None, 0, grid, time.perf_counter() - t0)

@@ -205,11 +205,33 @@ def nan_beyond_08(x):
 def test_non_finite_objective_trains_no_model_and_is_never_incumbent(seed):
     config = CboConfig(n_init=6, n_steps=8, pool_size=200, threshold=0.5, seed=seed)
     report = run_cbo(nan_beyond_08, UNIT_SQUARE, config)
-    assert report.complete and report.events == []
+    assert report.complete
+    # no fit failed; each NaN evaluation has its event (test_non_finite_results_are_events)
+    assert all(event.startswith("non-finite result at step") for event in report.events)
     assert report.f_star is not None and math.isfinite(report.f_star)
     assert all(v is None or math.isfinite(v) for v in report.best_trace)
     # a NaN in the f surrogate's data would make every posterior, so every acq, NaN
     assert all(math.isfinite(e.acq) for e in report.evaluations[config.n_init :])
+
+
+def test_non_finite_results_are_events():
+    calls = {"n": 0}
+
+    def non_finite_on_calls_3_and_8(x):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            return math.nan, 1.0
+        if calls["n"] == 8:  # the last evaluation: a non-finite g fails the next fit
+            return 0.25, -math.inf
+        return float(x[0]), 1.0
+
+    config = CboConfig(n_init=5, n_steps=3, pool_size=100, seed=0)
+    report = run_cbo(non_finite_on_calls_3_and_8, UNIT_SQUARE, config)
+    assert report.complete and report.n_evaluations == 8
+    assert report.events == [
+        "non-finite result at step 0: f=nan, g=1.0",
+        "non-finite result at step 3: f=0.25, g=-inf",
+    ]
 
 
 def test_failing_problem_returns_partial_report():

@@ -115,6 +115,20 @@ def test_ga_incumbent_and_population_avoid_a_nan_objective(seed):
     assert sum(math.isnan(e.f) for e in last) < len(last) // 2
 
 
+def test_non_finite_results_are_events():
+    def nan_where_cheap(x):
+        return (math.nan if x[0] < 0.3 else float(x[0])), 1.0
+
+    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    report = run_ga(nan_where_cheap, space, GaConfig(pop_size=10, generations=3, threshold=0.5, seed=0))
+    expected = [
+        f"non-finite result at step {e.step_index}: f=nan, g=1.0"
+        for e in report.evaluations
+        if math.isnan(e.f)
+    ]
+    assert expected and report.events == expected
+
+
 class _FixedPicks:
     """rng stub whose integer draws are scripted."""
 

@@ -3,10 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs
+from scipy.spatial.distance import cdist
 
 from curebo.gp import (
+    KERNEL_BLOCK_ROWS,
     NumericalError,
     _chol_with_jitter,
+    _matern52_from_d2,
     fit_gp,
     matern52_matrix,
     predict_batch,
@@ -197,6 +201,43 @@ def test_jitter_escalates_and_eventually_raises():
     # indefinite beyond the maximum jitter: diagnostic failure
     with pytest.raises(NumericalError, match="jitter"):
         _chol_with_jitter(np.ones((3, 3)) - 1e-3 * np.eye(3))
+
+
+def one_shot_matern52_matrix(x, z, length_scales):
+    """The kernel matrix in one cdist call, without row blocks."""
+    d2 = cdist(x / length_scales, z / length_scales, metric="sqeuclidean")
+    return _matern52_from_d2(d2)[0]
+
+
+def one_shot_predict(model, queries):
+    """predict_batch on the one-shot kernel matrix, each product on the whole of it."""
+    r = one_shot_matern52_matrix(queries, model.train_x, model.length_scales)
+    means = model.mu_hat + r @ model.resid_solve
+    one_rinv_r = r @ model.ones_solve
+    v = dtrtrs(model.factor, r.T, lower=1)[0]
+    r_rinv_r = np.einsum("ij,ij->j", v, v)
+    variances = model.sigma2_hat * (1.0 - r_rinv_r + (1.0 - one_rinv_r) ** 2 / model.one_r_one)
+    return means, np.maximum(variances, 0.0)
+
+
+B = KERNEL_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("m", [0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 10_000])
+def test_row_blocks_keep_every_bit_of_the_one_shot_kernel(m, d):
+    # the golden's 20 queries fit in one block; these cross block boundaries
+    rng = np.random.default_rng(m + d)
+    x, y = _random_dataset(rng, 30, d)
+    model = fit_gp(x, y)
+    queries = rng.random((m, d))
+    blocked = matern52_matrix(queries, model.train_x, model.length_scales)
+    assert blocked.shape == (m, 30)
+    assert blocked.tobytes() == one_shot_matern52_matrix(queries, model.train_x, model.length_scales).tobytes()
+    means, variances = predict_batch(model, queries)
+    ref_means, ref_variances = one_shot_predict(model, queries)
+    assert means.tobytes() == ref_means.tobytes()
+    assert variances.tobytes() == ref_variances.tobytes()
 
 
 def test_variance_clamped_nonnegative():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,9 @@ from click.testing import CliRunner
 from curebo import study
 from curebo.blas import openblas_threads
 from curebo.cli import main
+from curebo.problems.blackbox import Problem
+from curebo.records import Evaluation, build_report, running_best
+from curebo.space import DesignSpace
 from curebo.study import (
     ConfigError,
     Replication,
@@ -362,6 +366,49 @@ def test_generic_grid_oracle_agrees_with_fast_path():
     assert fast.f_min == pytest.approx(generic.f_min, rel=0.0, abs=0.0)
     assert np.allclose(fast.x_raw, generic.x_raw)
     assert fast.n_feasible == generic.n_feasible
+
+
+def test_grid_oracle_never_picks_a_non_finite_objective():
+    def nan_below_03(raw):
+        return (math.nan if raw[0] < 0.3 else float(raw[0])), 1.0
+
+    space = DesignSpace(lower=[0.0], upper=[1.0], names=("t",))
+    toy = Problem(name="toy", space=space, threshold=0.5, raw_fn=nan_below_03)
+    result = grid_oracle(toy, 11)
+    assert result.f_min == pytest.approx(0.3, abs=1e-15)
+    assert result.x_raw.tolist() == pytest.approx([0.3], abs=1e-15)
+    assert result.n_feasible == 8
+
+
+def csv_writer_replication_csv(path, problem, report):
+    """The replication CSV as csv.writer writes it, one field at a time."""
+    evaluations = report.evaluations
+    best = running_best(evaluations, report.threshold)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["eval", "phase", "step", *problem.space.names, "f", "g", "best_feasible", "acq"])
+        for i, (e, b) in enumerate(zip(evaluations, best), start=1):
+            raw = problem.space.denormalize(e.x)
+            writer.writerow(
+                [i, e.phase, e.step_index, *map(study._fmt, raw), study._fmt(e.f), study._fmt(e.g),
+                 study._fmt(None if b is None else evaluations[b].f), study._fmt(e.acq)]
+            )
+
+
+def test_replication_csv_has_the_bytes_of_csv_writer(tmp_path):
+    problem = build_problem(RunConfig.from_dict(small_config(tmp_path)))
+    values = [0.0, -0.0, 1.0 / 3.0, 1e30, -1e-310, 5e-324, math.inf, -math.inf, math.nan, 2.5]
+    evaluations = [
+        Evaluation(x=np.array([i / 9.0, 1.0 - i / 9.0]), f=f, g=values[-1 - i], step_index=i // 3,
+                   acq=None if i % 4 == 0 else values[(i + 3) % len(values)])
+        for i, f in enumerate(values)
+    ]
+    report = build_report(evaluations, threshold=0.5, trace_from=0, started=0.0, complete=True, events=[])
+    study._write_replication_csv(tmp_path / "fast.csv", problem, report)
+    csv_writer_replication_csv(tmp_path / "reference.csv", problem, report)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "reference.csv").read_bytes()
+    assert fast.count(b"\r\n") == len(values) + 1
 
 
 def test_cli_oracle_and_error_codes(tmp_path):
