@@ -2,10 +2,10 @@
 
 Each run spends its budget as exactly n_init space-filling evaluations
 followed by n_steps acquisition-driven evaluations. Every learn step refits
-both surrogates on all data so far, scores a fresh Latin hypercube candidate
-pool by expected constrained improvement, and evaluates the true functions at
-the best-scoring candidate that is not a near-duplicate of an evaluated
-point. With no feasible incumbent the acquisition degrades to the
+both surrogates on all finite data so far, scores a fresh Latin hypercube
+candidate pool by expected constrained improvement, and evaluates the true
+functions at the best-scoring candidate that is not a near-duplicate of an
+evaluated point. With no feasible incumbent the acquisition degrades to the
 probability of feasibility alone.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from curebo.acquisition import ei_values, pf_values
 from curebo.gp import NumericalError, fit_gp, predict_batch
-from curebo.records import Evaluation, RunReport, best_feasible, build_report, evaluate
+from curebo.records import Evaluation, RunReport, evaluate, running_best
 from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
 
 # L-inf distance within which a candidate counts as an already evaluated point.
@@ -80,9 +80,8 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
     events: list[str] = []
 
     def finish(complete: bool) -> RunReport:
-        return build_report(
-            evaluations, config.threshold, trace_from=config.n_init, started=t0,
-            complete=complete, events=events,
+        return RunReport(
+            evaluations, config.threshold, config.n_init, time.perf_counter() - t0, complete, events
         )
 
     for x in lhs_sample(space, config.n_init, init_ss):
@@ -93,10 +92,10 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
         train_x = np.array([e.x for e in evaluations])
         y_f = np.array([e.f for e in evaluations])
         y_g = np.array([e.g for e in evaluations])
-        finite_f = np.isfinite(y_f)  # a non-finite f is never feasible and trains no model
+        finite_f, finite_g = np.isfinite(y_f), np.isfinite(y_g)  # non-finite values train no model
         try:
             model_f = fit_gp(train_x[finite_f], y_f[finite_f])
-            model_g = fit_gp(train_x, y_g)
+            model_g = fit_gp(train_x[finite_g], y_g[finite_g])
         except (NumericalError, ValueError) as exc:
             events.append(f"step {step}: surrogate fit failed: {exc}")
             return finish(complete=False)
@@ -113,12 +112,12 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
 
         mean_g, var_g = predict_batch(model_g, pool)
         pf = pf_values(mean_g, var_g, config.threshold)
-        incumbent = best_feasible(evaluations, config.threshold)
-        if pf_only or incumbent is None:
+        best = running_best(evaluations, config.threshold)[-1]
+        if pf_only or best is None:
             scores = pf
         else:
             mean_f, var_f = predict_batch(model_f, pool)
-            scores = ei_values(mean_f, var_f, incumbent.f) * pf
+            scores = ei_values(mean_f, var_f, evaluations[best].f) * pf
 
         pick = _best_distinct(pool, scores, train_x)
         if pick is None:

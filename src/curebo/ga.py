@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from curebo.records import Evaluation, RunReport, build_report, evaluate, feasible
+from curebo.records import Evaluation, RunReport, evaluate, feasible
 from curebo.space import DesignSpace, lhs_sample
 
 # Fixed operators: SBX applied to a pair with probability CROSSOVER_PROB,
@@ -130,9 +130,7 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
     events: list[str] = []
 
     def finish(complete: bool) -> RunReport:
-        return build_report(
-            evaluations, threshold, trace_from=0, started=t0, complete=complete, events=events
-        )
+        return RunReport(evaluations, threshold, 0, time.perf_counter() - t0, complete, events)
 
     for x in lhs_sample(space, config.pop_size, init_ss):
         if evaluate(problem, x, 0, None, evaluations, events) is None:

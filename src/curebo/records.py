@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,17 +35,18 @@ def evaluate(
 ) -> Optional[Evaluation]:
     """Evaluate problem at x and append the Evaluation to evaluations.
 
-    Returns the new Evaluation; when the problem raises, appends one
-    "evaluation failed at step k" event instead and returns None, so the
-    caller can end its run with a partial report. An f or g that is NaN or
-    infinite is kept, and one "non-finite result at step k" event says so.
+    Returns the new Evaluation. When the problem raises, or returns an f or g
+    that float() cannot convert, appends one "evaluation failed at step k"
+    event instead and returns None, so the caller can end its run with a
+    partial report. An f or g that is NaN or infinite is kept, and one
+    "non-finite result at step k" event says so.
     """
     try:
         f, g = problem(x)
+        e = Evaluation(x=x, f=float(f), g=float(g), step_index=step_index, acq=acq)
     except Exception as exc:  # noqa: BLE001 - a failed evaluation ends the run, not the study
         events.append(f"evaluation failed at step {step_index}: {exc}")
         return None
-    e = Evaluation(x=x, f=float(f), g=float(g), step_index=step_index, acq=acq)
     if not (math.isfinite(e.f) and math.isfinite(e.g)):
         events.append(f"non-finite result at step {step_index}: f={e.f!r}, g={e.g!r}")
     evaluations.append(e)
@@ -55,27 +55,36 @@ def evaluate(
 
 @dataclass
 class RunReport:
-    """Per-evaluation log plus the best-feasible-so-far trace of one run.
-
-    best_trace follows the optimizer's step axis: learn steps for cBO
-    (one entry per acquisition-driven evaluation), raw evaluations for the
-    GA (one entry per evaluation, initialization included). Entries are None
-    until the first feasible point has been seen.
-    """
+    """What one run produced. best is running_best(evaluations, threshold),
+    computed once when the report is made, and the incumbent and best_trace
+    are read from it. best_trace holds the running best f from evaluation
+    trace_from on: one entry per learn step for cBO (trace_from = n_init),
+    per evaluation for the GA (trace_from = 0); None until the first
+    feasible point."""
 
     evaluations: list[Evaluation]
-    best_trace: list[Optional[float]]
-    x_star: Optional[np.ndarray]
-    f_star: Optional[float]
-    g_star: Optional[float]
     threshold: float
+    trace_from: int
     wall_time: float
     complete: bool = True
     events: list[str] = field(default_factory=list)
+    best: list[Optional[int]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.best = running_best(self.evaluations, self.threshold)
 
     @property
     def n_evaluations(self) -> int:
         return len(self.evaluations)
+
+    @property
+    def incumbent(self) -> Optional[Evaluation]:
+        """The best feasible evaluation; None when none is feasible."""
+        return self.evaluations[self.best[-1]] if self.best and self.best[-1] is not None else None
+
+    @property
+    def best_trace(self) -> list[Optional[float]]:
+        return [None if i is None else self.evaluations[i].f for i in self.best[self.trace_from :]]
 
 
 def feasible(e: Evaluation, threshold: float) -> bool:
@@ -98,39 +107,3 @@ def running_best(evaluations, threshold: float) -> list[Optional[int]]:
             current = i
         best.append(current)
     return best
-
-
-def best_feasible(evaluations, threshold: float) -> Optional[Evaluation]:
-    """Minimum-f evaluation among those with g >= threshold, ties to the
-    earliest; None when no evaluation is feasible."""
-    best = running_best(evaluations, threshold)
-    return evaluations[best[-1]] if best and best[-1] is not None else None
-
-
-def build_report(
-    evaluations: list[Evaluation],
-    threshold: float,
-    trace_from: int,
-    started: float,
-    complete: bool,
-    events: list[str],
-) -> RunReport:
-    """RunReport of a finished or aborted run.
-
-    best_trace holds the running best f from evaluation trace_from on, and
-    x_star, f_star and g_star are the last running-best evaluation's; started
-    is the run's perf_counter start.
-    """
-    best = running_best(evaluations, threshold)
-    star = evaluations[best[-1]] if best and best[-1] is not None else None
-    return RunReport(
-        evaluations=evaluations,
-        best_trace=[None if i is None else evaluations[i].f for i in best[trace_from:]],
-        x_star=None if star is None else star.x,
-        f_star=None if star is None else star.f,
-        g_star=None if star is None else star.g,
-        threshold=threshold,
-        wall_time=time.perf_counter() - started,
-        complete=complete,
-        events=events,
-    )

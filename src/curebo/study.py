@@ -34,7 +34,7 @@ from curebo.problems import problem_by_name
 from curebo.problems.analytical import DOC_COEFFS, U_COEFFS, quad_surface
 from curebo.problems.blackbox import FACTORIES, Problem
 from curebo.problems.simulate import KineticParams, MechanicalParams
-from curebo.records import RunReport, running_best
+from curebo.records import RunReport
 
 _PROBLEMS = tuple(FACTORIES)
 _OPTIMIZERS = ("cbo", "ga", "both")
@@ -263,9 +263,8 @@ def percentile(values, p: float) -> float:
 
 def evals_to_reach(report: RunReport, target: float) -> Optional[int]:
     """1-based count of true evaluations until best feasible f <= target."""
-    evaluations = report.evaluations
-    for i, best in enumerate(running_best(evaluations, report.threshold), start=1):
-        if best is not None and evaluations[best].f <= target:
+    for i, best in enumerate(report.best, start=1):
+        if best is not None and report.evaluations[best].f <= target:
             return i
     return None
 
@@ -379,7 +378,6 @@ def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> N
     header = ["eval", "phase", "step", *problem.space.names, "f", "g", "best_feasible", "acq"]
     row = ",".join(["%d", "%s", "%d", *["%.17g"] * (dims + 2), "%s", "%s"]) + "\r\n"
     evaluations = report.evaluations
-    best = running_best(evaluations, report.threshold)
     xs = np.array([e.x for e in evaluations]).reshape(-1, dims)
     raws = problem.space.denormalize(xs).tolist()
     with open(path, "w", newline="") as handle:
@@ -387,7 +385,7 @@ def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> N
         handle.writelines(
             row % (i, e.phase, e.step_index, *raw, e.f, e.g,
                    _fmt(None if b is None else evaluations[b].f), _fmt(e.acq))
-            for i, (e, b, raw) in enumerate(zip(evaluations, best, raws), start=1)
+            for i, (e, b, raw) in enumerate(zip(evaluations, report.best, raws), start=1)
         )
 
 
@@ -418,7 +416,8 @@ def _replicate(args) -> Replication:
     _write_replication_csv(out, problem, report)
     ref = config.reference_optimum
     reach = None if ref is None else evals_to_reach(report, ref + config.convergence_tol)
-    return Replication(report.best_trace, report.n_evaluations, report.f_star, reach, report.events)
+    f_star = None if report.incumbent is None else report.incumbent.f
+    return Replication(report.best_trace, report.n_evaluations, f_star, reach, report.events)
 
 
 def worker_pool(workers: int) -> ProcessPoolExecutor:

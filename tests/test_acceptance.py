@@ -281,11 +281,12 @@ def test_criterion_9_simulator_optimization_smoke():
     config = CboConfig(n_init=10, n_steps=30, pool_size=10000, threshold=0.995, seed=7)
     report = run_cbo(problem, problem.space, config)
     assert report.complete and report.n_evaluations == 40
-    assert report.x_star is not None
-    assert report.g_star >= 0.995
-    assert report.f_star <= baseline.u_proxy
-    raw = problem.space.denormalize(report.x_star)
+    incumbent = report.incumbent
+    assert incumbent is not None
+    assert incumbent.g >= 0.995
+    assert incumbent.f <= baseline.u_proxy
+    raw = problem.space.denormalize(incumbent.x)
     print(
-        f"criterion 9 PASS: incumbent u {report.f_star:.6f} <= baseline "
+        f"criterion 9 PASS: incumbent u {incumbent.f:.6f} <= baseline "
         f"{baseline.u_proxy:.6f} at (t1={raw[0]:.1f} min, T1={raw[1]:.1f} C)"
     )

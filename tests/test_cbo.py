@@ -8,7 +8,6 @@ from curebo.cbo import CboConfig, run_cbo
 from curebo.gp import NumericalError
 from curebo.problems import analytical_problem
 from curebo.acquisition import ei_values, pf_values
-from curebo.records import Evaluation, best_feasible
 from curebo.space import DesignSpace
 
 UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
@@ -16,21 +15,6 @@ UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
 
 def bowl(x):
     return float((x[0] - 0.3) ** 2 + (x[1] - 0.7) ** 2), 1.0
-
-
-def _eval(f, g):
-    return Evaluation(x=np.array([0.0, 0.0]), f=f, g=g, step_index=0, acq=None)
-
-
-def test_best_feasible_rules():
-    assert best_feasible([], 0.5) is None
-    assert best_feasible([_eval(1.0, 0.1), _eval(0.5, 0.2)], 0.5) is None
-    # global minimum infeasible: the feasible runner-up wins
-    mixed = [_eval(0.1, 0.2), _eval(0.7, 0.9), _eval(0.4, 0.6)]
-    inc = best_feasible(mixed, 0.5)
-    assert inc is mixed[2] and inc.f == 0.4
-    # boundary equality counts as feasible
-    assert best_feasible([_eval(1.0, 0.5)], 0.5) is not None
 
 
 def test_budget_exactness_forty_evaluations():
@@ -51,8 +35,8 @@ def test_unconstrained_bowl_converges_and_trace_monotone():
     assert len(values) == 10  # g == 1 everywhere: feasible from the start
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     # within pool resolution of the bowl minimum
-    assert report.f_star < 1e-3
-    assert np.linalg.norm(report.x_star - np.array([0.3, 0.7])) < 0.05
+    assert report.incumbent.f < 1e-3
+    assert np.linalg.norm(report.incumbent.x - np.array([0.3, 0.7])) < 0.05
 
 
 def test_reproducible_given_seed():
@@ -71,10 +55,10 @@ def test_reproducible_given_seed():
 def test_incumbent_is_feasible_or_absent():
     problem = analytical_problem()
     report = run_cbo(problem, problem.space, CboConfig(n_init=6, n_steps=4, pool_size=300, seed=5))
-    if report.x_star is not None:
-        f, g = problem(report.x_star)
+    if report.incumbent is not None:
+        f, g = problem(report.incumbent.x)
         assert g >= report.threshold
-        assert f == report.f_star
+        assert f == report.incumbent.f
 
 
 def test_pf_only_fallback_on_empty_sieve():
@@ -208,7 +192,7 @@ def test_non_finite_objective_trains_no_model_and_is_never_incumbent(seed):
     assert report.complete
     # no fit failed; each NaN evaluation has its event (test_non_finite_results_are_events)
     assert all(event.startswith("non-finite result at step") for event in report.events)
-    assert report.f_star is not None and math.isfinite(report.f_star)
+    assert report.incumbent is not None and math.isfinite(report.incumbent.f)
     assert all(v is None or math.isfinite(v) for v in report.best_trace)
     # a NaN in the f surrogate's data would make every posterior, so every acq, NaN
     assert all(math.isfinite(e.acq) for e in report.evaluations[config.n_init :])
@@ -221,7 +205,7 @@ def test_non_finite_results_are_events():
         calls["n"] += 1
         if calls["n"] == 3:
             return math.nan, 1.0
-        if calls["n"] == 8:  # the last evaluation: a non-finite g fails the next fit
+        if calls["n"] == 8:  # kept and logged; no surrogate trains on it
             return 0.25, -math.inf
         return float(x[0]), 1.0
 
@@ -232,6 +216,24 @@ def test_non_finite_results_are_events():
         "non-finite result at step 0: f=nan, g=1.0",
         "non-finite result at step 3: f=0.25, g=-inf",
     ]
+
+
+def nan_g_beyond_08(x):
+    # g has no value where x0 > 0.8; feasible (g >= 0.5) where x1 <= 0.5
+    g = math.nan if x[0] > 0.8 else 1.0 - float(x[1])
+    return float((x[0] - 0.4) ** 2 + (x[1] - 0.3) ** 2), g
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_non_finite_constraint_trains_no_model(seed):
+    config = CboConfig(n_init=6, n_steps=8, pool_size=200, threshold=0.5, seed=seed)
+    report = run_cbo(nan_g_beyond_08, UNIT_SQUARE, config)
+    # one of the six Latin hypercube strata lies beyond x0 = 5/6, so a NaN g is
+    # in the first fit's data; with it the g surrogate's fit would fail
+    assert any(math.isnan(e.g) for e in report.evaluations[: config.n_init])
+    assert report.complete and report.n_evaluations == 14
+    assert all(event.startswith("non-finite result at step") for event in report.events)
+    assert all(math.isfinite(e.acq) for e in report.evaluations[config.n_init :])
 
 
 def test_failing_problem_returns_partial_report():
@@ -252,6 +254,20 @@ def test_failing_problem_returns_partial_report():
     report = run_cbo(flaky, UNIT_SQUARE, CboConfig(n_init=5, n_steps=10, pool_size=100, seed=0))
     assert report.n_evaluations == 3
     assert report.events == ["evaluation failed at step 0: simulator crashed"]
+
+
+def test_result_that_is_not_a_number_returns_partial_report():
+    calls = {"n": 0}
+
+    def none_on_call_7(x):
+        calls["n"] += 1
+        return (None if calls["n"] == 7 else float(x[0])), 1.0
+
+    report = run_cbo(none_on_call_7, UNIT_SQUARE, CboConfig(n_init=5, n_steps=10, pool_size=100, seed=0))
+    assert not report.complete
+    assert report.n_evaluations == 6
+    assert len(report.events) == 1
+    assert report.events[0].startswith("evaluation failed at step 2: float() argument must be")
 
 
 def test_config_validation_lists_problems():

@@ -16,7 +16,7 @@ from curebo.ga import (
     sbx_pair,
 )
 from curebo.problems import analytical_problem
-from curebo.records import Evaluation, best_feasible, running_best
+from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
 
 THRESHOLD = 1.0
@@ -77,8 +77,8 @@ def test_rank_key_uses_the_running_best_feasibility_rule(log):
     expected += sorted(infeasible, key=lambda i: violation[i])
     order = sorted(range(len(pairs)), key=lambda i: _rank_key(evaluations[i], t))
     assert order == expected
-    best = best_feasible(evaluations, t)
-    assert best is (evaluations[order[0]] if feasible else None)
+    incumbent = RunReport(evaluations, t, trace_from=0, wall_time=0.0).incumbent
+    assert incumbent is (evaluations[order[0]] if feasible else None)
 
 
 def test_ga_stops_breeding_from_points_without_a_constraint_value():
@@ -109,7 +109,7 @@ def test_ga_incumbent_and_population_avoid_a_nan_objective(seed):
     space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
     config = GaConfig(pop_size=10, generations=5, threshold=0.5, seed=seed)
     report = run_ga(nan_where_cheap, space, config)
-    assert report.f_star is not None and 0.7 <= report.f_star <= 1.0
+    assert report.incumbent is not None and 0.7 <= report.incumbent.f <= 1.0
     assert all(v is None or math.isfinite(v) for v in report.best_trace)
     last = [e for e in report.evaluations if e.step_index == 5]
     assert sum(math.isnan(e.f) for e in last) < len(last) // 2
@@ -224,9 +224,9 @@ def test_best_trace_monotone_and_incumbent_feasible():
     report = run_ga(problem, problem.space, GaConfig(pop_size=20, generations=5, seed=3))
     values = [v for v in report.best_trace if v is not None]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
-    assert report.x_star is not None
-    f, g = problem(report.x_star)
-    assert g >= report.threshold and f == report.f_star
+    assert report.incumbent is not None
+    f, g = problem(report.incumbent.x)
+    assert g >= report.threshold and f == report.incumbent.f
 
 
 def test_elitism_generation_best_never_regresses():
@@ -263,6 +263,21 @@ def test_failing_problem_returns_partial_report():
         assert not report.complete
         assert report.n_evaluations == good_calls
         assert report.events == [f"evaluation failed at step {step}: boom"]
+
+
+def test_result_that_is_not_a_number_returns_partial_report():
+    calls = {"n": 0}
+
+    def none_on_call_15(x):
+        calls["n"] += 1
+        return (None if calls["n"] == 15 else float(x[0])), 1.0
+
+    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
+    report = run_ga(none_on_call_15, space, GaConfig(pop_size=10, generations=3, seed=0))
+    assert not report.complete
+    assert report.n_evaluations == 14
+    assert len(report.events) == 1
+    assert report.events[0].startswith("evaluation failed at step 1: float() argument must be")
 
 
 def test_config_validation():

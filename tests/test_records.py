@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curebo.ga import GaConfig, run_ga
-from curebo.records import Evaluation, best_feasible, build_report, running_best
+from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
 
 THRESHOLD = 0.5
@@ -23,6 +23,10 @@ def _log(pairs):
     ]
 
 
+def _report(evaluations, trace_from=0):
+    return RunReport(evaluations, THRESHOLD, trace_from, wall_time=0.0)
+
+
 def reference_running_best(pairs, threshold):
     """Plain loop: after each evaluation, the earliest of the feasible
     evaluations so far (g >= threshold and a finite f) with the smallest f."""
@@ -38,24 +42,17 @@ def reference_running_best(pairs, threshold):
 
 
 @settings(max_examples=300, deadline=None)
-@given(logs)
-def test_running_best_matches_plain_loop(pairs):
+@given(logs, st.integers(0, 14))
+def test_running_best_matches_plain_loop(pairs, trace_from):
     evaluations = _log(pairs)
     expected = reference_running_best(pairs, THRESHOLD)
     assert running_best(evaluations, THRESHOLD) == expected
 
+    report = _report(evaluations, trace_from)
+    assert report.best == expected
     last = expected[-1] if expected else None
-    assert best_feasible(evaluations, THRESHOLD) is (None if last is None else evaluations[last])
-
-    report = build_report(
-        evaluations, THRESHOLD, trace_from=2, started=0.0, complete=True, events=[]
-    )
-    assert report.best_trace == [None if i is None else pairs[i][0] for i in expected[2:]]
-    if last is None:
-        assert report.x_star is report.f_star is report.g_star is None
-    else:
-        assert (report.f_star, report.g_star) == pairs[last]
-        assert report.x_star is evaluations[last].x
+    assert report.incumbent is (None if last is None else evaluations[last])
+    assert report.best_trace == [None if i is None else pairs[i][0] for i in expected[trace_from:]]
 
 
 def test_phase_follows_step_index():
@@ -68,6 +65,13 @@ def test_rule_examples():
     assert running_best(_log(pairs), THRESHOLD) == [None, None, 2, 3, 3, 3]
     assert running_best(_log([(1.0, 0.0), (0.0, math.nan)]), THRESHOLD) == [None, None]
     assert running_best([], THRESHOLD) == []
+    # the incumbent: none before a feasible point, the feasible runner-up
+    # when the global minimum is infeasible, g == threshold feasible
+    assert _report([]).incumbent is None
+    assert _report(_log([(1.0, 0.1), (0.5, 0.2)])).incumbent is None
+    mixed = _log([(0.1, 0.2), (0.7, 0.9), (0.4, 0.6)])
+    assert _report(mixed).incumbent is mixed[2]
+    assert _report(_log([(1.0, THRESHOLD)])).incumbent.f == 1.0
 
 
 def test_non_finite_objective_is_never_feasible():
@@ -86,6 +90,6 @@ def test_ga_trace_ends_at_its_incumbent_when_constraint_is_nan():
 
     space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
     report = run_ga(half_nan, space, GaConfig(pop_size=10, generations=3, threshold=0.5, seed=4))
-    assert report.f_star is not None and report.f_star >= 0.5
-    assert report.best_trace[-1] == report.f_star
+    assert report.incumbent is not None and report.incumbent.f >= 0.5
+    assert report.best_trace[-1] == report.incumbent.f
     assert all(v is None or v >= 0.5 for v in report.best_trace)

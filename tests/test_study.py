@@ -11,7 +11,7 @@ from curebo import study
 from curebo.blas import openblas_threads
 from curebo.cli import main
 from curebo.problems.blackbox import Problem
-from curebo.records import Evaluation, build_report, running_best
+from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
 from curebo.study import (
     ConfigError,
@@ -325,17 +325,13 @@ def test_unwritable_output_fails_before_compute(tmp_path):
 
 
 def test_evals_to_reach():
-    from curebo.records import Evaluation, RunReport
-
     evals = [
         Evaluation(x=np.zeros(1), f=2.0, g=1.0, step_index=0, acq=None),
         Evaluation(x=np.zeros(1), f=1.0, g=0.0, step_index=1, acq=0.5),
         Evaluation(x=np.zeros(1), f=1.2, g=1.0, step_index=2, acq=0.25),
     ]
-    report = RunReport(
-        evaluations=evals, best_trace=[], x_star=None, f_star=None, g_star=None,
-        threshold=0.5, wall_time=0.0,
-    )
+    report = RunReport(evals, threshold=0.5, trace_from=1, wall_time=0.0)
+    assert report.best_trace == [2.0, 1.2] and report.incumbent is evals[2]
     assert evals_to_reach(report, 2.5) == 1
     assert evals_to_reach(report, 1.3) == 3  # the infeasible f=1.0 does not count
     assert evals_to_reach(report, 0.5) is None
@@ -403,7 +399,7 @@ def test_replication_csv_has_the_bytes_of_csv_writer(tmp_path):
                    acq=None if i % 4 == 0 else values[(i + 3) % len(values)])
         for i, f in enumerate(values)
     ]
-    report = build_report(evaluations, threshold=0.5, trace_from=0, started=0.0, complete=True, events=[])
+    report = RunReport(evaluations, threshold=0.5, trace_from=0, wall_time=0.0)
     study._write_replication_csv(tmp_path / "fast.csv", problem, report)
     csv_writer_replication_csv(tmp_path / "reference.csv", problem, report)
     fast = (tmp_path / "fast.csv").read_bytes()
