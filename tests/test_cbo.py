@@ -8,6 +8,7 @@ from curebo.cbo import CboConfig, run_cbo
 from curebo.gp import NumericalError
 from curebo.problems import analytical_problem
 from curebo.acquisition import ei_values, pf_values
+from curebo.records import Evaluation, RunReport
 from curebo.space import DesignSpace
 
 UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
@@ -15,6 +16,25 @@ UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
 
 def bowl(x):
     return float((x[0] - 0.3) ** 2 + (x[1] - 0.7) ** 2), 1.0
+
+
+def _eval(f, g):
+    return Evaluation(x=np.array([0.0, 0.0]), f=f, g=g, step_index=0, acq=None)
+
+
+def _incumbent(evaluations, threshold):
+    return RunReport(evaluations, threshold, 0, wall_time=0.0).incumbent
+
+
+def test_best_feasible_rules():
+    assert _incumbent([], 0.5) is None
+    assert _incumbent([_eval(1.0, 0.1), _eval(0.5, 0.2)], 0.5) is None
+    # global minimum infeasible: the feasible runner-up wins
+    mixed = [_eval(0.1, 0.2), _eval(0.7, 0.9), _eval(0.4, 0.6)]
+    inc = _incumbent(mixed, 0.5)
+    assert inc is mixed[2] and inc.f == 0.4
+    # boundary equality counts as feasible
+    assert _incumbent([_eval(1.0, 0.5)], 0.5) is not None
 
 
 def test_budget_exactness_forty_evaluations():

@@ -65,13 +65,6 @@ def test_rule_examples():
     assert running_best(_log(pairs), THRESHOLD) == [None, None, 2, 3, 3, 3]
     assert running_best(_log([(1.0, 0.0), (0.0, math.nan)]), THRESHOLD) == [None, None]
     assert running_best([], THRESHOLD) == []
-    # the incumbent: none before a feasible point, the feasible runner-up
-    # when the global minimum is infeasible, g == threshold feasible
-    assert _report([]).incumbent is None
-    assert _report(_log([(1.0, 0.1), (0.5, 0.2)])).incumbent is None
-    mixed = _log([(0.1, 0.2), (0.7, 0.9), (0.4, 0.6)])
-    assert _report(mixed).incumbent is mixed[2]
-    assert _report(_log([(1.0, THRESHOLD)])).incumbent.f == 1.0
 
 
 def test_non_finite_objective_is_never_feasible():
