@@ -1,4 +1,4 @@
-"""Thread counts of the OpenBLAS libraries loaded in this process.
+"""Thread counts and kernel names of the OpenBLAS libraries loaded in this process.
 
 numpy and scipy wheels each bundle their own OpenBLAS, and each starts one
 thread per core. A study runs its replications with every loaded OpenBLAS
@@ -56,7 +56,8 @@ def _loaded_libraries() -> list[str]:
 
 
 def _openblas_functions():
-    """(path, get_num_threads, set_num_threads) for each loaded OpenBLAS."""
+    """(path, get_num_threads, set_num_threads, get_corename) for each loaded
+    OpenBLAS; get_corename is None where the library does not export it."""
     found = []
     for path in _loaded_libraries():
         if "openblas" not in os.path.basename(path).lower():
@@ -71,19 +72,28 @@ def _openblas_functions():
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((path, get, set_))
+                core = getattr(lib, f"{prefix}openblas_get_corename{suffix}", None)
+                if core is not None:
+                    core.argtypes, core.restype = [], ctypes.c_char_p
+                found.append((path, get, set_, core))
                 break
     return found
 
 
 def openblas_threads() -> dict[str, int]:
     """Thread count of every OpenBLAS loaded in this process, keyed by path."""
-    return {path: get() for path, get, _ in _openblas_functions()}
+    return {path: get() for path, get, _, _ in _openblas_functions()}
+
+
+def openblas_cores() -> dict[str, str]:
+    """Kernel set (OpenBLAS's core name, such as "Haswell") of every OpenBLAS
+    loaded in this process that reports one, keyed by path."""
+    return {path: core().decode() for path, _, _, core in _openblas_functions() if core}
 
 
 def pin_openblas_to_one_thread() -> None:
     """Set every OpenBLAS loaded in this process to one thread."""
-    for _, _, set_ in _openblas_functions():
+    for _, _, set_, _ in _openblas_functions():
         set_(1)
 
 
@@ -92,10 +102,10 @@ def openblas_pinned_to_one_thread():
     """Pin every OpenBLAS loaded in this process to one thread for the block,
     then give each back the thread count it had before."""
     functions = _openblas_functions()
-    counts = [get() for _, get, _ in functions]
+    counts = [get() for _, get, _, _ in functions]
     pin_openblas_to_one_thread()
     try:
         yield
     finally:
-        for (_, _, set_), count in zip(functions, counts):
+        for (_, _, set_, _), count in zip(functions, counts):
             set_(count)

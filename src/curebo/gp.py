@@ -14,6 +14,10 @@ variance includes the mean-estimation term:
 
     s2(x) = sigma2_hat * [1 - r' R^-1 r + (1 - 1' R^-1 r)^2 / (1' R^-1 1)]
 
+A fitted model keeps the projector P = [L^-T | R^-1 (y - mu 1) | R^-1 1] of
+its Cholesky factor L, so one product r' P gives r' R^-1 r (the squared norm
+of its first n entries), the mean and 1' R^-1 r.
+
 Fitted models are immutable and safe for concurrent prediction.
 """
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -65,9 +69,9 @@ class GpSurrogate:
     mu_hat: float
     sigma2_hat: float
     log_likelihood: float
-    resid_solve: np.ndarray = field(repr=False, default=None)  # R^-1 (y - mu 1)
-    ones_solve: np.ndarray = field(repr=False, default=None)  # R^-1 1
-    one_r_one: float = 0.0  # 1' R^-1 1
+    one_r_one: float  # 1' R^-1 1
+    # (n, n + 2) columns L^-T | R^-1 (y - mu 1) | R^-1 1
+    projector: np.ndarray = field(repr=False)
 
     @property
     def dims(self) -> int:
@@ -134,11 +138,10 @@ def _chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
 def _profile_estimates(L: np.ndarray, y: np.ndarray):
     """Closed-form mu_hat, sigma2_hat and caches from a Cholesky factor."""
     n = len(y)
-    ones = np.ones(n)
-    rinv_y = dpotrs(L, y, lower=1)[0]
-    rinv_1 = dpotrs(L, ones, lower=1)[0]
-    one_r_one = float(ones @ rinv_1)
-    mu = float(ones @ rinv_y) / one_r_one
+    # one solve for both right-hand sides; the transposes are Fortran order
+    rinv_y, rinv_1 = dpotrs(L, np.array([y, np.ones(n)]).T, lower=1, overwrite_b=1)[0].T
+    one_r_one = float(rinv_1.sum())
+    mu = float(rinv_y.sum()) / one_r_one
     resid_solve = rinv_y - mu * rinv_1  # R^-1 (y - mu 1)
     sigma2 = float((y - mu) @ resid_solve) / n
     sigma2 = max(sigma2, 0.0)
@@ -154,37 +157,31 @@ def _initial_length_scales(x: np.ndarray) -> np.ndarray:
     return np.clip(ls, LENGTH_SCALE_BOUNDS[0], LENGTH_SCALE_BOUNDS[1])
 
 
-def _nll_and_grad(delta: np.ndarray, y: np.ndarray, log_ls: np.ndarray):
+def _nll_and_grad(delta2: np.ndarray, y: np.ndarray, log_ls: np.ndarray):
     """Negative profile log likelihood and its gradient in log length scales.
 
-    delta is the (n, n, d) tensor of raw pairwise differences x_i - x_j.
-    Uses dK/dr = -(5 r / 3)(1 + sqrt5 r) exp(-sqrt5 r) together with
-    dr/dlog l_h = -s_h / r for s_h the squared scaled separation in h, so
-    dR/dlog l_h = (5/3)(1 + sqrt5 r) exp(-sqrt5 r) * s_h elementwise. The
-    profiled mean drops out of the gradient (envelope argument).
+    delta2 is the (n * n, d) array of squared raw differences (x_i - x_j)^2,
+    row i * n + j. With s_h = delta2_h / l_h^2, dK/dr = -(5 r / 3)(1 + sqrt5 r)
+    exp(-sqrt5 r) and dr/dlog l_h = -s_h / r give dR/dlog l_h =
+    (5/3)(1 + sqrt5 r) exp(-sqrt5 r) s_h elementwise, and the gradient is
+    (1/2) tr((a a' / sigma2 - R^-1) dR/dlog l_h) for a = R^-1 (y - mu 1)
+    (Rasmussen & Williams, GPML 5.4.1): one product of the weights with
+    delta2. The profiled mean drops out of the gradient (envelope argument).
     """
-    n, _, d = delta.shape
-    s = delta / np.exp(log_ls)
-    s *= s  # (n, n, d) squared scaled separations
-    # s.sum(axis=2), as plane by plane adds in order h = 0, 1, ...: for
-    # d < 8 that is numpy's order of summation too, and it runs faster.
-    d2 = s[:, :, 0].copy()
-    for h in range(1, d):
-        d2 += s[:, :, h]
-    R, lin, decay = _matern52_from_d2(d2)
+    n, d = len(y), delta2.shape[1]
+    inv_l2 = np.exp(-2.0 * log_ls)
+    R, lin, decay = _matern52_from_d2((delta2 @ inv_l2).reshape(n, n))
     try:
         L, _ = _chol_with_jitter(R)
     except NumericalError:
         return 1e12, np.zeros(d)
-    mu, sigma2, ll, resid_solve, _, _ = _profile_estimates(L, y)
-    s2_safe = max(sigma2, 1e-300)
-    rinv = dpotrs(L, np.eye(n), lower=1, overwrite_b=1)[0]
-    core = lin * (5.0 / 3.0)
-    core *= decay
-    s *= core[:, :, None]  # dR/dlog l_h
-    quad = np.einsum("i,ijh,j->h", resid_solve, s, resid_solve)
-    trace = np.einsum("ij,ijh->h", rinv, s)
-    grad = 0.5 * quad / s2_safe - 0.5 * trace
+    _, sigma2, ll, resid_solve, _, _ = _profile_estimates(L, y)
+    li = dtrtri(L, lower=1)[0]
+    w = np.multiply.outer(resid_solve, resid_solve / max(sigma2, 1e-300))
+    w -= li.T @ li  # a a' / sigma2 - R^-1
+    w *= lin
+    w *= decay
+    grad = (5.0 / 6.0) * inv_l2 * (w.reshape(-1) @ delta2)
     return -ll, -grad
 
 
@@ -239,11 +236,11 @@ def fit_gp(train_x, train_y, length_scales=None) -> GpSurrogate:
         for _ in range(RESTARTS):
             starts.append(np.clip(init + rng.normal(0.0, 0.7, size=d), lo, hi))
 
-        delta = x[:, None, :] - x[None, :, :]
+        delta2 = np.square(x[:, None, :] - x[None, :, :]).reshape(n * n, d)
         nll_at: dict[bytes, float] = {}
 
         def objective(v):
-            value, grad = _nll_and_grad(delta, y, v)
+            value, grad = _nll_and_grad(delta2, y, v)
             nll_at[v.tobytes()] = value
             return value, grad
 
@@ -274,6 +271,10 @@ def fit_gp(train_x, train_y, length_scales=None) -> GpSurrogate:
     R = matern52_matrix(x, x, best_ls)
     L, jitter = _chol_with_jitter(R)
     mu, sigma2, ll, resid_solve, rinv_1, one_r_one = _profile_estimates(L, y)
+    projector = np.empty((n, n + 2))
+    projector[:, :n] = dtrtri(L, lower=1)[0].T
+    projector[:, n] = resid_solve
+    projector[:, n + 1] = rinv_1
     return GpSurrogate(
         train_x=x,
         train_y=y,
@@ -283,9 +284,8 @@ def fit_gp(train_x, train_y, length_scales=None) -> GpSurrogate:
         mu_hat=mu,
         sigma2_hat=sigma2,
         log_likelihood=ll,
-        resid_solve=resid_solve,
-        ones_solve=rinv_1,
         one_r_one=one_r_one,
+        projector=projector,
     )
 
 
@@ -294,15 +294,13 @@ def predict_batch(model: GpSurrogate, queries: np.ndarray) -> tuple[np.ndarray, 
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != model.dims:
         raise ValueError(f"expected {model.dims}-dimensional queries, got {q.shape[1]}")
-    # Only the elementwise kernel is blocked. The products with r run once on
-    # the whole (m, n) matrix: OpenBLAS's dgemv rounds its tail rows apart
-    # from the rest, so a means vector built from row blocks has other bits.
-    r = matern52_matrix(q, model.train_x, model.length_scales)  # (m, n)
-    means = model.mu_hat + r @ model.resid_solve
-    one_rinv_r = r @ model.ones_solve
-    v = dtrtrs(model.factor, r.T, lower=1, overwrite_b=1)[0]  # (n, m), overwrites r
-    r_rinv_r = np.einsum("ij,ij->j", v, v)
+    # One product on the whole (m, n) matrix, not per row block: a BLAS
+    # product may round the rows of a short last block differently.
+    n = len(model.train_y)
+    rp = matern52_matrix(q, model.train_x, model.length_scales) @ model.projector
+    v = rp[:, :n]  # rows r' L^-T
+    r_rinv_r = np.einsum("ij,ij->i", v, v)
     variances = model.sigma2_hat * (
-        1.0 - r_rinv_r + (1.0 - one_rinv_r) ** 2 / model.one_r_one
+        1.0 - r_rinv_r + (1.0 - rp[:, n + 1]) ** 2 / model.one_r_one
     )
-    return means, np.maximum(variances, 0.0)
+    return model.mu_hat + rp[:, n], np.maximum(variances, 0.0)

@@ -39,12 +39,15 @@ class DesignSpace:
         return self.lower.size
 
     def normalize(self, raw) -> np.ndarray:
-        """Map raw coordinates to the unit box. Rejects out-of-bounds input."""
+        """Map raw coordinates to the unit box. Rejects out-of-bounds and
+        non-finite input."""
         raw = np.asarray(raw, dtype=float)
         if raw.shape[-1] != self.dims:
             raise ValueError(f"expected {self.dims} coordinates, got {raw.shape[-1]}")
         for i in range(self.dims):
             col = raw[..., i]
+            if not np.all(np.isfinite(col)):
+                raise ValueError(f"{self.names[i]} is not finite")
             if np.any(col < self.lower[i]) or np.any(col > self.upper[i]):
                 raise ValueError(
                     f"{self.names[i]} out of bounds "

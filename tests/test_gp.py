@@ -3,14 +3,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dtrtrs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.spatial.distance import cdist
 
+from curebo import gp
+from curebo.blas import openblas_cores
 from curebo.gp import (
     KERNEL_BLOCK_ROWS,
     NumericalError,
     _chol_with_jitter,
     _matern52_from_d2,
+    _nll_and_grad,
     fit_gp,
     matern52_matrix,
     predict_batch,
@@ -203,6 +208,168 @@ def test_jitter_escalates_and_eventually_raises():
         _chol_with_jitter(np.ones((3, 3)) - 1e-3 * np.eye(3))
 
 
+# References for the likelihood and the predictor, computed the long way:
+# one solve per right-hand side, the gradient from the (n, n, d) tensor of
+# dR/dlog l_h with two einsums, and each prediction by a triangular solve.
+
+
+def reference_profile_estimates(L, y):
+    """mu_hat, sigma2_hat, log likelihood, R^-1 (y - mu 1), R^-1 1, 1' R^-1 1."""
+    n = len(y)
+    ones = np.ones(n)
+    rinv_y = dpotrs(L, y, lower=1)[0]
+    rinv_1 = dpotrs(L, ones, lower=1)[0]
+    one_r_one = float(ones @ rinv_1)
+    mu = float(ones @ rinv_y) / one_r_one
+    resid_solve = rinv_y - mu * rinv_1
+    sigma2 = max(float((y - mu) @ resid_solve) / n, 0.0)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    ll = -0.5 * (n * np.log(2.0 * np.pi * max(sigma2, 1e-300)) + logdet + n)
+    return mu, sigma2, ll, resid_solve, rinv_1, one_r_one
+
+
+def reference_nll_and_grad(delta, y, log_ls):
+    """NLL and gradient from the (n, n, d) raw differences, plane by plane."""
+    n, _, d = delta.shape
+    s = np.square(delta / np.exp(log_ls))  # squared scaled separations
+    R, lin, decay = _matern52_from_d2(s.sum(axis=2))
+    try:
+        L, _ = _chol_with_jitter(R)
+    except NumericalError:
+        return 1e12, np.zeros(d)
+    _, sigma2, ll, resid_solve, _, _ = reference_profile_estimates(L, y)
+    rinv = dpotrs(L, np.eye(n), lower=1)[0]
+    ds = s * ((5.0 / 3.0) * lin * decay)[:, :, None]  # dR/dlog l_h
+    quad = np.einsum("i,ijh,j->h", resid_solve, ds, resid_solve)
+    trace = np.einsum("ij,ijh->h", rinv, ds)
+    return -ll, -(0.5 * quad / max(sigma2, 1e-300) - 0.5 * trace)
+
+
+def reference_predict(model, queries):
+    """Means and variances by a triangular solve with the (n, m) matrix r'."""
+    estimates = reference_profile_estimates(model.factor, model.train_y)
+    resid_solve, rinv_1, one_r_one = estimates[3:]
+    r = matern52_matrix(queries, model.train_x, model.length_scales)
+    means = model.mu_hat + r @ resid_solve
+    v = dtrtrs(model.factor, r.T, lower=1)[0]
+    r_rinv_r = np.einsum("ij,ij->j", v, v)
+    variances = model.sigma2_hat * (1.0 - r_rinv_r + (1.0 - r @ rinv_1) ** 2 / one_r_one)
+    return means, np.maximum(variances, 0.0)
+
+
+def _likelihood_cases(n, d):
+    """(x, y, log length scales): a smooth y and a flat one at two scales each.
+
+    The length scales are a half and one typical nearest-neighbour spacing,
+    n^(-1/d), each dimension jittered. That keeps the condition number of R
+    below 1e6. The likelihood carries round-off of about cond(R) * eps
+    relative, from the rounding of d2 on: at n = 49, d = 1 and twice the
+    spacing, cond(R) is 5e6, the two paths differ by 2e-11 in the NLL, and
+    the reference itself moves by as much when its log length scales move by
+    one ulp.
+
+    The flat y is a power of two, so R^-1 y is exactly 4 R^-1 1 and sigma2_hat
+    is exactly 0 on both paths. A flat y of other value leaves a sigma2_hat
+    of round-off size, whose logarithm neither path computes reproducibly.
+    """
+    rng = np.random.default_rng(100 * n + d)
+    x, y = _random_dataset(rng, n, d)
+    for spacings in (0.5, 1.0):
+        log_ls = np.log(spacings * n ** (-1.0 / d)) + rng.normal(0.0, 0.3, size=d)
+        yield x, y, log_ls
+        yield x, np.full(n, 4.0), log_ls
+
+
+def _differences(x):
+    delta = x[:, None, :] - x[None, :, :]
+    return delta, np.square(delta).reshape(-1, x.shape[1])
+
+
+def _five_point_differences(delta2, y, log_ls, step=1e-3):
+    """Gradient of the NLL by the fourth-order central difference."""
+    def nll(v):
+        return _nll_and_grad(delta2, y, v)[0]
+
+    grad = np.empty(len(log_ls))
+    for h, e in enumerate(np.eye(len(log_ls)) * step):
+        outer = nll(log_ls - 2 * e) - nll(log_ls + 2 * e)
+        inner = nll(log_ls + e) - nll(log_ls - e)
+        grad[h] = (outer + 8 * inner) / (12 * step)
+    return grad
+
+
+def _correlation(delta2, log_ls):
+    n = int(np.sqrt(len(delta2)))
+    return _matern52_from_d2(delta2 @ np.exp(-2.0 * log_ls))[0].reshape(n, n)
+
+
+def _assert_likelihood_matches(delta, delta2, y, log_ls):
+    n = len(y)
+    nll, grad = _nll_and_grad(delta2, y, log_ls)
+    ref_nll, ref_grad = reference_nll_and_grad(delta, y, log_ls)
+    # the NLL sums terms of size n / 2, and the sum can be near 0
+    assert abs(nll - ref_nll) <= 1e-12 * max(abs(ref_nll), n)
+    scale = max(1.0, np.max(np.abs(ref_grad)))
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-8 * scale
+    assert np.max(np.abs(grad - _five_point_differences(delta2, y, log_ls))) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 15, 49])
+def test_likelihood_and_gradient_match_the_reference_and_central_differences(n, d):
+    for x, y, log_ls in _likelihood_cases(n, d):
+        delta, delta2 = _differences(x)
+        assert np.linalg.cond(_correlation(delta2, log_ls)) < 1e6
+        _assert_likelihood_matches(delta, delta2, y, log_ls)
+
+
+def test_likelihood_matches_the_reference_where_the_jitter_escalates(monkeypatch):
+    # A jitter of 1e-10 factorizes every Matern matrix of n <= 49, even a
+    # singular one, so the start is lowered to make the escalation run. Two
+    # equal rows make R singular along e_0 - e_1 whatever the length scales,
+    # the same direction on both paths, so the tolerances still hold.
+    monkeypatch.setattr(gp, "JITTER_START", 1e-20)
+    rng = np.random.default_rng(11)
+    x, y = _random_dataset(rng, 15, 2)
+    x[1] = x[0]
+    delta, delta2 = _differences(x)
+    log_ls = np.log(np.array([0.3, 0.5]))
+    assert _chol_with_jitter(_correlation(delta2, log_ls))[1] > 1e-20
+    _assert_likelihood_matches(delta, delta2, y, log_ls)
+
+
+def _assert_prediction_matches(model, queries):
+    means, variances = predict_batch(model, queries)
+    ref_means, ref_variances = reference_predict(model, queries)
+    # A mean is mu + sum_j r_j a_j for a = R^-1 (y - mu 1), and two summation
+    # orders differ relative to the size of its terms, not of the sum. The
+    # fit at n = 49, d = 1 has length scale 95 and cond(R) 3e18; its terms
+    # are up to 3e12 times the mean, and the means differ by 2e-4 relative.
+    a = reference_profile_estimates(model.factor, model.train_y)[3]
+    r = matern52_matrix(queries, model.train_x, model.length_scales)
+    terms = abs(model.mu_hat) + np.abs(r) @ np.abs(a)
+    assert np.all(np.abs(means - ref_means) <= 1e-12 * terms)
+    assert np.max(np.abs(variances - ref_variances)) <= 1e-10 * model.sigma2_hat
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 15, 49])
+def test_predictions_match_the_triangular_solve_reference(n, d):
+    rng = np.random.default_rng(200 * n + d)
+    x, y = _random_dataset(rng, n, d)
+    queries = np.vstack([rng.random((300, d)), x])
+    _assert_prediction_matches(fit_gp(x, y), queries)
+    flat = fit_gp(x, np.full(n, 4.0))
+    assert flat.sigma2_hat == 0.0
+    _assert_prediction_matches(flat, queries)
+
+
+def test_predictions_match_the_reference_on_nearly_coincident_points():
+    x = np.array([[0.5], [0.5 + 1e-12], [0.9]])
+    model = fit_gp(x, np.array([1.0, 1.0, 2.0]), length_scales=np.array([0.3]))
+    _assert_prediction_matches(model, np.linspace(0.0, 1.0, 101)[:, None])
+
+
 def one_shot_matern52_matrix(x, z, length_scales):
     """The kernel matrix in one cdist call, without row blocks."""
     d2 = cdist(x / length_scales, z / length_scales, metric="sqeuclidean")
@@ -210,14 +377,12 @@ def one_shot_matern52_matrix(x, z, length_scales):
 
 
 def one_shot_predict(model, queries):
-    """predict_batch on the one-shot kernel matrix, each product on the whole of it."""
-    r = one_shot_matern52_matrix(queries, model.train_x, model.length_scales)
-    means = model.mu_hat + r @ model.resid_solve
-    one_rinv_r = r @ model.ones_solve
-    v = dtrtrs(model.factor, r.T, lower=1)[0]
-    r_rinv_r = np.einsum("ij,ij->j", v, v)
-    variances = model.sigma2_hat * (1.0 - r_rinv_r + (1.0 - one_rinv_r) ** 2 / model.one_r_one)
-    return means, np.maximum(variances, 0.0)
+    """predict_batch on the one-shot kernel matrix: one product with the projector."""
+    n = len(model.train_y)
+    rp = one_shot_matern52_matrix(queries, model.train_x, model.length_scales) @ model.projector
+    r_rinv_r = np.einsum("ij,ij->i", rp[:, :n], rp[:, :n])
+    variances = model.sigma2_hat * (1.0 - r_rinv_r + (1.0 - rp[:, n + 1]) ** 2 / model.one_r_one)
+    return model.mu_hat + rp[:, n], np.maximum(variances, 0.0)
 
 
 B = KERNEL_BLOCK_ROWS
@@ -248,6 +413,77 @@ def test_variance_clamped_nonnegative():
     assert np.all(variances >= 0.0)
 
 
+# Properties over generated data. The inputs sit on a lattice of step 1/16,
+# so that rows differ by at least 1/16 in some coordinate and every lattice
+# value and its shift by a multiple of 1/16 are exact in binary.
+
+
+@st.composite
+def training_sets(draw, max_n=12):
+    d = draw(st.integers(1, 3))
+    cells = st.tuples(*[st.integers(0, 16)] * d)
+    rows = draw(st.lists(cells, min_size=2, max_size=max_n, unique=True))
+    x = np.array(rows, dtype=float) / 16.0
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=len(x), max_size=len(x))))
+    return x, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=training_sets(), seed=st.integers(0, 2**32 - 1))
+def test_fit_is_bit_identical_under_a_row_permutation(data, seed):
+    x, y = data
+    perm = np.random.default_rng(seed).permutation(len(y))
+    queries = np.linspace(0.0, 1.0, 7)[:, None].repeat(x.shape[1], axis=1)
+    base, permuted = fit_gp(x, y), fit_gp(x[perm], y[perm])
+    assert base.length_scales.tobytes() == permuted.length_scales.tobytes()
+    assert base.log_likelihood == permuted.log_likelihood
+    for a, b in zip(predict_batch(base, queries), predict_batch(permuted, queries)):
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=training_sets())
+def test_mean_interpolates_and_variance_vanishes_at_training_points(data):
+    # The factor is of R + jitter I, so at training point i the mean is
+    # y_i - jitter * a_i for a = (R + jitter I)^-1 (y - mu 1), and the variance
+    # is at most 2 jitter sigma2_hat. With long length scales a can be large:
+    # 6 points in 3-d fit at length scales 37 leave y_i - mean_i = 2.3e-5.
+    x, y = data
+    model = fit_gp(x, y)
+    means, variances = predict_batch(model, model.train_x)
+    nugget_fit = model.train_y - model.jitter * model.projector[:, len(y)]
+    assert np.max(np.abs(means - nugget_fit)) <= 1e-9 * max(np.ptp(y), 1.0)
+    assert np.all(variances <= 2.0 * model.jitter * model.sigma2_hat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=training_sets(), unit=st.floats(0.0, 1.0), log_ls=st.floats(-3.0, 3.0))
+def test_variance_is_finite_and_nonnegative_everywhere(data, unit, log_ls):
+    x, y = data
+    d = x.shape[1]
+    model = fit_gp(x, y, length_scales=np.full(d, np.exp(log_ls)))
+    queries = np.vstack([np.full(d, unit), np.random.default_rng(0).random((50, d))])
+    means, variances = predict_batch(model, queries)
+    assert np.all(np.isfinite(means)) and np.all(np.isfinite(variances))
+    assert np.all(variances >= 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=training_sets(), steps=st.lists(st.integers(-32, 32), min_size=3, max_size=3))
+def test_predictions_are_invariant_to_a_common_shift_of_the_inputs(data, steps):
+    # the length scales are pinned to the unshifted fit's, so that the check
+    # is on the model and not on the path the optimizer takes
+    x, y = data
+    shift = np.array(steps[: x.shape[1]]) / 16.0
+    model = fit_gp(x, y)
+    shifted = fit_gp(x + shift, y, length_scales=model.length_scales)
+    queries = np.random.default_rng(1).random((30, x.shape[1]))
+    means, variances = predict_batch(model, queries)
+    shifted_means, shifted_variances = predict_batch(shifted, queries + shift)
+    assert np.max(np.abs(shifted_means - means)) <= 1e-6 * max(np.ptp(y), 1.0)
+    assert np.max(np.abs(shifted_variances - variances)) <= 1e-6 * max(model.sigma2_hat, 1e-12)
+
+
 def _golden_dataset():
     """40 points in 4-d with a smooth objective, a saturating cure-like g and a
     constant output; the constant one ends L-BFGS-B runs with ABNORMAL
@@ -260,19 +496,63 @@ def _golden_dataset():
     return x, queries, {"f": f, "g": g, "flat": np.full(40, 2.5)}
 
 
-def test_fit_and_predict_are_bit_identical_to_recorded_values():
-    # Recorded with numpy 2.4.6 / scipy 1.17.1 (bundled OpenBLAS). A speedup
-    # to fit_gp or predict_batch that keeps the numerics must keep every bit
-    # of these numbers; another BLAS/LAPACK build may round differently.
-    golden = json.loads((Path(__file__).parent / "gp_golden.json").read_text())
+GOLDEN_PATH = Path(__file__).parent / "gp_golden.json"
+
+
+def dispatch_level():
+    """What the golden's bits depend on besides the code: numpy's enabled
+    dispatch targets (its SIMD kernels, for exp and sqrt among others) and
+    the kernel set of each loaded OpenBLAS (its products and factorizations)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    enabled = " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+    cores = " ".join(sorted(set(openblas_cores().values()))) or "not found"
+    return f"numpy {enabled or 'baseline'}; OpenBLAS {cores}"
+
+
+def golden_snapshot():
     x, queries, outputs = _golden_dataset()
+    snapshot = {}
     for name, y in outputs.items():
         model = fit_gp(x, y)
         means, variances = predict_batch(model, queries)
-        got = {
+        snapshot[name] = {
             "length_scales": [float(v).hex() for v in model.length_scales],
             "log_likelihood": float(model.log_likelihood).hex(),
             "means": [float(v).hex() for v in means],
             "variances": [float(v).hex() for v in variances],
         }
-        assert got == golden[name], name
+    return snapshot
+
+
+def test_fit_and_predict_are_bit_identical_to_recorded_values():
+    # Recorded with numpy 2.4.6 / scipy 1.17.1 (bundled OpenBLAS) on an
+    # AVX512 x86-64 host, at its default level and again with
+    # NPY_DISABLE_CPU_FEATURES=X86_V4. A speedup to fit_gp or predict_batch
+    # that keeps the numerics must keep every bit of these numbers at every
+    # recorded level; another BLAS/LAPACK build may round differently.
+    golden = json.loads(GOLDEN_PATH.read_text())
+    level = dispatch_level()
+    if level not in golden:
+        pytest.fail(f"no GP golden for the level {level!r}: record it with python tests/test_gp.py")
+    got = golden_snapshot()
+    for name in golden[level]:
+        assert got[name] == golden[level][name], name
+
+
+if __name__ == "__main__":
+    # python tests/test_gp.py records the golden of the running level and
+    # keeps the other levels' entries: one level per block, one field a line
+    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    golden[dispatch_level()] = golden_snapshot()
+    blocks = []
+    for level, outputs in golden.items():
+        names = []
+        for name, fields in outputs.items():
+            lines = ",\n".join(f"   {json.dumps(k)}: {json.dumps(v)}" for k, v in fields.items())
+            names.append(f"  {json.dumps(name)}: {{\n{lines}\n  }}")
+        blocks.append(f" {json.dumps(level)}: {{\n" + ",\n".join(names) + "\n }")
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(blocks) + "\n}\n")
+    print(f"wrote the level {dispatch_level()!r} to {GOLDEN_PATH}")

@@ -26,6 +26,15 @@ def test_normalize_rejects_out_of_bounds_naming_dimension(cure_space):
         cure_space.normalize([0.5, 150.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalize_rejects_non_finite_coordinates_naming_dimension(bad):
+    space = DesignSpace([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="x0 is not finite"):
+        space.normalize([bad, 0.5])
+    with pytest.raises(ValueError, match="x1 is not finite"):
+        space.normalize([[0.5, 0.5], [0.5, bad]])
+
+
 def test_round_trip_is_exact_to_1e12_relative(cure_space):
     rng = np.random.default_rng(42)
     raw = cure_space.lower + rng.random((1000, 2)) * (cure_space.upper - cure_space.lower)
@@ -126,6 +135,40 @@ def test_vectorized_slope_sieve_matches_a_per_row_loop(points, rising):
     raws = problem.space.denormalize(points)
     expected = [bool(problem.sieve_raw(row)) for row in raws]
     assert np.array_equal(kept, points[expected])
+
+
+@st.composite
+def boxes_and_points(draw):
+    d = draw(st.integers(1, 4))
+    lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+    span = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    space = DesignSpace(lower, lower + span)
+    unit = draw(arrays(np.float64, (draw(st.integers(1, 20)), d), elements=st.floats(0.0, 1.0)))
+    return space, space.lower + unit * (space.upper - space.lower)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes_and_points())
+def test_normalize_denormalize_round_trip(case):
+    space, raw = case
+    # raw is inside the box, so every coordinate normalizes into [0, 1]
+    raw = np.clip(raw, space.lower, space.upper)
+    unit = space.normalize(raw)
+    assert np.all((unit >= 0.0) & (unit <= 1.0))
+    # the round trip rounds four times (the span cancels), each time by at
+    # most half an ulp of a number no larger than |lower| + |upper|
+    tol = 4 * np.finfo(float).eps * (np.abs(space.lower) + np.abs(space.upper))
+    assert np.all(np.abs(space.denormalize(unit) - raw) <= tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 300), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_lhs_puts_one_point_in_each_stratum(m, d, seed):
+    pool = lhs_sample(DesignSpace([0.0] * d, [1.0] * d), m, seed=seed)
+    assert pool.shape == (m, d)
+    assert np.all((pool >= 0.0) & (pool < 1.0))
+    for h in range(d):
+        assert np.array_equal(np.sort(np.floor(pool[:, h] * m)), np.arange(m))
 
 
 def test_drop_near_duplicates():
