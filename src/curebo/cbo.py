@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from curebo.acquisition import ei_values, pf_values
+from curebo.blas import openblas_pinned_to_one_thread
 from curebo.gp import NumericalError, fit_gp, predict_batch
 from curebo.records import Evaluation, RunReport, evaluate, running_best
 from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
@@ -67,10 +68,12 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
     space : DesignSpace used for pool generation and sieve denormalization.
     config : CboConfig.
 
-    The report is bitwise reproducible for identical inputs. A failing
-    problem evaluation, a surrogate that cannot be fitted, or a candidate
-    pool whose every candidate is a near-duplicate of an evaluated point ends
-    the run early and returns the partial report with complete=False.
+    Every loaded OpenBLAS runs at one thread for the run and gets its thread
+    count back after. The report is bitwise reproducible for identical
+    inputs. A failing problem evaluation, a surrogate that cannot be fitted,
+    or a candidate pool whose every candidate is a near-duplicate of an
+    evaluated point ends the run early and returns the partial report with
+    complete=False.
     """
     t0 = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
@@ -84,57 +87,64 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
             evaluations, config.threshold, config.n_init, time.perf_counter() - t0, complete, events
         )
 
-    for x in lhs_sample(space, config.n_init, init_ss):
-        if evaluate(problem, x, 0, None, evaluations, events) is None:
-            return finish(complete=False)
+    # The products are small, so extra BLAS threads only cost time (twice
+    # the time at two threads, with the same bits); a study pins them too.
+    with openblas_pinned_to_one_thread():
+        for x in lhs_sample(space, config.n_init, init_ss):
+            if evaluate(problem, x, 0, None, evaluations, events) is None:
+                return finish(complete=False)
 
-    for step in range(1, config.n_steps + 1):
-        train_x = np.array([e.x for e in evaluations])
-        y_f = np.array([e.f for e in evaluations])
-        y_g = np.array([e.g for e in evaluations])
-        finite_f, finite_g = np.isfinite(y_f), np.isfinite(y_g)  # non-finite values train no model
-        try:
-            model_f = fit_gp(train_x[finite_f], y_f[finite_f])
-            model_g = fit_gp(train_x[finite_g], y_g[finite_g])
-        except (NumericalError, ValueError) as exc:
-            events.append(f"step {step}: surrogate fit failed: {exc}")
-            return finish(complete=False)
+        for step in range(1, config.n_steps + 1):
+            train_x = np.array([e.x for e in evaluations])
+            y_f = np.array([e.f for e in evaluations])
+            y_g = np.array([e.g for e in evaluations])
+            finite_f, finite_g = np.isfinite(y_f), np.isfinite(y_g)  # non-finite values train no model
+            try:
+                model_f = fit_gp(train_x[finite_f], y_f[finite_f])
+                model_g = fit_gp(train_x[finite_g], y_g[finite_g])
+            except (NumericalError, ValueError) as exc:
+                events.append(f"step {step}: surrogate fit failed: {exc}")
+                return finish(complete=False)
 
-        pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
-        pf_only = False
-        if config.sieve_predicate is not None:
-            sieved = sieve(pool, config.sieve_predicate, space)
-            if len(sieved) == 0:
-                events.append(f"step {step}: sieve emptied the pool, scoring unsieved pool by PF only")
-                pf_only = True
+            pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
+            pf_only = False
+            if config.sieve_predicate is not None:
+                sieved = sieve(pool, config.sieve_predicate, space)
+                if len(sieved) == 0:
+                    events.append(f"step {step}: sieve emptied the pool, scoring unsieved pool by PF only")
+                    pf_only = True
+                else:
+                    pool = sieved
+
+            mean_g, var_g = predict_batch(model_g, pool)
+            pf = pf_values(mean_g, var_g, config.threshold)
+            best = running_best(evaluations, config.threshold)[-1]
+            if pf_only or best is None:
+                scores = pf
             else:
-                pool = sieved
+                mean_f, var_f = predict_batch(model_f, pool)
+                scores = ei_values(mean_f, var_f, evaluations[best].f) * pf
 
-        mean_g, var_g = predict_batch(model_g, pool)
-        pf = pf_values(mean_g, var_g, config.threshold)
-        best = running_best(evaluations, config.threshold)[-1]
-        if pf_only or best is None:
-            scores = pf
-        else:
-            mean_f, var_f = predict_batch(model_f, pool)
-            scores = ei_values(mean_f, var_f, evaluations[best].f) * pf
+            pick = _best_distinct(pool, scores, train_x)
+            if pick is None:
+                events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
+                return finish(complete=False)
+            if evaluate(problem, pool[pick], step, float(scores[pick]), evaluations, events) is None:
+                return finish(complete=False)
 
-        pick = _best_distinct(pool, scores, train_x)
-        if pick is None:
-            events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
-            return finish(complete=False)
-        if evaluate(problem, pool[pick], step, float(scores[pick]), evaluations, events) is None:
-            return finish(complete=False)
-
-    return finish(complete=True)
+        return finish(complete=True)
 
 
 def _best_distinct(pool: np.ndarray, scores, train_x) -> Optional[int]:
     """Index of the best-scoring candidate farther than DUPLICATE_TOL (L-inf)
-    from every evaluated point, first index on ties as np.argmax; None when
-    there is none. The duplicate guard runs on candidates in descending
-    score, so normally only the winner is checked."""
-    for i in np.argsort(-scores, kind="stable").tolist():
-        if len(drop_near_duplicates(pool[i : i + 1], train_x, DUPLICATE_TOL)):
-            return i
-    return None
+    from every evaluated point, first index on ties as np.argmax and NaN
+    ranked last; None when there is none. Normally the np.argmax winner is
+    it; only a NaN or near-duplicate winner sends the duplicate guard down
+    the candidates in descending score."""
+    def distinct(i):
+        return len(drop_near_duplicates(pool[i : i + 1], train_x, DUPLICATE_TOL)) > 0
+
+    winner = int(np.argmax(scores))
+    if not np.isnan(scores[winner]) and distinct(winner):
+        return winner
+    return next((i for i in np.argsort(-scores, kind="stable").tolist() if distinct(i)), None)

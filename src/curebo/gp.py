@@ -27,7 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
-from scipy.optimize import minimize
+
+# private to scipy, but minimize's Python layers cost over half as much as the
+# likelihood; tests/test_gp.py holds _lbfgsb to minimize's calls and bits
+from scipy.optimize._lbfgsb import setulb
 from scipy.spatial.distance import cdist
 
 SQRT5 = np.sqrt(5.0)
@@ -45,6 +48,13 @@ JITTER_MAX = 1e-4
 RESTARTS = 2
 RESTART_SEED = 0
 MAXITER = 60
+
+# minimize's other L-BFGS-B defaults: stored corrections, steps per line
+# search, and the ftol (as factr, in machine epsilons) and gtol stops
+MAXCOR = 10
+MAXLS = 20
+FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+PGTOL = 1e-5
 
 # Rows per block of matern52_matrix, so that a block's distance and kernel
 # temporaries stay in cache. For a 10,000 x 50 matrix on a 2-core AVX512
@@ -185,6 +195,44 @@ def _nll_and_grad(delta2: np.ndarray, y: np.ndarray, log_ls: np.ndarray):
     return -ll, -grad
 
 
+def _lbfgsb(objective, x0: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Minimize objective(x) -> (value, gradient) over the box [lo, hi]^d by
+    L-BFGS-B from x0, for at most MAXITER iterations (Byrd et al. 1995).
+
+    This is scipy.optimize.minimize's driver loop with jac=True, so the
+    objective sees the same points and the result has the same bits. scipy's
+    limit of 15,000 evaluations is left out, since no run comes near it: an
+    iteration makes at most two line searches (a failed one and its one
+    restart) of at most MAXLS + 1 evaluations, about 2,500 in a whole run.
+    """
+    n = len(x0)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    low, up = np.full(n, lo), np.full(n, hi)
+    nbd = np.full(n, 2, dtype=np.int32)  # a lower and an upper bound on every dimension
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * MAXCOR * n + 5 * n + 11 * MAXCOR * MAXCOR + 8 * MAXCOR)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32), np.zeros(29)
+    iterations, evaluated = 0, None
+    while True:
+        setulb(MAXCOR, x, low, up, nbd, f, g, FACTR, PGTOL, wa, iwa, task, lsave, isave, dsave,
+               MAXLS, ln_task)
+        if task[0] == 3:  # FG: the value and gradient at x
+            # setulb may ask again for the point it was just given, and
+            # minimize then answers from its cache without a call; setulb
+            # may also overwrite g, so it gets a copy
+            if evaluated is None or not (x == evaluated[0]).all():
+                evaluated = (x.copy(), *objective(x.copy()))
+            f, g = evaluated[1], evaluated[2].copy()
+        elif task[0] == 1:  # NEW_X: one more iteration
+            iterations += 1
+            if iterations >= MAXITER:
+                task[:] = 5, 504  # STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT
+        else:  # CONVERGENCE, STOP, WARNING, ERROR or ABNORMAL
+            return x
+
+
 def fit_gp(train_x, train_y, length_scales=None) -> GpSurrogate:
     """Fit the surrogate by maximizing the profile log likelihood.
 
@@ -246,23 +294,14 @@ def fit_gp(train_x, train_y, length_scales=None) -> GpSurrogate:
 
         def score(v):
             # L-BFGS-B evaluates its start first and returns an evaluated
-            # iterate, so the memo usually holds the value already. res.fun
-            # would not do: after an ABNORMAL line-search exit it is the value
-            # of the last trial point, not of res.x.
+            # iterate, so the memo usually holds the value already. The
+            # driver's last value would not do: after an ABNORMAL line-search
+            # exit it is the value of the last trial point, not of the result.
             key = v.tobytes()
             return -(nll_at[key] if key in nll_at else objective(v)[0])
 
-        candidates = list(starts)
-        for s in starts:
-            res = minimize(
-                objective,
-                s,
-                method="L-BFGS-B",
-                jac=True,
-                bounds=[(lo, hi)] * d,
-                options={"maxiter": MAXITER},
-            )
-            candidates.append(np.clip(res.x, lo, hi))
+        # clipped in case round-off in the line search leaves the box
+        candidates = starts + [np.clip(_lbfgsb(objective, s, lo, hi), lo, hi) for s in starts]
         # The untouched starts stay in the candidate set, so the selected
         # optimum can never fall below the default initialization.
         scores = [score(c) for c in candidates]

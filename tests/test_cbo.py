@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curebo import cbo
+from curebo.blas import openblas_threads
 from curebo.cbo import CboConfig, run_cbo
 from curebo.gp import NumericalError
 from curebo.problems import analytical_problem
@@ -144,6 +145,39 @@ def test_near_duplicate_winner_gives_way_to_the_next_best(monkeypatch):
     assert report.complete
     assert np.array_equal(report.evaluations[-1].x, pool[4])
     assert report.events == []
+
+
+def _best_distinct_by_full_sort(pool, scores, train_x):
+    """The duplicate guard over the whole pool in descending score, as a
+    reference for cbo._best_distinct."""
+    for i in np.argsort(-scores, kind="stable").tolist():
+        if np.abs(train_x - pool[i]).max(axis=1).min() > cbo.DUPLICATE_TOL:
+            return i
+    return None
+
+
+@pytest.mark.parametrize(
+    "scores, expected",
+    [
+        ([0.1, 0.7, 0.3, 0.7, 0.2], 1),  # a tie goes to the first index
+        ([0.1, np.nan, 0.3, 0.7, 0.7], 3),  # NaN ranks last, not first as in np.argmax
+        ([0.1, 0.2, 0.9, 0.5, 0.5], 3),  # row 2 is a duplicate; the tie behind it
+        ([np.nan, 0.2, 0.9, np.nan, 0.1], 1),
+        ([np.nan, np.nan, 0.9, np.nan, np.nan], 0),  # NaN candidates still count
+        ([0.1, 0.2, 0.9, 0.3, 0.4], 4),
+    ],
+)
+def test_best_distinct_ranks_ties_nan_and_duplicates(scores, expected):
+    pool = np.array([[0.1, 0.1], [0.4, 0.4], [0.2, 0.2 + 1e-12], [0.6, 0.6], [0.9, 0.9]])
+    train_x = np.array([[0.2, 0.2], [0.8, 0.8]])
+    scores = np.array(scores)
+    assert cbo._best_distinct(pool, scores, train_x) == expected
+    assert _best_distinct_by_full_sort(pool, scores, train_x) == expected
+
+
+def test_best_distinct_is_none_when_every_candidate_is_a_duplicate():
+    train_x = np.array([[0.2, 0.2], [0.8, 0.8]])
+    assert cbo._best_distinct(train_x + 1e-12, np.array([0.5, np.nan]), train_x) is None
 
 
 def test_acquisition_value_is_ei_times_pf_or_pf_alone(monkeypatch):
@@ -295,3 +329,22 @@ def test_config_validation_lists_problems():
         CboConfig(n_init=1)
     with pytest.raises(ValueError, match="pool_size"):
         CboConfig(pool_size=0)
+
+
+@pytest.mark.skipif(
+    not openblas_threads(), reason="no loaded OpenBLAS exposes openblas_get_num_threads"
+)
+def test_direct_run_fits_at_one_blas_thread_and_gives_the_callers_count_back(monkeypatch):
+    caller = openblas_threads()
+    seen = []
+    real_fit = cbo.fit_gp
+
+    def recording(train_x, train_y):
+        seen.append(openblas_threads())
+        return real_fit(train_x, train_y)
+
+    monkeypatch.setattr(cbo, "fit_gp", recording)
+    report = run_cbo(bowl, UNIT_SQUARE, CboConfig(n_init=4, n_steps=2, pool_size=50, seed=0))
+    assert report.complete
+    assert seen == [{path: 1 for path in caller}] * 4
+    assert openblas_threads() == caller

@@ -28,6 +28,7 @@ from curebo.problems import (
 )
 from curebo.problems import simulate
 from curebo.problems.simulate import TRACE_COLUMNS
+from golden_levels import record_this_level, recorded_at_this_level
 
 KIN = KineticParams()
 MECH = MechanicalParams()
@@ -267,14 +268,16 @@ def golden_traces():
 
 def test_simulation_is_bit_identical_to_recorded_values():
     # Recorded with Python 3.11 / numpy 2.4.6 on an AVX512 x86-64 host by
-    # running this file as a script. The golden fixes the bits of the array
-    # Arrhenius factors (numpy's exp kernel), of phase one's scalar loop and
-    # of phase two's cumulative product: a speedup that keeps that arithmetic
-    # keeps every bit, and a change to it is re-recorded once, on purpose.
-    golden = json.loads(GOLDEN_PATH.read_text())
+    # running this file as a script, at its default level and again with
+    # NPY_DISABLE_CPU_FEATURES=X86_V4. The golden fixes the bits of the array
+    # Arrhenius factors (numpy's exp kernel, which differs between those
+    # levels), of phase one's scalar loop and of phase two's cumulative
+    # product: a speedup that keeps that arithmetic keeps every bit, and a
+    # change to it is re-recorded once, at every level, on purpose.
+    recorded = recorded_at_this_level(GOLDEN_PATH, "tests/test_cure_sim.py")
     got = {name: golden_snapshot(trace) for name, trace in golden_traces()}
-    assert list(got) == list(golden)
-    assert [name for name in got if got[name] != golden[name]] == []
+    assert list(got) == list(recorded)
+    assert [name for name in got if got[name] != recorded[name]] == []
 
 
 def _scalar_arrhenius(temps_k, kin):
@@ -440,10 +443,10 @@ def test_stiff_phase_two_raises_like_the_scalar_reference(name, dt, a3, t_raise)
 
 
 if __name__ == "__main__":
-    # python tests/test_cure_sim.py re-records the golden: one trace per line
-    lines = [
-        f" {json.dumps(name)}: {json.dumps(golden_snapshot(trace))}"
-        for name, trace in golden_traces()
-    ]
-    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(lines)} traces to {GOLDEN_PATH}")
+    # python tests/test_cure_sim.py records the golden of the running level
+    # and keeps the other levels' entries: one trace a line
+    record_this_level(
+        GOLDEN_PATH,
+        {name: golden_snapshot(trace) for name, trace in golden_traces()},
+        lambda name, snapshot: f"  {json.dumps(name)}: {json.dumps(snapshot)}",
+    )
