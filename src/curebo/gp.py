@@ -214,7 +214,7 @@ def _lbfgsb(objective, x0: np.ndarray, lo: float, hi: float) -> np.ndarray:
     iwa = np.zeros(3 * n, dtype=np.int32)
     task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
     lsave, isave, dsave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32), np.zeros(29)
-    iterations, evaluated = 0, None
+    iterations, last_x = 0, None
     while True:
         setulb(MAXCOR, x, low, up, nbd, f, g, FACTR, PGTOL, wa, iwa, task, lsave, isave, dsave,
                MAXLS, ln_task)
@@ -222,9 +222,10 @@ def _lbfgsb(objective, x0: np.ndarray, lo: float, hi: float) -> np.ndarray:
             # setulb may ask again for the point it was just given, and
             # minimize then answers from its cache without a call; setulb
             # may also overwrite g, so it gets a copy
-            if evaluated is None or not (x == evaluated[0]).all():
-                evaluated = (x.copy(), *objective(x.copy()))
-            f, g = evaluated[1], evaluated[2].copy()
+            if last_x is None or not (x == last_x).all():
+                last_x = x.copy()
+                value, grad = objective(x.copy())
+            f, g = value, grad.copy()
         elif task[0] == 1:  # NEW_X: one more iteration
             iterations += 1
             if iterations >= MAXITER:
