@@ -1,10 +1,10 @@
 """Thread counts and kernel names of the OpenBLAS libraries loaded in this process.
 
 numpy and scipy wheels each bundle their own OpenBLAS, and each starts one
-thread per core. A study runs its replications with every loaded OpenBLAS
-pinned to one thread, in the calling process and in each worker, so that
-side-by-side workers do not fight over the cores and no result depends on
-the caller's thread count.
+thread per core. A cBO run pins every loaded OpenBLAS to one thread for its
+loop, in the calling process or in a study worker, so that side-by-side
+workers do not fight over the cores and no result depends on the caller's
+thread count.
 
 Libraries are found with ``dl_iterate_phdr``. Where the C library lacks it
 (macOS, Windows), or where the BLAS is not OpenBLAS (MKL, Accelerate), no
@@ -91,19 +91,14 @@ def openblas_cores() -> dict[str, str]:
     return {path: core().decode() for path, _, _, core in _openblas_functions() if core}
 
 
-def pin_openblas_to_one_thread() -> None:
-    """Set every OpenBLAS loaded in this process to one thread."""
-    for _, _, set_, _ in _openblas_functions():
-        set_(1)
-
-
 @contextlib.contextmanager
 def openblas_pinned_to_one_thread():
     """Pin every OpenBLAS loaded in this process to one thread for the block,
     then give each back the thread count it had before."""
     functions = _openblas_functions()
     counts = [get() for _, get, _, _ in functions]
-    pin_openblas_to_one_thread()
+    for _, _, set_, _ in functions:
+        set_(1)
     try:
         yield
     finally:

@@ -71,9 +71,9 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
     Every loaded OpenBLAS runs at one thread for the run and gets its thread
     count back after. The report is bitwise reproducible for identical
     inputs. A failing problem evaluation, a surrogate that cannot be fitted,
-    or a candidate pool whose every candidate is a near-duplicate of an
-    evaluated point ends the run early and returns the partial report with
-    complete=False.
+    a sieve that rejects every candidate of a pool, or a pool whose every
+    candidate is a near-duplicate of an evaluated point ends the run early
+    and returns the partial report with complete=False.
     """
     t0 = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
@@ -88,7 +88,7 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
         )
 
     # The products are small, so extra BLAS threads only cost time (twice
-    # the time at two threads, with the same bits); a study pins them too.
+    # the time at two threads, with the same bits).
     with openblas_pinned_to_one_thread():
         for x in lhs_sample(space, config.n_init, init_ss):
             if evaluate(problem, x, 0, None, evaluations, events) is None:
@@ -107,19 +107,16 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
                 return finish(complete=False)
 
             pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
-            pf_only = False
             if config.sieve_predicate is not None:
-                sieved = sieve(pool, config.sieve_predicate, space)
-                if len(sieved) == 0:
-                    events.append(f"step {step}: sieve emptied the pool, scoring unsieved pool by PF only")
-                    pf_only = True
-                else:
-                    pool = sieved
+                pool = sieve(pool, config.sieve_predicate, space)
+                if len(pool) == 0:
+                    events.append(f"step {step}: sieve emptied the pool, stopping early")
+                    return finish(complete=False)
 
             mean_g, var_g = predict_batch(model_g, pool)
             pf = pf_values(mean_g, var_g, config.threshold)
             best = running_best(evaluations, config.threshold)[-1]
-            if pf_only or best is None:
+            if best is None:
                 scores = pf
             else:
                 mean_f, var_f = predict_batch(model_f, pool)

@@ -94,7 +94,7 @@ def oracle(problem_name, grid, threshold):
     options = {} if threshold is None else {"threshold": threshold}
     problem = problem_by_name(problem_name, **options)
     if grid is None:
-        grid = _DEFAULT_ORACLE_GRID.get(problem_name, 11)
+        grid = _DEFAULT_ORACLE_GRID[problem_name]
     result = grid_oracle(problem, grid)
     if result.f_min is None:
         click.echo(f"no feasible point on a {grid}^{problem.space.dims} grid")

@@ -6,7 +6,6 @@ from curebo.problems.analytical import (
     U_COEFFS,
 )
 from curebo.problems.blackbox import (
-    LARGE_OBJECTIVE,
     Problem,
     analytical_problem,
     four_point_problem,
@@ -43,7 +42,6 @@ __all__ = [
     "IntegrationError",
     "InfeasibleCycleError",
     "KineticParams",
-    "LARGE_OBJECTIVE",
     "MechanicalParams",
     "Problem",
     "U_COEFFS",

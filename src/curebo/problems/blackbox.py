@@ -9,18 +9,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from curebo.problems.analytical import DOC_COEFFS, DOC_THRESHOLD, U_COEFFS, quad_surface
-from curebo.problems.cycle import (
-    START_TEMP_C,
-    InfeasibleCycleError,
-    four_point_cycle,
-    two_point_cycle,
-)
+from curebo.problems.cycle import _TIME_EPS, DWELL_TEMP_C, START_TEMP_C, four_point_cycle, two_point_cycle
 from curebo.problems.simulate import KineticParams, MechanicalParams, simulate_cure
 from curebo.space import DesignSpace
-
-# Sentinel returned for unassemblable cycles so optimizers treat the point as
-# dominated instead of crashing.
-LARGE_OBJECTIVE = 1e30
 
 
 @dataclass(frozen=True)
@@ -33,16 +24,10 @@ class Problem:
     raw_fn: Callable[[np.ndarray], tuple]
     sieve_raw: Optional[Callable[[np.ndarray], np.ndarray]] = None  # see space.sieve
 
-    def evaluate_raw(self, raw) -> tuple:
-        try:
-            f, g = self.raw_fn(np.asarray(raw, dtype=float))
-        except InfeasibleCycleError:
-            return LARGE_OBJECTIVE, 0.0
-        return float(f), float(g)
-
     def __call__(self, x) -> tuple:
-        """Evaluate at a normalized design point."""
-        return self.evaluate_raw(self.space.denormalize(np.asarray(x, dtype=float)))
+        """Evaluate at a normalized design point; a cycle that cannot be
+        assembled raises InfeasibleCycleError."""
+        return self.raw_fn(self.space.denormalize(x))
 
 
 def analytical_problem(threshold: float = DOC_THRESHOLD) -> Problem:
@@ -62,6 +47,13 @@ def analytical_problem(threshold: float = DOC_THRESHOLD) -> Problem:
     )
 
 
+def _check_simulator_options(dt: float, start_temp: float) -> None:
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if start_temp > DWELL_TEMP_C:  # the cool-down would have negative length
+        raise ValueError(f"start_temp must be at most the {DWELL_TEMP_C} C dwell temperature")
+
+
 def two_point_problem(
     t1_min: float = 1.0,
     threshold: float = 0.995,
@@ -74,8 +66,9 @@ def two_point_problem(
 
     t1_min selects the case family (1 min or 10 min in the shipped configs).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_simulator_options(dt, start_temp)
+    if t1_min <= _TIME_EPS:  # A would sit on the start vertex at another temperature
+        raise ValueError(f"t1_min must be greater than {_TIME_EPS} min")
 
     def fn(raw):
         trace = simulate_cure(two_point_cycle(raw[0], raw[1], start_temp), kin, mech, dt)
@@ -103,8 +96,7 @@ def four_point_problem(
     the second; require_rising_second_ramp additionally demands a positive
     second slope.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_simulator_options(dt, start_temp)
 
     def fn(raw):
         trace = simulate_cure(

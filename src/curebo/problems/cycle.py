@@ -22,7 +22,10 @@ TWO_POINT_DWELL_START_MIN = 120.0
 TWO_POINT_DWELL_MIN = 112.0
 FOUR_POINT_DWELL_MIN = 60.0
 
-_TIME_EPS = 1e-9
+_TIME_EPS = 1e-9  # min
+# deg C; a ramp at BASE_RAMP_RATE climbs 2.6e-9 C within _TIME_EPS, so two
+# vertices that close in time are one point when this close in temperature
+_TEMP_EPS = 1e-6
 
 
 class InfeasibleCycleError(ValueError):
@@ -71,7 +74,7 @@ def _assemble(vertices) -> CureCycle:
     cleaned = []
     for t, temp in vertices:
         if cleaned and abs(t - cleaned[-1][0]) <= _TIME_EPS:
-            if abs(temp - cleaned[-1][1]) <= 1e-9:
+            if abs(temp - cleaned[-1][1]) <= _TEMP_EPS:
                 continue  # drop zero-length segment
             raise InfeasibleCycleError(f"temperature jump at t={t}")
         cleaned.append((float(t), float(temp)))

@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 
-from curebo.blas import openblas_pinned_to_one_thread, pin_openblas_to_one_thread
 from curebo.cbo import CboConfig, run_cbo
 from curebo.ga import GaConfig, run_ga
 from curebo.problems import problem_by_name
@@ -421,8 +420,8 @@ def _replicate(args) -> Replication:
 
 
 def worker_pool(workers: int) -> ProcessPoolExecutor:
-    """The process pool of run_study; each worker runs its BLAS single-threaded."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=pin_openblas_to_one_thread)
+    """The process pool of run_study."""
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _replications(config: RunConfig, optimizer: str):
@@ -444,31 +443,27 @@ def run_study(config: RunConfig) -> dict[str, StudySummary]:
     replications before the failing one.
 
     With workers > 1 the replications run in a pool of
-    min(workers, replications) processes. Every loaded OpenBLAS runs one
-    thread for the whole study, in each worker and in the calling process,
-    which gets its own counts back on return: one BLAS thread per core in
-    every worker would oversubscribe the cores, and one rule for every
-    worker count keeps results independent of the caller's setting.
+    min(workers, replications) processes. Only run_cbo calls BLAS, and it
+    pins every loaded OpenBLAS to one thread for its loop, in a worker too.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     optimizers = ["cbo", "ga"] if config.optimizer == "both" else [config.optimizer]
 
     summaries: dict[str, StudySummary] = {}
-    with openblas_pinned_to_one_thread():
-        for optimizer in optimizers:
-            # opened before any replication runs, so an unwritable directory fails first
-            with open(out_dir / f"{optimizer}_events.csv", "w", newline="") as handle:
-                events = csv.writer(handle)
-                events.writerow(["replication", "event"])
-                rows = []
-                for index, row in enumerate(_replications(config, optimizer)):
-                    events.writerows([index, event] for event in row.events)
-                    rows.append(row)
-            summary = summarize(config, optimizer, rows)
-            _write_convergence_csv(out_dir / f"{optimizer}_convergence.csv", summary)
-            (out_dir / f"{optimizer}_summary.json").write_text(summary.to_json())
-            summaries[optimizer] = summary
+    for optimizer in optimizers:
+        # opened before any replication runs, so an unwritable directory fails first
+        with open(out_dir / f"{optimizer}_events.csv", "w", newline="") as handle:
+            events = csv.writer(handle)
+            events.writerow(["replication", "event"])
+            rows = []
+            for index, row in enumerate(_replications(config, optimizer)):
+                events.writerows([index, event] for event in row.events)
+                rows.append(row)
+        summary = summarize(config, optimizer, rows)
+        _write_convergence_csv(out_dir / f"{optimizer}_convergence.csv", summary)
+        (out_dir / f"{optimizer}_summary.json").write_text(summary.to_json())
+        summaries[optimizer] = summary
     return summaries
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curebo.problems import (
-    LARGE_OBJECTIVE,
+    InfeasibleCycleError,
     analytical_problem,
     four_point_problem,
     problem_by_name,
@@ -41,12 +41,18 @@ def test_four_point_space_and_sieve():
     assert not strict.sieve_raw(falling)
 
 
-def test_unassemblable_cycle_returns_dominated_sentinel():
+def test_unassemblable_cycle_raises():
     problem = two_point_problem()
     # raw point outside the design box: control point after the dwell anchor
-    f, g = problem.evaluate_raw(np.array([130.0, 150.0]))
-    assert f == LARGE_OBJECTIVE
-    assert g == 0.0
+    with pytest.raises(InfeasibleCycleError):
+        problem.raw_fn([130.0, 150.0])
+
+
+def test_four_point_problem_evaluates_a_box_point_just_under_the_dwell_temperature():
+    problem = four_point_problem(dt=0.5)
+    x = np.array([0.4, 0.5, 0.3, 1.0 - 6e-11])  # T2 = 180 - 1.8e-9 C
+    f, g = problem(x)
+    assert np.isfinite(f) and 0.9 < g <= 1.0
 
 
 def test_simulator_problem_end_to_end_matches_direct_simulation():

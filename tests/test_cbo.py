@@ -82,14 +82,15 @@ def test_incumbent_is_feasible_or_absent():
         assert f == report.incumbent.f
 
 
-def test_pf_only_fallback_on_empty_sieve():
+def test_emptied_sieve_ends_the_run():
     problem = analytical_problem()
     config = CboConfig(
         n_init=5, n_steps=3, pool_size=200, seed=2, sieve_predicate=lambda raw: False
     )
     report = run_cbo(problem, problem.space, config)
-    assert report.n_evaluations == 8  # budget still exact
-    assert sum("PF only" in e for e in report.events) == 3
+    assert report.n_evaluations == 5  # no learn point is taken from outside the sieve
+    assert not report.complete
+    assert report.events == ["step 1: sieve emptied the pool, stopping early"]
 
 
 def test_sieve_predicate_filters_candidates():

@@ -47,16 +47,20 @@ def test_four_point_cycle_geometry():
 
 
 def test_four_point_skips_zero_length_ramp_at_dwell_temperature():
-    cycle = four_point_cycle(40.0, 150.0, 150.0, 180.0)
-    times = cycle.times
-    assert np.all(np.diff(times) > 0)
-    assert cycle.temperature(150.0) == pytest.approx(180.0)
-    assert cycle.temperature(210.0) == pytest.approx(180.0)
+    # just under 180 C (the top of sim4pt's T2 range at x = 1 - 6e-11) the
+    # ramp lasts 6.9e-10 min and climbs 1.8e-9 C: one point, not a jump
+    for T2 in (180.0, 150.0 + (1.0 - 6e-11) * 30.0):
+        cycle = four_point_cycle(40.0, 150.0, 150.0, T2)
+        assert np.all(np.diff(cycle.times) > 0)
+        assert cycle.temperature(150.0) == pytest.approx(180.0)
+        assert cycle.temperature(210.0) == pytest.approx(180.0)
 
 
 def test_non_increasing_times_rejected():
     with pytest.raises(InfeasibleCycleError):
         two_point_cycle(130.0, 150.0)  # control point after the dwell anchor
+    with pytest.raises(InfeasibleCycleError, match="temperature jump at t=0.0"):
+        two_point_cycle(0.0, 150.0)  # control point on the start vertex
     with pytest.raises(InfeasibleCycleError):
         CureCycle(vertices=((0.0, 20.0), (10.0, 100.0), (10.0, 150.0)))
     with pytest.raises(InfeasibleCycleError):

@@ -12,14 +12,14 @@ PROBLEM = analytical_problem()
 
 
 def test_origin_keeps_only_constant_terms():
-    u, doc = PROBLEM.evaluate_raw([0.0, 0.0])
+    u, doc = PROBLEM.raw_fn([0.0, 0.0])
     assert u == pytest.approx(1.8646, abs=0.0)
     assert doc == pytest.approx(0.9902, abs=0.0)
     assert doc < 0.995  # the origin is infeasible
 
 
 def test_far_corner_sums_all_coefficients():
-    u, doc = PROBLEM.evaluate_raw([1.0, 1.0])
+    u, doc = PROBLEM.raw_fn([1.0, 1.0])
     # at (1, 1) every monomial equals 1, so the value is the coefficient sum
     assert u == pytest.approx(sum(U_COEFFS), rel=1e-14)
     assert doc == pytest.approx(sum(DOC_COEFFS), rel=1e-14)
@@ -29,9 +29,9 @@ def test_far_corner_sums_all_coefficients():
 
 def test_out_of_box_rejected():
     with pytest.raises(ValueError):
-        PROBLEM.evaluate_raw([1.2, 0.5])
+        PROBLEM.raw_fn([1.2, 0.5])
     with pytest.raises(ValueError):
-        PROBLEM.evaluate_raw([0.5, -0.1])
+        PROBLEM.raw_fn([0.5, -0.1])
 
 
 def test_naive_vs_horner_evaluation():
@@ -42,7 +42,7 @@ def test_naive_vs_horner_evaluation():
     rng = np.random.default_rng(17)
     pts = rng.random((1000, 2))
     for t, T in pts:
-        u, _ = PROBLEM.evaluate_raw([t, T])
+        u, _ = PROBLEM.raw_fn([t, T])
         assert u == pytest.approx(horner_u(t, T), rel=1e-15, abs=1e-15)
 
 
@@ -53,7 +53,7 @@ def test_grid_oracle_fast_path_matches_plain_loop():
     axis = np.linspace(0.0, 1.0, 201)
     for t in axis:
         for T in axis:
-            u, doc = PROBLEM.evaluate_raw([t, T])
+            u, doc = PROBLEM.raw_fn([t, T])
             if doc >= 0.995 and u < best_f:
                 best_f, best_x = u, (t, T)
     assert result.f_min == pytest.approx(best_f, rel=0.0, abs=0.0)

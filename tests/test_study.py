@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from curebo import study
+from curebo import cbo, cli, study
 from curebo.blas import openblas_threads
 from curebo.cli import main
-from curebo.problems.blackbox import Problem
+from curebo.problems.blackbox import FACTORIES, Problem
 from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
 from curebo.study import (
@@ -23,7 +23,6 @@ from curebo.study import (
     percentile,
     run_study,
     summarize,
-    worker_pool,
 )
 
 
@@ -133,7 +132,7 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value):
 
 
 # Each value's JSON type differs from the default of the parameter it sets,
-# or it is an integer too long to convert to a float.
+# it is an integer too long to convert to a float, or it is out of range.
 @pytest.mark.parametrize(
     "problem, options, message",
     [
@@ -146,6 +145,11 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value):
         ("sim4pt", {"mechanical": [0.1]}, "problem_options.mechanical must be an object"),
         pytest.param("sim2pt", {"kinetics": {"a1": 10**400}},
                      "problem_options.kinetics.a1 must be a finite number", id="sim2pt-a1-1e400"),
+        # values under which the design box holds cycles that cannot be assembled
+        ("sim2pt", {"t1_min": 0}, "t1_min must be greater than 1e-09 min"),
+        ("sim2pt", {"t1_min": 1e-9}, "t1_min must be greater than 1e-09 min"),
+        ("sim2pt", {"start_temp": 200}, "start_temp must be at most the 180.0 C dwell temperature"),
+        ("sim4pt", {"start_temp": 180.5}, "start_temp must be at most the 180.0 C dwell temperature"),
     ],
 )
 def test_cli_run_rejects_mistyped_problem_options_before_writing(tmp_path, problem, options, message):
@@ -252,29 +256,28 @@ def test_worker_count_does_not_change_artifacts(tmp_path, optimizer):
     not openblas_threads(), reason="no loaded OpenBLAS exposes openblas_get_num_threads"
 )
 def test_study_workers_run_blas_single_threaded(tmp_path, monkeypatch):
+    # run_cbo pins its own loop, in a worker too; a study pins nothing and
+    # leaves the caller's counts as they were, also when it raises
     parent = openblas_threads()
     pinned = {path: 1 for path in parent}
-    with worker_pool(2) as pool:
-        in_worker = pool.submit(openblas_threads).result(timeout=60)
-    assert in_worker == pinned
-    run_study(RunConfig.from_dict(small_config(tmp_path, workers=2)))
-    assert openblas_threads() == parent
+    fit_gp = cbo.fit_gp
 
-    # workers=1 runs the replications in this process, also at one thread,
-    # and a study that raises gives the caller's counts back too
-    seen = []
-    run_cbo = study.run_cbo
+    def checked(train_x, train_y):
+        if openblas_threads() != pinned:  # raised in a forked worker, it ends the study
+            raise RuntimeError(f"surrogate fitted at {openblas_threads()} BLAS threads")
+        return fit_gp(train_x, train_y)
 
-    def recording(problem, space, config):
-        seen.append(openblas_threads())
-        if len(seen) == 3:
-            raise RuntimeError("replication 2 failed")
-        return run_cbo(problem, space, config)
+    monkeypatch.setattr(cbo, "fit_gp", checked)
+    for workers in (2, 1):
+        run_study(RunConfig.from_dict(small_config(tmp_path, workers=workers)))
+        assert openblas_threads() == parent
 
-    monkeypatch.setattr(study, "run_cbo", recording)
-    with pytest.raises(RuntimeError, match="replication 2 failed"):
+    def failing(train_x, train_y):
+        raise RuntimeError("replication 0 failed")
+
+    monkeypatch.setattr(cbo, "fit_gp", failing)
+    with pytest.raises(RuntimeError, match="replication 0 failed"):
         run_study(RunConfig.from_dict(small_config(tmp_path, output_dir=str(tmp_path / "serial"))))
-    assert seen == [pinned] * 3
     assert openblas_threads() == parent
 
 
@@ -425,6 +428,10 @@ def test_cli_oracle_and_error_codes(tmp_path):
     not_json.write_text("{")
     res = runner.invoke(main, ["run", str(not_json)])
     assert res.exit_code == 2
+
+
+def test_cli_oracle_has_a_default_grid_for_every_registered_problem():
+    assert set(cli._DEFAULT_ORACLE_GRID) == set(FACTORIES)
 
 
 def test_cli_trace_writes_csv(tmp_path):
