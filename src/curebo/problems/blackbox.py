@@ -10,7 +10,7 @@ import numpy as np
 
 from curebo.problems.analytical import DOC_COEFFS, DOC_THRESHOLD, U_COEFFS, quad_surface
 from curebo.problems.cycle import _TIME_EPS, DWELL_TEMP_C, START_TEMP_C, four_point_cycle, two_point_cycle
-from curebo.problems.simulate import KineticParams, MechanicalParams, simulate_cure
+from curebo.problems.simulate import KELVIN_OFFSET, KineticParams, MechanicalParams, simulate_cure
 from curebo.space import DesignSpace
 
 
@@ -52,6 +52,8 @@ def _check_simulator_options(dt: float, start_temp: float) -> None:
         raise ValueError("dt must be positive")
     if start_temp > DWELL_TEMP_C:  # the cool-down would have negative length
         raise ValueError(f"start_temp must be at most the {DWELL_TEMP_C} C dwell temperature")
+    if start_temp <= -KELVIN_OFFSET:  # the Arrhenius factors divide by the temperature in K
+        raise ValueError(f"start_temp must be above absolute zero, {-KELVIN_OFFSET} C")
 
 
 def two_point_problem(

@@ -6,12 +6,13 @@ right-hand side is smooth within every integration step.
 
 Temperature is prescribed, so the Arrhenius factors are arrays computed
 before integration, at every grid node and step midpoint, by the helper
-`cure_rate` uses too. While alpha <= branch_switch a scalar loop tests the
-branch at every stage and redoes the step that crosses the switch in
-substeps. Past the switch the rate law is linear in 1 - alpha, so each RK4
-step multiplies 1 - alpha by its stability polynomial (Hairer & Wanner,
-Solving ODEs II, IV.2), the rate clamps entering as stage factors, and the
-phase is one cumulative product.
+`cure_rate` uses too; the trace's rate column reuses the node factors. While
+alpha <= branch_switch one flat scalar loop walks memoryview slices of the
+step lengths and factors, tests the branch at every stage and redoes the
+step that crosses the switch in substeps. Past the switch the rate law is
+linear in 1 - alpha, so each RK4 step multiplies 1 - alpha by its stability
+polynomial (Hairer & Wanner, Solving ODEs II, IV.2), the rate clamps
+entering as stage factors, and the phase is one cumulative product.
 
 Alongside the cure state the simulator tracks the exotherm rate diagnostic,
 resin viscosity, instantaneous glass transition, the cure-hardening modulus,
@@ -130,13 +131,16 @@ def arrhenius_factors(temp_k, kin: KineticParams):
     return kin.a1 * np.exp(-kin.e1 * s), np.exp(-kin.e2 * s), kin.a3 * np.exp(-kin.e3 * s)
 
 
-def cure_rate(alpha, temp_k, kin: KineticParams = KineticParams()):
-    """Cure rate (per minute) at degree of cure alpha and temperature in K."""
-    alpha = np.asarray(alpha, dtype=float)
-    b1, e2, b3 = arrhenius_factors(temp_k, kin)
+def _rate_law(alpha: np.ndarray, b1, e2, b3, kin: KineticParams) -> np.ndarray:
+    """Cure rate (per minute) at alpha from the factors of arrhenius_factors."""
     low = (b1 + alpha * kin.a2 * e2) * (1.0 - alpha) * (kin.alpha_crit - alpha)
     high = b3 * (1.0 - alpha)
-    out = np.where(alpha <= kin.branch_switch, low, high)
+    return np.where(alpha <= kin.branch_switch, low, high)
+
+
+def cure_rate(alpha, temp_k, kin: KineticParams = KineticParams()):
+    """Cure rate (per minute) at degree of cure alpha and temperature in K."""
+    out = _rate_law(np.asarray(alpha, dtype=float), *arrhenius_factors(temp_k, kin), kin)
     return out if out.ndim else float(out)
 
 
@@ -241,13 +245,19 @@ def _out_of_range(a: float, t_now: float) -> IntegrationError:
     return IntegrationError(f"degree of cure left [0, 1] at t={t_now:.4f} min")
 
 
-def _integrate_alpha(t, temps_k, mid_k, kin: KineticParams) -> np.ndarray:
-    """Degree of cure at every grid node: fixed-step RK4 in two phases.
+def _integrate_alpha(t, temps_k, mid_k, kin: KineticParams) -> tuple[np.ndarray, tuple]:
+    """Degree of cure at every grid node, and the Arrhenius factors at the
+    nodes: fixed-step RK4 in two phases.
 
-    Phase one runs while alpha <= branch_switch, tests the branch at every
-    stage and reads the factors as Python floats through memoryviews; the
-    step that crosses the switch is redone in 64 substeps, so the jump of the
-    rate law is confined to one of them. Phase two solves y' = -b3(T) y for
+    Phase one runs while alpha <= branch_switch as one flat loop over
+    memoryview slices of the step lengths and the half-grid factors (the
+    midpoint and the next node of each step), reading Python floats only for
+    the steps it reaches. Each step carries its end node's factors into the
+    next and inlines the four stage rates: alpha <= branch_switch at the
+    start of a step, so its first stage takes the low-alpha branch, and a
+    later stage past the switch reads b3 at half-grid index 2k + 1 or 2k + 2.
+    The step that crosses the switch is redone in 64 substeps, so the jump of
+    the rate law is confined to one of them. Phase two solves y' = -b3(T) y for
     y = 1 - alpha: each step multiplies y by P = 1 - h/6 (b0 + 2 bm s2 +
     2 bm s3 + b1 s4). Cure is irreversible: every rate is clamped at zero,
     which is the max(., 0) of the stage factors s2, s3, s4 and the cut of a
@@ -259,47 +269,86 @@ def _integrate_alpha(t, temps_k, mid_k, kin: KineticParams) -> np.ndarray:
     half_k = np.empty(2 * len(t) - 1)
     half_k[0::2], half_k[1::2] = temps_k, mid_k
     half_f = arrhenius_factors(half_k, kin)
+    f1, f2, f3 = (memoryview(f) for f in half_f)  # b1, e2, b3 as Python floats
 
-    def rate(a: float, f, i: int) -> float:
-        if a <= switch:
-            r = (f[0][i] + a * a2 * f[1][i]) * (1.0 - a) * (crit - a)
-        else:
-            r = f[2][i] * (1.0 - a)
-        return r if r > 0.0 else 0.0
-
-    def rk4_step(a: float, h: float, f, j: int) -> float:  # factors f[.][j : j + 3]
-        k1 = rate(a, f, j)
-        k2 = rate(a + 0.5 * h * k1, f, j + 1)
-        k3 = rate(a + 0.5 * h * k2, f, j + 1)
-        k4 = rate(a + h * k3, f, j + 2)
-        return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    n = len(t)
-    steps = memoryview(h)
-    half_v = [memoryview(f) for f in half_f]
-    alpha = np.empty(n)
+    alpha = np.empty(len(t))
     alpha[0] = a = 0.0
+    cure = memoryview(alpha)
     k = 0
-    while k < n - 1 and a <= switch:
-        trial = rk4_step(a, steps[k], half_v, 2 * k)
+    c1, c2 = f1[0], f2[0]  # b1, e2 at node k
+    for hk, m1, m2, d1, d2 in zip(memoryview(h), f1[1::2], f2[1::2], f1[2::2], f2[2::2]):
+        r = (c1 + a * a2 * c2) * (1.0 - a) * (crit - a)
+        k1 = r if r > 0.0 else 0.0
+        s = a + 0.5 * hk * k1
+        if s <= switch:
+            r = (m1 + s * a2 * m2) * (1.0 - s) * (crit - s)
+        else:
+            r = f3[2 * k + 1] * (1.0 - s)
+        k2 = r if r > 0.0 else 0.0
+        s = a + 0.5 * hk * k2
+        if s <= switch:
+            r = (m1 + s * a2 * m2) * (1.0 - s) * (crit - s)
+        else:
+            r = f3[2 * k + 1] * (1.0 - s)
+        k3 = r if r > 0.0 else 0.0
+        s = a + hk * k3
+        if s <= switch:
+            r = (d1 + s * a2 * d2) * (1.0 - s) * (crit - s)
+        else:
+            r = f3[2 * k + 2] * (1.0 - s)
+        k4 = r if r > 0.0 else 0.0
+        trial = a + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if a < switch < trial:
             # temperature is linear within a step (the grid is vertex aligned);
             # substep j runs from fraction 2j / (2 sub) to (2j + 2) / (2 sub)
-            # of it, with its midpoint at (2j + 1) / (2 sub)
+            # of it, with its midpoint at (2j + 1) / (2 sub). Its stages do
+            # the arithmetic of the four above, in the same order, except
+            # that the first one tests the branch too.
             sub = 64
             t_lo = temps_k[k]
             fractions = np.arange(2 * sub + 1) / (2 * sub)
             sub_f = arrhenius_factors(t_lo + (temps_k[k + 1] - t_lo) * fractions, kin)
-            sub_v = [memoryview(f) for f in sub_f]
-            hs = steps[k] / sub
+            g1, g2, g3 = (memoryview(f) for f in sub_f)
+            hs = hk / sub
             trial = a
             for j in range(0, 2 * sub, 2):
-                trial = rk4_step(trial, hs, sub_v, j)
+                s = trial
+                if s <= switch:
+                    r = (g1[j] + s * a2 * g2[j]) * (1.0 - s) * (crit - s)
+                else:
+                    r = g3[j] * (1.0 - s)
+                k1 = r if r > 0.0 else 0.0
+                s = trial + 0.5 * hs * k1
+                if s <= switch:
+                    r = (g1[j + 1] + s * a2 * g2[j + 1]) * (1.0 - s) * (crit - s)
+                else:
+                    r = g3[j + 1] * (1.0 - s)
+                k2 = r if r > 0.0 else 0.0
+                s = trial + 0.5 * hs * k2
+                if s <= switch:
+                    r = (g1[j + 1] + s * a2 * g2[j + 1]) * (1.0 - s) * (crit - s)
+                else:
+                    r = g3[j + 1] * (1.0 - s)
+                k3 = r if r > 0.0 else 0.0
+                s = trial + hs * k3
+                if s <= switch:
+                    r = (g1[j + 2] + s * a2 * g2[j + 2]) * (1.0 - s) * (crit - s)
+                else:
+                    r = g3[j + 2] * (1.0 - s)
+                k4 = r if r > 0.0 else 0.0
+                trial = trial + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         a = trial
-        if not -1e-9 <= a <= 1.0 + 1e-9:
-            raise _out_of_range(a, t[k + 1])
-        alpha[k + 1] = a = min(max(a, 0.0), 1.0)
         k += 1
+        if not -1e-9 <= a <= 1.0 + 1e-9:
+            raise _out_of_range(a, t[k])
+        if a < 0.0:
+            a = 0.0
+        elif a > 1.0:
+            a = 1.0
+        cure[k] = a
+        if a > switch:
+            break
+        c1, c2 = d1, d2
 
     b3 = half_f[2][2 * k :]
     h, b0, bm, b1 = h[k:], b3[0:-1:2], b3[1::2], b3[2::2]
@@ -316,7 +365,7 @@ def _integrate_alpha(t, temps_k, mid_k, kin: KineticParams) -> np.ndarray:
     if len(over) and not y[end - 1] >= -1e-9:
         raise _out_of_range(1.0 - y[end - 1], t[k + end])
     alpha[k + 1 :] = 1.0 - np.maximum(y, 0.0)
-    return alpha
+    return alpha, tuple(f[0::2] for f in half_f)
 
 
 def simulate_cure(
@@ -347,9 +396,9 @@ def simulate_cure(
     mid_k = cycle.temperature(0.5 * (t[:-1] + t[1:])) + KELVIN_OFFSET
 
     n = len(t)
-    alpha = _integrate_alpha(t, temps_k, mid_k, kin)
+    alpha, node_f = _integrate_alpha(t, temps_k, mid_k, kin)
 
-    rate = np.maximum(cure_rate(alpha, temps_k, kin), 0.0)
+    rate = np.maximum(_rate_law(alpha, *node_f, kin), 0.0)
     heat_rate = rate * (1.0 - kin.fiber_volume_fraction) * kin.resin_density * kin.heat_of_reaction
     mu = viscosity(alpha, temps_k, mech)
     tg = glass_transition_c(alpha, mech)

@@ -352,9 +352,73 @@ def scalar_alpha(t, temps_k, mid_k, kin):
     return np.array(alpha)
 
 
-def simulate_both(cycle, dt, kin=KIN):
+def closure_alpha(t, temps_k, mid_k, kin):
+    """Reference integrator: phase one as a while loop through the rate and
+    rk4_step closures, which the flat loop over memoryview slices replaced.
+    Its arithmetic, and so every bit of alpha, is the flat loop's."""
+    switch, crit, a2 = kin.branch_switch, kin.alpha_crit, kin.a2
+    h = np.diff(t)
+    half_k = np.empty(2 * len(t) - 1)
+    half_k[0::2], half_k[1::2] = temps_k, mid_k
+    half_f = simulate.arrhenius_factors(half_k, kin)
+
+    def rate(a, f, i):
+        if a <= switch:
+            r = (f[0][i] + a * a2 * f[1][i]) * (1.0 - a) * (crit - a)
+        else:
+            r = f[2][i] * (1.0 - a)
+        return r if r > 0.0 else 0.0
+
+    def rk4_step(a, h, f, j):
+        k1 = rate(a, f, j)
+        k2 = rate(a + 0.5 * h * k1, f, j + 1)
+        k3 = rate(a + 0.5 * h * k2, f, j + 1)
+        k4 = rate(a + h * k3, f, j + 2)
+        return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    n = len(t)
+    steps = memoryview(h)
+    half_v = [memoryview(f) for f in half_f]
+    alpha = np.empty(n)
+    alpha[0] = a = 0.0
+    k = 0
+    while k < n - 1 and a <= switch:
+        trial = rk4_step(a, steps[k], half_v, 2 * k)
+        if a < switch < trial:
+            sub = 64
+            t_lo = temps_k[k]
+            fractions = np.arange(2 * sub + 1) / (2 * sub)
+            sub_f = simulate.arrhenius_factors(t_lo + (temps_k[k + 1] - t_lo) * fractions, kin)
+            sub_v = [memoryview(f) for f in sub_f]
+            hs = steps[k] / sub
+            trial = a
+            for j in range(0, 2 * sub, 2):
+                trial = rk4_step(trial, hs, sub_v, j)
+        a = trial
+        if not -1e-9 <= a <= 1.0 + 1e-9:
+            raise simulate._out_of_range(a, t[k + 1])
+        alpha[k + 1] = a = min(max(a, 0.0), 1.0)
+        k += 1
+
+    b3 = half_f[2][2 * k :]
+    h, b0, bm, b1 = h[k:], b3[0:-1:2], b3[1::2], b3[2::2]
+    s2 = np.maximum(1.0 - 0.5 * h * b0, 0.0)
+    s3 = np.maximum(1.0 - 0.5 * h * bm * s2, 0.0)
+    s4 = np.maximum(1.0 - h * bm * s3, 0.0)
+    p = 1.0 - (h / 6.0) * (b0 + 2.0 * bm * s2 + 2.0 * bm * s3 + b1 * s4)
+    over = np.flatnonzero(~(p >= 0.0))
+    end = int(over[0]) + 1 if len(over) else len(p)
+    y = np.zeros(len(p))
+    y[:end] = (1.0 - a) * np.cumprod(p[:end])
+    if len(over) and not y[end - 1] >= -1e-9:
+        raise simulate._out_of_range(1.0 - y[end - 1], t[k + end])
+    alpha[k + 1 :] = 1.0 - np.maximum(y, 0.0)
+    return alpha
+
+
+def simulate_both(cycle, dt, kin=KIN, reference=scalar_alpha):
     """(trace or IntegrationError message) of simulate_cure and of the same
-    simulation with the scalar reference integrator."""
+    simulation with a reference integrator in place of _integrate_alpha."""
 
     def run():
         try:
@@ -362,9 +426,13 @@ def simulate_both(cycle, dt, kin=KIN):
         except IntegrationError as exc:
             return str(exc)
 
+    def integrate(t, temps_k, mid_k, kin):
+        alpha = reference(t, temps_k, mid_k, kin)
+        return alpha, simulate.arrhenius_factors(temps_k, kin)
+
     got = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_integrate_alpha", scalar_alpha)
+        mp.setattr(simulate, "_integrate_alpha", integrate)
         return got, run()
 
 
@@ -441,6 +509,95 @@ def test_stiff_phase_two_raises_like_the_scalar_reference(name, dt, a3, t_raise)
     got, ref = simulate_both(build_cycle(variant, params), dt, KineticParams(a3=a3))
     assert ref == f"degree of cure left [0, 1] at t={t_raise} min"
     assert got == ref
+
+
+def assert_same_bits(got, ref):
+    if isinstance(ref, str) or isinstance(got, str):
+        assert got == ref
+        return
+    assert np.array_equal(got.alpha, ref.alpha)
+    assert np.array_equal(got.rate, ref.rate)
+
+
+# Coarse steps in which a stage of phase one passes the switch and the trial
+# does not, so the step keeps a rate read from b3 at half-grid index 2k + 2
+# (stage four) or 2k + 1 (stage two or three). The last case's first ramp
+# stops at 180 C and its second cools at 6.9 C/min, so the midpoint rates of
+# the step fall below its start rate; a small a3 keeps the b3 rate small next
+# to them, and stage two passes the switch while the trial does not.
+B3_STAGES = {
+    "two-point 5 175 dt=1": ("two-point", (5.0, 175.0), 1.0, KIN),
+    "two-point 10 170 dt=2": ("two-point", (10.0, 170.0), 2.0, KIN),
+    "four-point 8 180 160 165 dt=1": ("four-point", (8.0, 180.0, 160.0, 165.0), 1.0, KIN),
+    "four-point 2 170 120 150 dt=2": ("four-point", (2.0, 170.0, 120.0, 150.0), 2.0, KIN),
+    "four-point 7 180 15 125 dt=1 a3=1e3": (
+        "four-point", (7.0, 180.0, 15.0, 125.0), 1.0, KineticParams(a3=1e3)),
+}
+# A more negative a2 gives the low-alpha rate law a root below the switch:
+# the cure stalls there and the stages that overshoot it clamp at zero.
+LOW_BRANCH_ROOT = {
+    "two-point 45 127 dt=0.1 a2=-5e9": ("two-point", (45.0, 127.0), 0.1, KineticParams(a2=-5e9)),
+    "four-point 50 135 130 178 dt=1 a2=-1e10": (
+        "four-point", (50.0, 135.0, 130.0, 178.0), 1.0, KineticParams(a2=-1e10)),
+}
+
+
+@pytest.mark.parametrize("name", list(B3_STAGES) + list(LOW_BRANCH_ROOT))
+def test_flat_loop_keeps_the_bits_of_the_closure_loop(name):
+    variant, params, dt, kin = {**B3_STAGES, **LOW_BRANCH_ROOT}[name]
+    got, ref = simulate_both(build_cycle(variant, params), dt, kin, closure_alpha)
+    assert not isinstance(ref, str)
+    assert_same_bits(got, ref)
+
+
+# (cycle, dt, a3, t): a3 so large that h/64 * b3 > 2 in the substeps of the
+# step that crosses the switch, so their stage rates clamp at zero, and the
+# step overshoots full cure and raises at its end, time t.
+STIFF_CROSSING = [
+    ("baseline", 1.0, 1e9, "53.5980"),
+    ("two-point 45 127", 2.0, 1e10, "66.7105"),
+]
+
+
+@pytest.mark.parametrize("name, dt, a3", STIFF_CLAMPED + [case[:3] for case in STIFF_OVERSHOOT])
+def test_flat_loop_keeps_the_bits_of_the_closure_loop_when_stiff(name, dt, a3):
+    variant, params = GOLDEN_CYCLES[name]
+    got, ref = simulate_both(build_cycle(variant, params), dt, KineticParams(a3=a3), closure_alpha)
+    assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("name, dt, a3, t_raise", STIFF_CROSSING)
+def test_stiff_crossing_step_raises_like_the_closure_loop(name, dt, a3, t_raise):
+    variant, params = GOLDEN_CYCLES[name]
+    got, ref = simulate_both(build_cycle(variant, params), dt, KineticParams(a3=a3), closure_alpha)
+    assert ref == f"degree of cure left [0, 1] at t={t_raise} min"
+    assert got == ref
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t1=st.floats(1.0, 110.0),
+    temp1=st.floats(125.0, 180.0),
+    dt=st.sampled_from((0.1, 1.0, 2.0)),
+    a3=st.sampled_from((KIN.a3, 1e7, 3e8)),
+)
+def test_two_point_cycles_keep_the_bits_of_the_closure_loop(t1, temp1, dt, a3):
+    cycle = two_point_cycle(t1, temp1)
+    assert_same_bits(*simulate_both(cycle, dt, KineticParams(a3=a3), closure_alpha))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t1=st.floats(1.0, 110.0),
+    temp1=st.floats(125.0, 180.0),
+    t2=st.floats(120.0, 200.0),
+    temp2=st.floats(150.0, 180.0),
+    dt=st.sampled_from((0.1, 1.0, 2.0)),
+    a3=st.sampled_from((KIN.a3, 1e7, 3e8)),
+)
+def test_four_point_cycles_keep_the_bits_of_the_closure_loop(t1, temp1, t2, temp2, dt, a3):
+    cycle = four_point_cycle(t1, temp1, t2, temp2)
+    assert_same_bits(*simulate_both(cycle, dt, KineticParams(a3=a3), closure_alpha))
 
 
 if __name__ == "__main__":

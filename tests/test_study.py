@@ -150,6 +150,8 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value):
         ("sim2pt", {"t1_min": 1e-9}, "t1_min must be greater than 1e-09 min"),
         ("sim2pt", {"start_temp": 200}, "start_temp must be at most the 180.0 C dwell temperature"),
         ("sim4pt", {"start_temp": 180.5}, "start_temp must be at most the 180.0 C dwell temperature"),
+        ("sim2pt", {"start_temp": -300}, "start_temp must be above absolute zero, -273.15 C"),
+        ("sim4pt", {"start_temp": -273.15}, "start_temp must be above absolute zero, -273.15 C"),
     ],
 )
 def test_cli_run_rejects_mistyped_problem_options_before_writing(tmp_path, problem, options, message):
