@@ -8,7 +8,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import replace
 
 import click
 
@@ -18,9 +17,9 @@ from curebo.problems.simulate import IntegrationError, KineticParams, Mechanical
 from curebo.study import (
     ConfigError,
     RunConfig,
-    _is_number,
-    _option_violations,
     grid_oracle,
+    json_arguments,
+    json_violations,
     run_study,
 )
 
@@ -29,8 +28,9 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 _DEFAULT_ORACLE_GRID = {"analytical": 2001, "sim2pt": 15, "sim4pt": 7}
-_TRACE_KEYS = {"variant", "params", "start_temp", "kinetics", "mechanical", "dt"}
-_TRACE_DEFAULTS = {"start_temp": 20.0, "dt": 0.1}
+# the keys of a cycle trace config and their defaults, checked by json_violations
+_TRACE_DEFAULTS = {"variant": "baseline", "params": (), "kinetics": KineticParams(),
+                   "mechanical": MechanicalParams(), "dt": 0.1}
 
 
 def _guarded(fn):
@@ -118,29 +118,21 @@ def trace(cycle_config, out):
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("cycle config must be a JSON object")
-    unknown = sorted(set(data) - _TRACE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown keys: {', '.join(unknown)}")
-    variant = data.get("variant", "baseline")
-    params = data.get("params", [])
+    params = data.get("params")
     if isinstance(params, dict):
+        variant = data.get("variant", _TRACE_DEFAULTS["variant"])
         order = {"two-point": ("t1", "T1"), "four-point": ("t1", "T1", "t2", "T2")}
         keys = order.get(variant, ())
         missing = [k for k in keys if k not in params]
         if missing:
             raise ValueError(f"{variant} params lack {', '.join(missing)}")
-        params = [params[k] for k in keys]
-    # the value rules of a study's problem_options, and finite numbers as params
-    violations = _option_violations("", data, _TRACE_DEFAULTS)
-    if not isinstance(params, list) or not all(_is_number(p) for p in params):
-        violations.append("params must be a list of finite numbers")
+        data = {**data, "params": [params[k] for k in keys]}
+    violations = json_violations(data, _TRACE_DEFAULTS)
     if violations:
         raise ConfigError(violations)
-    options = {**_TRACE_DEFAULTS, **data}
-    cycle = build_cycle(variant, params, start_temp=float(options["start_temp"]))
-    kin = replace(KineticParams(), **data.get("kinetics", {}))
-    mech = replace(MechanicalParams(), **data.get("mechanical", {}))
-    result = simulate_cure(cycle, kin, mech, dt=float(options["dt"]))
+    options = {**_TRACE_DEFAULTS, **json_arguments(data, _TRACE_DEFAULTS)}
+    cycle = build_cycle(options["variant"], options["params"])
+    result = simulate_cure(cycle, options["kinetics"], options["mechanical"], float(options["dt"]))
     result.write_csv(out)
     gel = "never" if result.gel_index is None else f"{result.time_min[result.gel_index]:.2f} min"
     click.echo(f"trace written to {out} ({len(result.time_min)} rows)")

@@ -9,8 +9,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from curebo.problems.analytical import DOC_COEFFS, DOC_THRESHOLD, U_COEFFS, quad_surface
-from curebo.problems.cycle import _TIME_EPS, DWELL_TEMP_C, START_TEMP_C, four_point_cycle, two_point_cycle
-from curebo.problems.simulate import KELVIN_OFFSET, KineticParams, MechanicalParams, simulate_cure
+from curebo.problems.cycle import _TIME_EPS, START_TEMP_C, four_point_cycle, two_point_cycle
+from curebo.problems.simulate import KineticParams, MechanicalParams, simulate_cure
 from curebo.space import DesignSpace
 
 
@@ -47,33 +47,28 @@ def analytical_problem(threshold: float = DOC_THRESHOLD) -> Problem:
     )
 
 
-def _check_simulator_options(dt: float, start_temp: float) -> None:
+def _check_simulator_options(dt: float) -> None:
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if start_temp > DWELL_TEMP_C:  # the cool-down would have negative length
-        raise ValueError(f"start_temp must be at most the {DWELL_TEMP_C} C dwell temperature")
-    if start_temp <= -KELVIN_OFFSET:  # the Arrhenius factors divide by the temperature in K
-        raise ValueError(f"start_temp must be above absolute zero, {-KELVIN_OFFSET} C")
 
 
 def two_point_problem(
     t1_min: float = 1.0,
     threshold: float = 0.995,
     dt: float = 0.1,
-    kin: KineticParams = KineticParams(),
-    mech: MechanicalParams = MechanicalParams(),
-    start_temp: float = START_TEMP_C,
+    kinetics: KineticParams = KineticParams(),
+    mechanical: MechanicalParams = MechanicalParams(),
 ) -> Problem:
     """Simulator problem over one heating control point A = (t1, T1).
 
     t1_min selects the case family (1 min or 10 min in the shipped configs).
     """
-    _check_simulator_options(dt, start_temp)
+    _check_simulator_options(dt)
     if t1_min <= _TIME_EPS:  # A would sit on the start vertex at another temperature
         raise ValueError(f"t1_min must be greater than {_TIME_EPS} min")
 
     def fn(raw):
-        trace = simulate_cure(two_point_cycle(raw[0], raw[1], start_temp), kin, mech, dt)
+        trace = simulate_cure(two_point_cycle(raw[0], raw[1]), kinetics, mechanical, dt)
         return trace.u_proxy, trace.final_doc
 
     return Problem(
@@ -88,9 +83,8 @@ def four_point_problem(
     threshold: float = 0.96,
     require_rising_second_ramp: bool = False,
     dt: float = 0.1,
-    kin: KineticParams = KineticParams(),
-    mech: MechanicalParams = MechanicalParams(),
-    start_temp: float = START_TEMP_C,
+    kinetics: KineticParams = KineticParams(),
+    mechanical: MechanicalParams = MechanicalParams(),
 ) -> Problem:
     """Simulator problem over two control points A = (t1, T1), B = (t2, T2).
 
@@ -98,17 +92,17 @@ def four_point_problem(
     the second; require_rising_second_ramp additionally demands a positive
     second slope.
     """
-    _check_simulator_options(dt, start_temp)
+    _check_simulator_options(dt)
 
     def fn(raw):
         trace = simulate_cure(
-            four_point_cycle(raw[0], raw[1], raw[2], raw[3], start_temp), kin, mech, dt
+            four_point_cycle(raw[0], raw[1], raw[2], raw[3]), kinetics, mechanical, dt
         )
         return trace.u_proxy, trace.final_doc
 
     def slopes_ok(raw):
         # raw[h] is coordinate h: a scalar for one point, a column for a pool
-        s1 = (raw[1] - start_temp) / raw[0]
+        s1 = (raw[1] - START_TEMP_C) / raw[0]
         s2 = (raw[3] - raw[1]) / (raw[2] - raw[0])
         ok = s1 > s2
         if require_rising_second_ramp:
@@ -128,8 +122,8 @@ def four_point_problem(
     )
 
 
-# Config selector name -> factory. Study configs type-check problem_options
-# against the defaults of the factory's parameters.
+# Config selector name -> factory. A study's problem_options are the factory's
+# keyword arguments, checked against the defaults of its parameters.
 FACTORIES = {
     "analytical": analytical_problem,
     "sim2pt": two_point_problem,

@@ -1,10 +1,10 @@
 """Piecewise-linear cure cycles built from movable control points.
 
-All cycles start at (0, start temperature), heat to the 180 C dwell, hold,
-and cool back down at a fixed rate. The two-point variant is controlled by
-one point A = (t1, T1) on the heating path with the dwell anchored at
-120 min; the four-point variant adds B = (t2, T2) and ramps from B to the
-dwell at the baseline heating rate.
+All cycles start at (0, 20 C), heat to the 180 C dwell, hold, and cool back
+down at a fixed rate. The two-point variant is controlled by one point
+A = (t1, T1) on the heating path with the dwell anchored at 120 min; the
+four-point variant adds B = (t2, T2) and ramps from B to the dwell at the
+baseline heating rate.
 """
 
 from __future__ import annotations
@@ -81,68 +81,66 @@ def _assemble(vertices) -> CureCycle:
     return CureCycle(vertices=tuple(cleaned))
 
 
-def baseline_cycle(start_temp: float = START_TEMP_C) -> CureCycle:
+def baseline_cycle() -> CureCycle:
     """Fixed reference cycle: 2.6 C/min ramp, 112 min dwell at 180 C, cool."""
-    t_ramp = (DWELL_TEMP_C - start_temp) / BASE_RAMP_RATE
+    t_ramp = (DWELL_TEMP_C - START_TEMP_C) / BASE_RAMP_RATE
     t_dwell_end = t_ramp + BASELINE_DWELL_MIN
-    t_end = t_dwell_end + (DWELL_TEMP_C - start_temp) / COOL_RATE
+    t_end = t_dwell_end + (DWELL_TEMP_C - START_TEMP_C) / COOL_RATE
     return _assemble(
         [
-            (0.0, start_temp),
+            (0.0, START_TEMP_C),
             (t_ramp, DWELL_TEMP_C),
             (t_dwell_end, DWELL_TEMP_C),
-            (t_end, start_temp),
+            (t_end, START_TEMP_C),
         ]
     )
 
 
-def two_point_cycle(t1: float, T1: float, start_temp: float = START_TEMP_C) -> CureCycle:
+def two_point_cycle(t1: float, T1: float) -> CureCycle:
     """Cycle through A = (t1, T1) with the dwell anchored at 120 min."""
     t_dwell_end = TWO_POINT_DWELL_START_MIN + TWO_POINT_DWELL_MIN
-    t_end = t_dwell_end + (DWELL_TEMP_C - start_temp) / COOL_RATE
+    t_end = t_dwell_end + (DWELL_TEMP_C - START_TEMP_C) / COOL_RATE
     return _assemble(
         [
-            (0.0, start_temp),
+            (0.0, START_TEMP_C),
             (t1, T1),
             (TWO_POINT_DWELL_START_MIN, DWELL_TEMP_C),
             (t_dwell_end, DWELL_TEMP_C),
-            (t_end, start_temp),
+            (t_end, START_TEMP_C),
         ]
     )
 
 
-def four_point_cycle(
-    t1: float, T1: float, t2: float, T2: float, start_temp: float = START_TEMP_C
-) -> CureCycle:
+def four_point_cycle(t1: float, T1: float, t2: float, T2: float) -> CureCycle:
     """Cycle through A and B, ramping from B to the dwell at the base rate."""
     t_dwell_start = t2 + (DWELL_TEMP_C - T2) / BASE_RAMP_RATE
     t_dwell_end = t_dwell_start + FOUR_POINT_DWELL_MIN
-    t_end = t_dwell_end + (DWELL_TEMP_C - start_temp) / COOL_RATE
+    t_end = t_dwell_end + (DWELL_TEMP_C - START_TEMP_C) / COOL_RATE
     return _assemble(
         [
-            (0.0, start_temp),
+            (0.0, START_TEMP_C),
             (t1, T1),
             (t2, T2),
             (t_dwell_start, DWELL_TEMP_C),
             (t_dwell_end, DWELL_TEMP_C),
-            (t_end, start_temp),
+            (t_end, START_TEMP_C),
         ]
     )
 
 
-def build_cycle(variant: str, params=(), start_temp: float = START_TEMP_C) -> CureCycle:
+def build_cycle(variant: str, params=()) -> CureCycle:
     """Build a cycle by variant name: baseline, two-point, or four-point."""
     params = tuple(float(p) for p in params)
     if variant == "baseline":
         if params:
             raise ValueError("baseline cycle takes no control-point parameters")
-        return baseline_cycle(start_temp)
+        return baseline_cycle()
     if variant == "two-point":
         if len(params) != 2:
             raise ValueError("two-point cycle needs (t1, T1)")
-        return two_point_cycle(*params, start_temp=start_temp)
+        return two_point_cycle(*params)
     if variant == "four-point":
         if len(params) != 4:
             raise ValueError("four-point cycle needs (t1, T1, t2, T2)")
-        return four_point_cycle(*params, start_temp=start_temp)
+        return four_point_cycle(*params)
     raise ValueError(f"unknown cycle variant: {variant!r}")

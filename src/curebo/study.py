@@ -11,6 +11,10 @@ count.
 Step-axis convention: for cBO the step index counts acquisition-driven
 evaluations after initialization; for the GA it counts raw evaluations,
 initialization included.
+
+Every JSON input, a study config and a cycle trace config alike, is checked
+by json_violations against the defaults of the parameters its keys set, and
+json_arguments turns it into keyword arguments.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,27 +33,12 @@ import numpy as np
 
 from curebo.cbo import CboConfig, run_cbo
 from curebo.ga import GaConfig, run_ga
-from curebo.problems import problem_by_name
 from curebo.problems.analytical import DOC_COEFFS, U_COEFFS, quad_surface
 from curebo.problems.blackbox import FACTORIES, Problem
-from curebo.problems.simulate import KineticParams, MechanicalParams
 from curebo.records import RunReport
 
 _PROBLEMS = tuple(FACTORIES)
 _OPTIMIZERS = ("cbo", "ga", "both")
-_TOP_KEYS = {
-    "problem",
-    "optimizer",
-    "replications",
-    "seed",
-    "output_dir",
-    "workers",
-    "cbo",
-    "ga",
-    "problem_options",
-    "reference_optimum",
-    "convergence_tol",
-}
 # The only optimizer settings a study config may set; each is a JSON integer.
 # Every other CboConfig/GaConfig field comes from the problem or the seed.
 _OPTIMIZER_KEYS = {"cbo": ("n_init", "n_steps", "pool_size"), "ga": ("pop_size", "generations")}
@@ -72,45 +61,59 @@ def _is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-def _typed_violations(prefix: str, values: dict, defaults: dict) -> list[str]:
-    """Values whose JSON type does not match the default of the parameter
-    they set: a float default takes a finite number, a bool default true or
-    false, a None default (an optional float) null or a finite number, and
-    any other default cannot be set from JSON. Names that are not parameters
-    are left to the constructor, which rejects them."""
-    violations = []
-    for name, value in sorted(values.items()):
-        if name not in defaults:
+def _defaults(fn) -> dict:
+    """Parameter name -> default of a function or dataclass (or inspect.Parameter.empty)."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+# What a JSON value must be, by the type of the default of the parameter it
+# sets; bool comes before int, its base class.
+_RULES = (
+    (bool, lambda value: isinstance(value, bool), "true or false"),
+    (int, _is_int, "an integer"),
+    (float, _is_number, "a finite number"),
+    (type(None), lambda value: value is None or _is_number(value), "a finite number or null"),
+    (str, lambda value: isinstance(value, str), "a string"),
+    (tuple, lambda value: isinstance(value, list) and all(map(_is_number, value)),
+     "a list of finite numbers"),
+)
+
+
+def json_violations(values: dict, defaults: dict, prefix: str = "") -> list[str]:
+    """Violations of a JSON object against the defaults of the parameters its
+    keys set, each named by its path, prefix + key: a key that sets no
+    parameter, a value that breaks the _RULES entry of its default, and in
+    an object that sets a dataclass (or a dict of defaults) the same against
+    its fields. A parameter without a default is the caller's to check."""
+    unknown = [prefix + name for name in sorted(set(values) - set(defaults))]
+    violations = [f"unknown keys: {', '.join(unknown)}"] if unknown else []
+    for name in sorted(set(values) & set(defaults)):
+        value, default, path = values[name], defaults[name], prefix + name
+        if default is inspect.Parameter.empty:
             continue
-        default = defaults[name]
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                violations.append(f"{prefix}{name} must be true or false")
-        elif default is None:
-            if value is not None and not _is_number(value):
-                violations.append(f"{prefix}{name} must be a finite number or null")
-        elif isinstance(default, float):
-            if not _is_number(value):
-                violations.append(f"{prefix}{name} must be a finite number")
-        else:
-            violations.append(f"{prefix}{name} cannot be set from a config")
+        if is_dataclass(default):
+            default = _defaults(type(default))
+        if isinstance(default, dict):
+            if isinstance(value, dict):
+                violations += json_violations(value, default, f"{path}.")
+            else:
+                violations.append(f"{path} must be an object")
+            continue
+        rule = next((rule for rule in _RULES if isinstance(default, rule[0])), None)
+        if rule is None:
+            violations.append(f"{path} cannot be set from a config")
+        elif not rule[1](value):
+            violations.append(f"{path} must be {rule[2]}")
     return violations
 
 
-def _option_violations(prefix: str, options: dict, defaults: dict) -> list[str]:
-    """Type violations in options, the problem_options of a study or a cycle
-    trace config: every option against defaults, kinetics and mechanical
-    against the fields of KineticParams and MechanicalParams."""
-    violations = _typed_violations(prefix, options, defaults)
-    for key, params in (("kinetics", KineticParams), ("mechanical", MechanicalParams)):
-        if key not in options:
-            continue
-        if not isinstance(options[key], dict):
-            violations.append(f"{prefix}{key} must be an object")
-        else:
-            field_defaults = {f.name: f.default for f in fields(params)}
-            violations += _typed_violations(f"{prefix}{key}.", options[key], field_defaults)
-    return violations
+def json_arguments(values: dict, defaults: dict) -> dict:
+    """The keyword arguments values set, once json_violations finds none: an
+    object that sets a dataclass parameter replaces fields of its default."""
+    return {
+        name: replace(defaults[name], **value) if is_dataclass(defaults[name]) else value
+        for name, value in values.items()
+    }
 
 
 class ConfigError(ValueError):
@@ -139,65 +142,47 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        violations = []
+        """The study of a parsed config, or ConfigError naming every violation:
+        json_violations checks each key against the default it sets, this
+        method the required fields and ranges, and a dry run the constructors."""
         if not isinstance(data, dict):
             raise ConfigError(["config must be a JSON object"])
-        unknown = sorted(set(data) - _TOP_KEYS)
-        if unknown:
-            violations.append(f"unknown keys: {', '.join(unknown)}")
         problem = data.get("problem")
+        defaults = _defaults(cls)
+        for section, config_cls in (("cbo", CboConfig), ("ga", GaConfig)):
+            settable = _defaults(config_cls)
+            defaults[section] = {name: settable[name] for name in _OPTIMIZER_KEYS[section]}
+        # with an unknown problem there are no parameters to check options against
+        defaults["problem_options"] = (
+            _defaults(FACTORIES[problem]) if problem in _PROBLEMS else inspect.Parameter.empty
+        )
+        violations = json_violations(data, defaults)
         if problem not in _PROBLEMS:
             violations.append(f"problem must be one of {_PROBLEMS}")
-        optimizer = data.get("optimizer")
-        if optimizer not in _OPTIMIZERS:
+        if data.get("optimizer") not in _OPTIMIZERS:
             violations.append(f"optimizer must be one of {_OPTIMIZERS}")
         reps = data.get("replications")
         if not _is_int(reps) or reps < 1:
             violations.append("replications must be an integer >= 1")
         seed = data.get("seed")
-        if not _is_int(seed):
-            violations.append("seed must be an integer")
+        if not _is_int(seed) or seed < 0:  # numpy seeds only non-negative integers
+            violations.append("seed must be a non-negative integer")
         out_dir = data.get("output_dir")
         if not isinstance(out_dir, str) or not out_dir:
             violations.append("output_dir must be a nonempty string")
-        workers = data.get("workers", 1)
-        if not _is_int(workers) or workers < 1:
+        workers = data.get("workers")
+        if _is_int(workers) and workers < 1:
             violations.append("workers must be an integer >= 1")
-        for key in ("cbo", "ga", "problem_options"):
-            if not isinstance(data.get(key, {}), dict):
-                violations.append(f"{key} must be an object")
-            elif key == "problem_options" and problem in _PROBLEMS:
-                parameters = inspect.signature(FACTORIES[problem]).parameters
-                defaults = {name: p.default for name, p in parameters.items()}
-                violations += _option_violations("problem_options.", data.get(key, {}), defaults)
-            elif key in _OPTIMIZER_KEYS:
-                for name, value in sorted(data.get(key, {}).items()):
-                    if name not in _OPTIMIZER_KEYS[key]:
-                        violations.append(f"unknown {key} key: {name}")
-                    elif not _is_int(value):
-                        violations.append(f"{key}.{name} must be an integer")
-        ref = data.get("reference_optimum")
-        if ref is not None and not _is_number(ref):
-            violations.append("reference_optimum must be a finite number")
-        tol = data.get("convergence_tol", 2e-4)
-        if not _is_number(tol) or tol <= 0:
+        tol = data.get("convergence_tol")
+        if _is_number(tol) and tol <= 0:
             violations.append("convergence_tol must be a finite positive number")
         if violations:
             raise ConfigError(violations)
 
-        config = cls(
-            problem=problem,
-            optimizer=optimizer,
-            replications=reps,
-            seed=seed,
-            output_dir=out_dir,
-            workers=workers,
-            cbo=dict(data.get("cbo", {})),
-            ga=dict(data.get("ga", {})),
-            problem_options=dict(data.get("problem_options", {})),
-            reference_optimum=None if ref is None else float(ref),
-            convergence_tol=float(tol),
-        )
+        config = cls(**data)  # a JSON integer that sets a float is read as one
+        ref = config.reference_optimum
+        config = replace(config, reference_optimum=None if ref is None else float(ref),
+                         convergence_tol=float(config.convergence_tol))
         # dry-run the nested constructions so their complaints surface now
         try:
             problem_obj = build_problem(config)
@@ -206,7 +191,7 @@ class RunConfig:
             if config.optimizer in ("ga", "both"):
                 _ga_config(config, problem_obj, config.seed)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(violations + [str(exc)]) from None
+            raise ConfigError([str(exc)]) from None
         return config
 
     @classmethod
@@ -220,18 +205,9 @@ class RunConfig:
 
 
 def build_problem(config: RunConfig) -> Problem:
-    """Instantiate the configured problem, applying material overrides."""
-    options = dict(config.problem_options)
-    kinetics = options.pop("kinetics", None)
-    mechanical = options.pop("mechanical", None)
-    if config.problem in ("sim2pt", "sim4pt"):
-        if kinetics:
-            options["kin"] = replace(KineticParams(), **kinetics)
-        if mechanical:
-            options["mech"] = replace(MechanicalParams(), **mechanical)
-    elif kinetics or mechanical:
-        raise ConfigError(["material overrides only apply to simulator problems"])
-    return problem_by_name(config.problem, **options)
+    """Call the configured problem's factory with problem_options."""
+    factory = FACTORIES[config.problem]
+    return factory(**json_arguments(config.problem_options, _defaults(factory)))
 
 
 def _cbo_config(config: RunConfig, problem: Problem, seed: int) -> CboConfig:

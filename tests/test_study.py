@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -132,14 +133,15 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value):
 
 
 # Each value's JSON type differs from the default of the parameter it sets,
-# it is an integer too long to convert to a float, or it is out of range.
+# it is an integer too long to convert to a float, it is out of range, or
+# its key sets no parameter.
 @pytest.mark.parametrize(
     "problem, options, message",
     [
         ("analytical", {"threshold": "high"}, "problem_options.threshold must be a finite number"),
         ("analytical", {"threshold": math.nan}, "problem_options.threshold must be a finite number"),
         ("sim2pt", {"kinetics": {"a1": "x"}}, "problem_options.kinetics.a1 must be a finite number"),
-        ("sim2pt", {"kin": {"a1": 1.0}}, "problem_options.kin cannot be set from a config"),
+        ("sim2pt", {"kin": {"a1": 1.0}}, "unknown keys: problem_options.kin"),
         ("sim4pt", {"require_rising_second_ramp": 1}, "must be true or false"),
         ("sim4pt", {"mechanical": {"shrink_profile_a": "x"}}, "finite number or null"),
         ("sim4pt", {"mechanical": [0.1]}, "problem_options.mechanical must be an object"),
@@ -148,10 +150,11 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value):
         # values under which the design box holds cycles that cannot be assembled
         ("sim2pt", {"t1_min": 0}, "t1_min must be greater than 1e-09 min"),
         ("sim2pt", {"t1_min": 1e-9}, "t1_min must be greater than 1e-09 min"),
-        ("sim2pt", {"start_temp": 200}, "start_temp must be at most the 180.0 C dwell temperature"),
-        ("sim4pt", {"start_temp": 180.5}, "start_temp must be at most the 180.0 C dwell temperature"),
-        ("sim2pt", {"start_temp": -300}, "start_temp must be above absolute zero, -273.15 C"),
-        ("sim4pt", {"start_temp": -273.15}, "start_temp must be above absolute zero, -273.15 C"),
+        # the start temperature is fixed at 20 C
+        ("sim2pt", {"start_temp": 200}, "unknown keys: problem_options.start_temp"),
+        ("sim4pt", {"start_temp": 180.5}, "unknown keys: problem_options.start_temp"),
+        ("sim2pt", {"start_temp": -300}, "unknown keys: problem_options.start_temp"),
+        ("sim4pt", {"start_temp": -273.15}, "unknown keys: problem_options.start_temp"),
     ],
 )
 def test_cli_run_rejects_mistyped_problem_options_before_writing(tmp_path, problem, options, message):
@@ -160,6 +163,44 @@ def test_cli_run_rejects_mistyped_problem_options_before_writing(tmp_path, probl
     res = CliRunner().invoke(main, ["run", str(cfg)])
     assert res.exit_code == 2, res.output
     assert "validation error:" in res.output and message in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "problem, options, violations",
+    [
+        ("sim2pt", {"kinetics": {"a9": 1}, "mechanical": {"zz": 1}},
+         ["unknown keys: problem_options.kinetics.a9", "unknown keys: problem_options.mechanical.zz"]),
+        ("analytical", {"kinetics": {"a1": 1.0}, "dt": 0.1},
+         ["unknown keys: problem_options.dt, problem_options.kinetics"]),
+    ],
+)
+def test_config_names_every_unknown_key_by_its_path(tmp_path, problem, options, violations):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(small_config(tmp_path, problem=problem, problem_options=options))
+    assert err.value.violations == violations
+
+
+# Written as JSON, every default passes the rules: a parameter whose default
+# has no rule could not be set from a config.
+@pytest.mark.parametrize(
+    "defaults",
+    [*(study._defaults(factory) for factory in FACTORIES.values()), cli._TRACE_DEFAULTS],
+    ids=[*FACTORIES, "trace"],
+)
+def test_every_parameter_default_has_a_rule(defaults):
+    as_json = json.loads(json.dumps(
+        {name: asdict(value) if is_dataclass(value) else value for name, value in defaults.items()}
+    ))
+    assert study.json_violations(as_json, defaults) == []
+
+
+def test_cli_run_rejects_a_negative_seed_before_writing(tmp_path):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(small_config(tmp_path, seed=-1)))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert "validation error: seed must be a non-negative integer" in res.output
     assert not (tmp_path / "out").exists()
 
 
@@ -447,6 +488,18 @@ def test_cli_trace_writes_csv(tmp_path):
     assert out.read_text().startswith("time_min,T_C,alpha")
 
 
+def test_cli_trace_runs_the_readme_example(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("### Cycle trace configs", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text(example)
+    out = tmp_path / "trace.csv"
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert out.read_text().startswith("time_min,T_C,alpha")
+
+
 def test_cli_trace_names_a_missing_parameter(tmp_path):
     cfg = tmp_path / "cycle.json"
     cfg.write_text(json.dumps({"variant": "two-point", "params": {"t1": 60}}))
@@ -472,7 +525,8 @@ def test_cli_trace_rejects_unknown_keys(tmp_path, extra):
     [
         ('"kinetics": {"a1": true}', "kinetics.a1 must be a finite number"),
         ('"dt": true', "dt must be a finite number"),
-        ('"start_temp": "20"', "start_temp must be a finite number"),
+        ('"start_temp": "20"', "unknown keys: start_temp"),
+        ('"kinetics": {"a9": 1}', "unknown keys: kinetics.a9"),
         ('"mechanical": {"cte": NaN}', "mechanical.cte must be a finite number"),
         ('"dt": 1e400', "dt must be a finite number"),
         ('"params": [true, 150]', "params must be a list of finite numbers"),
