@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from curebo.acquisition import ei_values, pf_values
 from curebo.blas import openblas_pinned_to_one_thread
 from curebo.gp import NumericalError, fit_gp, predict_batch
+from curebo.problems.blackbox import Problem
 from curebo.records import Evaluation, RunReport, evaluate, running_best
-from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
+from curebo.space import drop_near_duplicates, lhs_sample, sieve
 
 # L-inf distance within which a candidate counts as an already evaluated point.
 DUPLICATE_TOL = 1e-9
@@ -29,23 +30,12 @@ DUPLICATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CboConfig:
-    """Budget, pool, threshold and seeding for one cBO run.
-
-    sieve_predicate, when set, is a pure deterministic test on raw
-    coordinates applied to every candidate pool before scoring. It is called
-    once per pool, dimension first (raw[h] is the column of coordinate h, see
-    `space.sieve`), so `lambda raw: raw[0] < 0.5` keeps the candidates whose
-    first coordinate is below 0.5. Every learn step draws a fresh pool of
-    pool_size candidates and never picks one within DUPLICATE_TOL of an
-    evaluated point.
-    """
+    """Budget of one cBO run: n_init space-filling evaluations, then n_steps
+    learn steps, each scoring a fresh pool of pool_size candidates."""
 
     n_init: int = 10
     n_steps: int = 30
     pool_size: int = 10_000
-    threshold: float = 0.995
-    seed: int = 0
-    sieve_predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         problems = []
@@ -59,14 +49,13 @@ class CboConfig:
             raise ValueError("; ".join(problems))
 
 
-def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
-    """Run the constrained BO loop against a black box.
+def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
+    """Run the constrained BO loop against a problem, seeded by seed.
 
-    Parameters
-    ----------
-    problem : callable mapping a normalized point (d,) to (f, g).
-    space : DesignSpace used for pool generation and sieve denormalization.
-    config : CboConfig.
+    The points come from problem.space, feasibility is g >= problem.threshold,
+    and a problem with a sieve_raw has every pool passed through it before
+    scoring (see `space.sieve`). No pick lies within DUPLICATE_TOL of an
+    evaluated point.
 
     Every loaded OpenBLAS runs at one thread for the run and gets its thread
     count back after. The report is bitwise reproducible for identical
@@ -76,7 +65,8 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
     and returns the partial report with complete=False.
     """
     t0 = time.perf_counter()
-    root = np.random.SeedSequence(config.seed)
+    space, threshold = problem.space, problem.threshold
+    root = np.random.SeedSequence(seed)
     init_ss, *pool_seeds = root.spawn(1 + config.n_steps)
 
     evaluations: list[Evaluation] = []
@@ -84,7 +74,7 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
 
     def finish(complete: bool) -> RunReport:
         return RunReport(
-            evaluations, config.threshold, config.n_init, time.perf_counter() - t0, complete, events
+            evaluations, threshold, config.n_init, time.perf_counter() - t0, complete, events
         )
 
     # The products are small, so extra BLAS threads only cost time (twice
@@ -107,15 +97,15 @@ def run_cbo(problem, space: DesignSpace, config: CboConfig) -> RunReport:
                 return finish(complete=False)
 
             pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
-            if config.sieve_predicate is not None:
-                pool = sieve(pool, config.sieve_predicate, space)
+            if problem.sieve_raw is not None:
+                pool = sieve(pool, problem.sieve_raw, space)
                 if len(pool) == 0:
                     events.append(f"step {step}: sieve emptied the pool, stopping early")
                     return finish(complete=False)
 
             mean_g, var_g = predict_batch(model_g, pool)
-            pf = pf_values(mean_g, var_g, config.threshold)
-            best = running_best(evaluations, config.threshold)[-1]
+            pf = pf_values(mean_g, var_g, threshold)
+            best = running_best(evaluations, threshold)[-1]
             if best is None:
                 scores = pf
             else:

@@ -12,7 +12,8 @@ import sys
 import click
 
 from curebo.gp import NumericalError
-from curebo.problems import build_cycle, problem_by_name, simulate_cure
+from curebo.problems import build_cycle, simulate_cure
+from curebo.problems.blackbox import FACTORIES
 from curebo.problems.simulate import IntegrationError, KineticParams, MechanicalParams
 from curebo.study import (
     ConfigError,
@@ -85,14 +86,14 @@ def run(config_file):
 
 
 @main.command()
-@click.argument("problem_name")
+@click.argument("problem_name", type=click.Choice(sorted(FACTORIES)))
 @click.option("--grid", type=int, default=None, help="Grid points per dimension.")
 @click.option("--threshold", type=float, default=None, help="Feasibility threshold override.")
 @_guarded
 def oracle(problem_name, grid, threshold):
     """Brute-force grid search: print the feasible minimum and its argmin."""
     options = {} if threshold is None else {"threshold": threshold}
-    problem = problem_by_name(problem_name, **options)
+    problem = FACTORIES[problem_name](**options)
     if grid is None:
         grid = _DEFAULT_ORACLE_GRID[problem_name]
     result = grid_oracle(problem, grid)

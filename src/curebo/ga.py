@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from curebo.problems.blackbox import Problem
 from curebo.records import Evaluation, RunReport, evaluate, feasible
-from curebo.space import DesignSpace, lhs_sample
+from curebo.space import lhs_sample
 
 # Fixed operators: SBX applied to a pair with probability CROSSOVER_PROB,
 # polynomial mutation applied to each gene with probability 1/d.
@@ -26,10 +27,10 @@ MUTATION_ETA = 20.0
 
 @dataclass(frozen=True)
 class GaConfig:
+    """Budget of one GA run: a population of pop_size bred for generations."""
+
     pop_size: int = 100
     generations: int = 10
-    threshold: float = 0.995
-    seed: int = 0
 
     def __post_init__(self):
         problems = []
@@ -112,8 +113,9 @@ def _breed(population: list[Evaluation], rng, threshold: float) -> np.ndarray:
     return mutated.transpose(1, 0, 2).reshape(2 * n_pairs, d)
 
 
-def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
-    """Generational (mu + lambda) GA; logs every true evaluation.
+def run_ga(problem: Problem, config: GaConfig, seed: int) -> RunReport:
+    """Generational (mu + lambda) GA over problem.space, seeded by seed;
+    logs every true evaluation. The GA does not apply problem.sieve_raw.
 
     Generation 0 is a Latin hypercube of pop_size; each later generation
     breeds pop_size offspring and truncates the combined population under
@@ -121,18 +123,18 @@ def run_ga(problem, space: DesignSpace, config: GaConfig) -> RunReport:
     generation. The best-feasible trace has one entry per raw evaluation.
     """
     t0 = time.perf_counter()
-    root = np.random.SeedSequence(config.seed)
+    root = np.random.SeedSequence(seed)
     init_ss, evo_ss = root.spawn(2)
     rng = np.random.default_rng(evo_ss)
 
-    threshold = config.threshold
+    threshold = problem.threshold
     evaluations: list[Evaluation] = []
     events: list[str] = []
 
     def finish(complete: bool) -> RunReport:
         return RunReport(evaluations, threshold, 0, time.perf_counter() - t0, complete, events)
 
-    for x in lhs_sample(space, config.pop_size, init_ss):
+    for x in lhs_sample(problem.space, config.pop_size, init_ss):
         if evaluate(problem, x, 0, None, evaluations, events) is None:
             return finish(complete=False)
     population = list(evaluations)

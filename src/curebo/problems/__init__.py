@@ -9,7 +9,6 @@ from curebo.problems.blackbox import (
     Problem,
     analytical_problem,
     four_point_problem,
-    problem_by_name,
     two_point_problem,
 )
 from curebo.problems.cycle import (
@@ -53,7 +52,6 @@ __all__ = [
     "four_point_cycle",
     "four_point_problem",
     "glass_transition_c",
-    "problem_by_name",
     "shrinkage_strain",
     "simulate_cure",
     "two_point_cycle",

@@ -129,12 +129,3 @@ FACTORIES = {
     "sim2pt": two_point_problem,
     "sim4pt": four_point_problem,
 }
-
-
-def problem_by_name(name: str, **options) -> Problem:
-    """Instantiate a problem from its config selector name."""
-    try:
-        factory = FACTORIES[name]
-    except KeyError:
-        raise ValueError(f"unknown problem {name!r}; choose from {sorted(FACTORIES)}") from None
-    return factory(**options)

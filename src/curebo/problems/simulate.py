@@ -43,6 +43,9 @@ from curebo.problems.cycle import CureCycle
 
 R_GAS = 8.314  # J / (mol K)
 KELVIN_OFFSET = 273.15
+# Most nodes a simulated time grid may hold; dt 0.1 puts about 2,650 on a
+# shipped cycle.
+MAX_GRID_NODES = 1_000_000
 
 TRACE_COLUMNS = (
     "time_min",
@@ -230,12 +233,18 @@ class CureTrace:
 
 
 def _time_grid(cycle: CureCycle, dt: float) -> np.ndarray:
-    """Vertex-aligned grid: every cycle segment split into <= dt substeps."""
-    times = cycle.times
+    """Vertex-aligned grid: every cycle segment split into <= dt substeps.
+    The nodes are counted before anything is allocated, and a grid of more
+    than MAX_GRID_NODES raises ValueError."""
+    times = [v[0] for v in cycle.vertices]
+    # a span clamped to the cap still counts past it, and stays finite for ceil
+    steps = [max(1, math.ceil(min((b - a) / dt - 1e-12, MAX_GRID_NODES)))
+             for a, b in zip(times, times[1:])]
+    if 1 + sum(steps) > MAX_GRID_NODES:
+        raise ValueError(f"dt = {dt} min puts more than {MAX_GRID_NODES} nodes on the time grid")
     pieces = [np.array([0.0])]
-    for a, b in zip(times, times[1:]):
-        steps = max(1, int(np.ceil((b - a) / dt - 1e-12)))
-        pieces.append(np.linspace(a, b, steps + 1)[1:])
+    for a, b, n in zip(times, times[1:], steps):
+        pieces.append(np.linspace(a, b, n + 1)[1:])
     return np.concatenate(pieces)
 
 
@@ -381,6 +390,7 @@ def simulate_cure(
     cycle : temperature schedule, evaluated exactly (piecewise linear).
     kin, mech : material constants.
     dt : nominal step in minutes; actual steps divide each cycle segment.
+        A dt that needs more than MAX_GRID_NODES nodes raises ValueError.
 
     Gelation is flagged at the first upward crossing of the gel viscosity
     (the resin starts cold and thick, so a plain threshold test would fire

@@ -39,9 +39,6 @@ from curebo.records import RunReport
 
 _PROBLEMS = tuple(FACTORIES)
 _OPTIMIZERS = ("cbo", "ga", "both")
-# The only optimizer settings a study config may set; each is a JSON integer.
-# Every other CboConfig/GaConfig field comes from the problem or the seed.
-_OPTIMIZER_KEYS = {"cbo": ("n_init", "n_steps", "pool_size"), "ga": ("pop_size", "generations")}
 
 
 def _is_int(value) -> bool:
@@ -134,8 +131,8 @@ class RunConfig:
     seed: int
     output_dir: str
     workers: int = 1
-    cbo: dict = field(default_factory=dict)  # subset of _OPTIMIZER_KEYS["cbo"]
-    ga: dict = field(default_factory=dict)  # subset of _OPTIMIZER_KEYS["ga"]
+    cbo: CboConfig = CboConfig()
+    ga: GaConfig = GaConfig()
     problem_options: dict = field(default_factory=dict)
     reference_optimum: Optional[float] = None
     convergence_tol: float = 2e-4
@@ -149,9 +146,6 @@ class RunConfig:
             raise ConfigError(["config must be a JSON object"])
         problem = data.get("problem")
         defaults = _defaults(cls)
-        for section, config_cls in (("cbo", CboConfig), ("ga", GaConfig)):
-            settable = _defaults(config_cls)
-            defaults[section] = {name: settable[name] for name in _OPTIMIZER_KEYS[section]}
         # with an unknown problem there are no parameters to check options against
         defaults["problem_options"] = (
             _defaults(FACTORIES[problem]) if problem in _PROBLEMS else inspect.Parameter.empty
@@ -179,20 +173,16 @@ class RunConfig:
         if violations:
             raise ConfigError(violations)
 
-        config = cls(**data)  # a JSON integer that sets a float is read as one
-        ref = config.reference_optimum
-        config = replace(config, reference_optimum=None if ref is None else float(ref),
-                         convergence_tol=float(config.convergence_tol))
-        # dry-run the nested constructions so their complaints surface now
+        # construct the study, its optimizer budgets and its problem now, so
+        # that their constructors' complaints surface as violations
         try:
-            problem_obj = build_problem(config)
-            if config.optimizer in ("cbo", "both"):
-                _cbo_config(config, problem_obj, config.seed)
-            if config.optimizer in ("ga", "both"):
-                _ga_config(config, problem_obj, config.seed)
+            config = cls(**json_arguments(data, defaults))
+            build_problem(config)
         except (TypeError, ValueError) as exc:
             raise ConfigError([str(exc)]) from None
-        return config
+        ref = config.reference_optimum  # a JSON integer that sets a float is read as one
+        return replace(config, reference_optimum=None if ref is None else float(ref),
+                       convergence_tol=float(config.convergence_tol))
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -208,16 +198,6 @@ def build_problem(config: RunConfig) -> Problem:
     """Call the configured problem's factory with problem_options."""
     factory = FACTORIES[config.problem]
     return factory(**json_arguments(config.problem_options, _defaults(factory)))
-
-
-def _cbo_config(config: RunConfig, problem: Problem, seed: int) -> CboConfig:
-    return CboConfig(
-        **config.cbo, threshold=problem.threshold, seed=seed, sieve_predicate=problem.sieve_raw
-    )
-
-
-def _ga_config(config: RunConfig, problem: Problem, seed: int) -> GaConfig:
-    return GaConfig(**config.ga, threshold=problem.threshold, seed=seed)
 
 
 def percentile(values, p: float) -> float:
@@ -385,8 +365,8 @@ def _replicate(args) -> Replication:
     """Run one replication, write its CSV and return its summary inputs."""
     config, optimizer, index = args
     problem = build_problem(config)
-    run, make = (run_cbo, _cbo_config) if optimizer == "cbo" else (run_ga, _ga_config)
-    report = run(problem, problem.space, make(config, problem, config.seed + index))
+    run = run_cbo if optimizer == "cbo" else run_ga
+    report = run(problem, getattr(config, optimizer), config.seed + index)
     out = Path(config.output_dir) / f"{optimizer}_rep{index:03d}.csv"
     _write_replication_csv(out, problem, report)
     ref = config.reference_optimum

@@ -5,16 +5,8 @@ from curebo.problems import (
     InfeasibleCycleError,
     analytical_problem,
     four_point_problem,
-    problem_by_name,
     two_point_problem,
 )
-
-
-def test_registry_dispatch_and_unknown_name():
-    assert problem_by_name("analytical").name == "analytical"
-    assert problem_by_name("sim2pt", t1_min=10.0).space.lower[0] == 10.0
-    with pytest.raises(ValueError, match="unknown problem"):
-        problem_by_name("mystery")
 
 
 def test_two_point_spaces():

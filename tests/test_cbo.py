@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from curebo import cbo
 from curebo.blas import openblas_threads
 from curebo.cbo import CboConfig, run_cbo
 from curebo.gp import NumericalError
-from curebo.problems import analytical_problem
+from curebo.problems import Problem, analytical_problem, four_point_problem
 from curebo.acquisition import ei_values, pf_values
 from curebo.records import Evaluation, RunReport
 from curebo.space import DesignSpace
@@ -40,8 +41,8 @@ def test_best_feasible_rules():
 
 def test_budget_exactness_forty_evaluations():
     problem = analytical_problem()
-    config = CboConfig(n_init=10, n_steps=30, pool_size=500, threshold=0.995, seed=1)
-    report = run_cbo(problem, problem.space, config)
+    config = CboConfig(n_init=10, n_steps=30, pool_size=500)
+    report = run_cbo(problem, config, 1)
     assert report.n_evaluations == 40
     assert sum(e.phase == "init" for e in report.evaluations) == 10
     assert sum(e.phase == "learn" for e in report.evaluations) == 30
@@ -50,8 +51,8 @@ def test_budget_exactness_forty_evaluations():
 
 
 def test_unconstrained_bowl_converges_and_trace_monotone():
-    config = CboConfig(n_init=6, n_steps=10, pool_size=2000, threshold=0.5, seed=3)
-    report = run_cbo(bowl, UNIT_SQUARE, config)
+    config = CboConfig(n_init=6, n_steps=10, pool_size=2000)
+    report = run_cbo(Problem("bowl", UNIT_SQUARE, 0.5, bowl), config, 3)
     values = [v for v in report.best_trace if v is not None]
     assert len(values) == 10  # g == 1 everywhere: feasible from the start
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
@@ -62,43 +63,45 @@ def test_unconstrained_bowl_converges_and_trace_monotone():
 
 def test_reproducible_given_seed():
     problem = analytical_problem()
-    config = CboConfig(n_init=5, n_steps=6, pool_size=300, seed=11)
-    a = run_cbo(problem, problem.space, config)
-    b = run_cbo(problem, problem.space, config)
+    config = CboConfig(n_init=5, n_steps=6, pool_size=300)
+    a = run_cbo(problem, config, 11)
+    b = run_cbo(problem, config, 11)
     assert a.n_evaluations == b.n_evaluations
     for ea, eb in zip(a.evaluations, b.evaluations):
         assert np.array_equal(ea.x, eb.x)
         assert ea.f == eb.f and ea.g == eb.g
-    c = run_cbo(problem, problem.space, CboConfig(n_init=5, n_steps=6, pool_size=300, seed=12))
+    c = run_cbo(problem, config, 12)
     assert any(not np.array_equal(ea.x, ec.x) for ea, ec in zip(a.evaluations, c.evaluations))
 
 
 def test_incumbent_is_feasible_or_absent():
     problem = analytical_problem()
-    report = run_cbo(problem, problem.space, CboConfig(n_init=6, n_steps=4, pool_size=300, seed=5))
+    report = run_cbo(problem, CboConfig(n_init=6, n_steps=4, pool_size=300), 5)
     if report.incumbent is not None:
         f, g = problem(report.incumbent.x)
         assert g >= report.threshold
         assert f == report.incumbent.f
 
 
+def test_run_reads_threshold_and_sieve_from_the_problem():
+    problem = four_point_problem()
+    report = run_cbo(problem, CboConfig(n_init=8, n_steps=3, pool_size=500), 7)
+    assert report.threshold == 0.96
+    for e in report.evaluations[8:]:
+        assert problem.sieve_raw(problem.space.denormalize(e.x))
+
+
 def test_emptied_sieve_ends_the_run():
-    problem = analytical_problem()
-    config = CboConfig(
-        n_init=5, n_steps=3, pool_size=200, seed=2, sieve_predicate=lambda raw: False
-    )
-    report = run_cbo(problem, problem.space, config)
+    problem = replace(analytical_problem(), sieve_raw=lambda raw: False)
+    report = run_cbo(problem, CboConfig(n_init=5, n_steps=3, pool_size=200), 2)
     assert report.n_evaluations == 5  # no learn point is taken from outside the sieve
     assert not report.complete
     assert report.events == ["step 1: sieve emptied the pool, stopping early"]
 
 
 def test_sieve_predicate_filters_candidates():
-    problem = analytical_problem()
-    config = CboConfig(
-        n_init=5, n_steps=6, pool_size=400, seed=2, sieve_predicate=lambda raw: raw[0] < 0.5
-    )
-    report = run_cbo(problem, problem.space, config)
+    problem = replace(analytical_problem(), sieve_raw=lambda raw: raw[0] < 0.5)
+    report = run_cbo(problem, CboConfig(n_init=5, n_steps=6, pool_size=400), 2)
     for e in report.evaluations:
         if e.phase == "learn":
             assert e.x[0] < 0.5
@@ -115,8 +118,7 @@ def test_exhausted_fixed_pool_returns_partial_report(monkeypatch):
 
     monkeypatch.setattr(cbo, "lhs_sample", fixed_lhs)
     problem = analytical_problem()
-    config = CboConfig(n_init=2, n_steps=8, pool_size=len(pool), seed=1)
-    report = run_cbo(problem, problem.space, config)
+    report = run_cbo(problem, CboConfig(n_init=2, n_steps=8, pool_size=len(pool)), 1)
     assert not report.complete
     assert report.n_evaluations == 8
     assert len(report.best_trace) == 6
@@ -139,8 +141,8 @@ def test_near_duplicate_winner_gives_way_to_the_next_best(monkeypatch):
 
     monkeypatch.setattr(cbo, "lhs_sample", fixed_lhs)
     monkeypatch.setattr(cbo, "predict_batch", peak_at_first_init_point)
-    config = CboConfig(n_init=2, n_steps=1, pool_size=len(pool), threshold=0.5, seed=0)
-    report = run_cbo(lambda x: (0.0, 0.0), UNIT_SQUARE, config)
+    problem = Problem("zero", UNIT_SQUARE, 0.5, lambda x: (0.0, 0.0))
+    report = run_cbo(problem, CboConfig(n_init=2, n_steps=1, pool_size=len(pool)), 0)
     # row 1 scores highest but lies 1e-12 from an evaluated point; rows 4 and 5
     # tie next, and the tie goes to the first
     assert report.complete
@@ -193,11 +195,12 @@ def test_acquisition_value_is_ei_times_pf_or_pf_alone(monkeypatch):
         return means, variances
 
     monkeypatch.setattr(cbo, "predict_batch", wide_predict)
-    config = CboConfig(n_init=4, n_steps=1, pool_size=50, threshold=0.5, seed=0)
+    config = CboConfig(n_init=4, n_steps=1, pool_size=50)
     # g = x1 leaves some initial points feasible; g = 0.4 x1 leaves none
     for g_scale, feasible in ((1.0, True), (0.4, False)):
         calls.clear()
-        report = run_cbo(lambda x: (float(x[0]), g_scale * float(x[1])), UNIT_SQUARE, config)
+        problem = Problem("plane", UNIT_SQUARE, 0.5, lambda x: (float(x[0]), g_scale * float(x[1])))
+        report = run_cbo(problem, config, 0)
         init = report.evaluations[:4]
         y_f = sorted(e.f for e in init)
         posterior = {"f" if ys == y_f else "g": rest for ys, *rest in calls}
@@ -227,7 +230,8 @@ def test_surrogate_fit_failure_returns_partial_report(monkeypatch):
         return real_fit(x, y)
 
     monkeypatch.setattr(cbo, "fit_gp", fit_failing_at_step_2)
-    report = run_cbo(bowl, UNIT_SQUARE, CboConfig(n_init=4, n_steps=5, pool_size=100, seed=0))
+    problem = Problem("bowl", UNIT_SQUARE, 0.995, bowl)
+    report = run_cbo(problem, CboConfig(n_init=4, n_steps=5, pool_size=100), 0)
     assert not report.complete
     assert report.n_evaluations == 5
     assert len(report.best_trace) == 1
@@ -242,8 +246,8 @@ def nan_beyond_08(x):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_non_finite_objective_trains_no_model_and_is_never_incumbent(seed):
-    config = CboConfig(n_init=6, n_steps=8, pool_size=200, threshold=0.5, seed=seed)
-    report = run_cbo(nan_beyond_08, UNIT_SQUARE, config)
+    config = CboConfig(n_init=6, n_steps=8, pool_size=200)
+    report = run_cbo(Problem("nan_beyond_08", UNIT_SQUARE, 0.5, nan_beyond_08), config, seed)
     assert report.complete
     # no fit failed; each NaN evaluation has its event (test_non_finite_results_are_events)
     assert all(event.startswith("non-finite result at step") for event in report.events)
@@ -264,8 +268,8 @@ def test_non_finite_results_are_events():
             return 0.25, -math.inf
         return float(x[0]), 1.0
 
-    config = CboConfig(n_init=5, n_steps=3, pool_size=100, seed=0)
-    report = run_cbo(non_finite_on_calls_3_and_8, UNIT_SQUARE, config)
+    problem = Problem("non_finite", UNIT_SQUARE, 0.995, non_finite_on_calls_3_and_8)
+    report = run_cbo(problem, CboConfig(n_init=5, n_steps=3, pool_size=100), 0)
     assert report.complete and report.n_evaluations == 8
     assert report.events == [
         "non-finite result at step 0: f=nan, g=1.0",
@@ -281,8 +285,8 @@ def nan_g_beyond_08(x):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_non_finite_constraint_trains_no_model(seed):
-    config = CboConfig(n_init=6, n_steps=8, pool_size=200, threshold=0.5, seed=seed)
-    report = run_cbo(nan_g_beyond_08, UNIT_SQUARE, config)
+    config = CboConfig(n_init=6, n_steps=8, pool_size=200)
+    report = run_cbo(Problem("nan_g_beyond_08", UNIT_SQUARE, 0.5, nan_g_beyond_08), config, seed)
     # one of the six Latin hypercube strata lies beyond x0 = 5/6, so a NaN g is
     # in the first fit's data; with it the g surrogate's fit would fail
     assert any(math.isnan(e.g) for e in report.evaluations[: config.n_init])
@@ -300,13 +304,15 @@ def test_failing_problem_returns_partial_report():
             raise RuntimeError("simulator crashed")
         return float(x[0]), 1.0
 
-    report = run_cbo(flaky, UNIT_SQUARE, CboConfig(n_init=5, n_steps=10, pool_size=100, seed=0))
+    problem = Problem("flaky", UNIT_SQUARE, 0.995, flaky)
+    config = CboConfig(n_init=5, n_steps=10, pool_size=100)
+    report = run_cbo(problem, config, 0)
     assert not report.complete
     assert report.n_evaluations == 7
     assert report.events == ["evaluation failed at step 3: simulator crashed"]
     # a failure among the initial points is step 0
     calls["n"] = 4
-    report = run_cbo(flaky, UNIT_SQUARE, CboConfig(n_init=5, n_steps=10, pool_size=100, seed=0))
+    report = run_cbo(problem, config, 0)
     assert report.n_evaluations == 3
     assert report.events == ["evaluation failed at step 0: simulator crashed"]
 
@@ -318,7 +324,8 @@ def test_result_that_is_not_a_number_returns_partial_report():
         calls["n"] += 1
         return (None if calls["n"] == 7 else float(x[0])), 1.0
 
-    report = run_cbo(none_on_call_7, UNIT_SQUARE, CboConfig(n_init=5, n_steps=10, pool_size=100, seed=0))
+    problem = Problem("none_on_call_7", UNIT_SQUARE, 0.995, none_on_call_7)
+    report = run_cbo(problem, CboConfig(n_init=5, n_steps=10, pool_size=100), 0)
     assert not report.complete
     assert report.n_evaluations == 6
     assert len(report.events) == 1
@@ -345,7 +352,8 @@ def test_direct_run_fits_at_one_blas_thread_and_gives_the_callers_count_back(mon
         return real_fit(train_x, train_y)
 
     monkeypatch.setattr(cbo, "fit_gp", recording)
-    report = run_cbo(bowl, UNIT_SQUARE, CboConfig(n_init=4, n_steps=2, pool_size=50, seed=0))
+    problem = Problem("bowl", UNIT_SQUARE, 0.995, bowl)
+    report = run_cbo(problem, CboConfig(n_init=4, n_steps=2, pool_size=50), 0)
     assert report.complete
     assert seen == [{path: 1 for path in caller}] * 4
     assert openblas_threads() == caller

@@ -180,6 +180,18 @@ def test_blowup_raises_integration_error():
         simulate_cure(baseline_cycle(), runaway, MECH, dt=0.5)
 
 
+@pytest.mark.parametrize("dt", [1e-9, 5e-324])
+def test_a_grid_past_the_node_cap_is_rejected_before_any_array(monkeypatch, dt):
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached before the grid's nodes were counted")
+
+    cycle = baseline_cycle()
+    monkeypatch.setattr(simulate, "np", NoArrays())
+    with pytest.raises(ValueError, match="more than 1000000 nodes on the time grid"):
+        simulate_cure(cycle, KIN, MECH, dt=dt)
+
+
 def test_unstable_step_past_the_branch_switch_raises_integration_error():
     # the low-alpha branch keeps its default constants, so the cure reaches the
     # switch in the step ending at t=53.5980 and the refined substeps of that

@@ -15,11 +15,12 @@ from curebo.ga import (
     run_ga,
     sbx_pair,
 )
-from curebo.problems import analytical_problem
+from curebo.problems import Problem, analytical_problem
 from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
 
 THRESHOLD = 1.0
+UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
 
 
 def _ev(f, g):
@@ -86,8 +87,8 @@ def test_ga_stops_breeding_from_points_without_a_constraint_value():
         # the cheap half of the box has no defined constraint value
         return float(x[0]), math.nan if x[0] < 0.5 else 1.0
 
-    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
-    report = run_ga(half_nan, space, GaConfig(pop_size=10, generations=5, threshold=0.5, seed=0))
+    problem = Problem("half_nan", UNIT_SQUARE, 0.5, half_nan)
+    report = run_ga(problem, GaConfig(pop_size=10, generations=5), 0)
     last = [e for e in report.evaluations if e.step_index == 5]
     # NaN-g points rank below every finite g, so the population leaves the cheap half
     assert sum(math.isnan(e.g) for e in last) < len(last) // 2
@@ -106,9 +107,8 @@ def test_ga_incumbent_and_population_avoid_a_nan_objective(seed):
         # the cheap part of the box has no defined objective value
         return (math.nan if x[0] < 0.7 else float(x[0])), 1.0
 
-    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
-    config = GaConfig(pop_size=10, generations=5, threshold=0.5, seed=seed)
-    report = run_ga(nan_where_cheap, space, config)
+    problem = Problem("nan_where_cheap", UNIT_SQUARE, 0.5, nan_where_cheap)
+    report = run_ga(problem, GaConfig(pop_size=10, generations=5), seed)
     assert report.incumbent is not None and 0.7 <= report.incumbent.f <= 1.0
     assert all(v is None or math.isfinite(v) for v in report.best_trace)
     last = [e for e in report.evaluations if e.step_index == 5]
@@ -119,8 +119,8 @@ def test_non_finite_results_are_events():
     def nan_where_cheap(x):
         return (math.nan if x[0] < 0.3 else float(x[0])), 1.0
 
-    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
-    report = run_ga(nan_where_cheap, space, GaConfig(pop_size=10, generations=3, threshold=0.5, seed=0))
+    problem = Problem("nan_where_cheap", UNIT_SQUARE, 0.5, nan_where_cheap)
+    report = run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
     expected = [
         f"non-finite result at step {e.step_index}: f=nan, g=1.0"
         for e in report.evaluations
@@ -172,13 +172,9 @@ def _golden_runs():
     does not cross and 31 genes mutate, so both the pass-through and the
     mutation path reach the recorded genes."""
     problem = analytical_problem()
-    yield "analytical pop10 gen3 seed0", run_ga(
-        problem, problem.space, GaConfig(pop_size=10, generations=3, seed=0)
-    )
-    space = DesignSpace(lower=[0.0] * 4, upper=[1.0] * 4)
-    yield "ridge4 pop6 gen4 seed0", run_ga(
-        _ridge4, space, GaConfig(pop_size=6, generations=4, threshold=0.8, seed=0)
-    )
+    yield "analytical pop10 gen3 seed0", run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
+    ridge4 = Problem("ridge4", DesignSpace(lower=[0.0] * 4, upper=[1.0] * 4), 0.8, _ridge4)
+    yield "ridge4 pop6 gen4 seed0", run_ga(ridge4, GaConfig(pop_size=6, generations=4), 0)
 
 
 def _golden_snapshot(report):
@@ -202,7 +198,7 @@ def test_runs_are_bit_identical_to_recorded_values():
 
 def test_evaluation_count_pop100_gen10():
     problem = analytical_problem()
-    report = run_ga(problem, problem.space, GaConfig(pop_size=100, generations=10, seed=0))
+    report = run_ga(problem, GaConfig(pop_size=100, generations=10), 0)
     assert report.n_evaluations == 1100  # 100 init + 10 x 100 offspring
     assert 1000 <= report.n_evaluations <= 1100
     assert len(report.best_trace) == 1100
@@ -210,9 +206,9 @@ def test_evaluation_count_pop100_gen10():
 
 def test_run_is_deterministic_and_genes_bounded():
     problem = analytical_problem()
-    config = GaConfig(pop_size=12, generations=4, seed=21)
-    a = run_ga(problem, problem.space, config)
-    b = run_ga(problem, problem.space, config)
+    config = GaConfig(pop_size=12, generations=4)
+    a = run_ga(problem, config, 21)
+    b = run_ga(problem, config, 21)
     for ea, eb in zip(a.evaluations, b.evaluations):
         assert np.array_equal(ea.x, eb.x) and ea.f == eb.f
     for e in a.evaluations:
@@ -221,7 +217,7 @@ def test_run_is_deterministic_and_genes_bounded():
 
 def test_best_trace_monotone_and_incumbent_feasible():
     problem = analytical_problem()
-    report = run_ga(problem, problem.space, GaConfig(pop_size=20, generations=5, seed=3))
+    report = run_ga(problem, GaConfig(pop_size=20, generations=5), 3)
     values = [v for v in report.best_trace if v is not None]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert report.incumbent is not None
@@ -231,7 +227,7 @@ def test_best_trace_monotone_and_incumbent_feasible():
 
 def test_elitism_generation_best_never_regresses():
     problem = analytical_problem()
-    report = run_ga(problem, problem.space, GaConfig(pop_size=16, generations=6, seed=5))
+    report = run_ga(problem, GaConfig(pop_size=16, generations=6), 5)
     # best feasible seen through the end of each generation is non-increasing
     per_generation = []
     best = None
@@ -248,7 +244,6 @@ def test_elitism_generation_best_never_regresses():
 
 
 def test_failing_problem_returns_partial_report():
-    problem = analytical_problem()
     # 15 calls end in generation 1, 4 in the initial population (step 0)
     for good_calls, step in ((15, 1), (4, 0)):
         calls = {"n": 0}
@@ -259,7 +254,8 @@ def test_failing_problem_returns_partial_report():
                 raise RuntimeError("boom")
             return float(x[0]), 1.0
 
-        report = run_ga(flaky, problem.space, GaConfig(pop_size=10, generations=3, seed=0))
+        problem = Problem("flaky", UNIT_SQUARE, 0.995, flaky)
+        report = run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
         assert not report.complete
         assert report.n_evaluations == good_calls
         assert report.events == [f"evaluation failed at step {step}: boom"]
@@ -272,8 +268,8 @@ def test_result_that_is_not_a_number_returns_partial_report():
         calls["n"] += 1
         return (None if calls["n"] == 15 else float(x[0])), 1.0
 
-    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
-    report = run_ga(none_on_call_15, space, GaConfig(pop_size=10, generations=3, seed=0))
+    problem = Problem("none_on_call_15", UNIT_SQUARE, 0.995, none_on_call_15)
+    report = run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
     assert not report.complete
     assert report.n_evaluations == 14
     assert len(report.events) == 1

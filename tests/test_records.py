@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curebo.ga import GaConfig, run_ga
+from curebo.problems import Problem
 from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
 
@@ -81,8 +82,8 @@ def test_ga_trace_ends_at_its_incumbent_when_constraint_is_nan():
         # the cheap half of the box has no defined constraint value
         return float(x[0]), math.nan if x[0] < 0.5 else 1.0
 
-    space = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
-    report = run_ga(half_nan, space, GaConfig(pop_size=10, generations=3, threshold=0.5, seed=4))
+    problem = Problem("half_nan", DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0]), 0.5, half_nan)
+    report = run_ga(problem, GaConfig(pop_size=10, generations=3), 4)
     assert report.incumbent is not None and report.incumbent.f >= 0.5
     assert report.best_trace[-1] == report.incumbent.f
     assert all(v is None or v >= 0.5 for v in report.best_trace)

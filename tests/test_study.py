@@ -70,6 +70,11 @@ def test_config_rejects_unknown_keys_and_nested_errors(tmp_path):
         RunConfig.from_dict(small_config(tmp_path, problem_options={"t1_min": "x"}))
 
 
+def test_config_checks_the_budget_of_an_optimizer_the_study_does_not_run(tmp_path):
+    with pytest.raises(ConfigError, match="n_init must be at least 2"):
+        RunConfig.from_dict(small_config(tmp_path, optimizer="ga", cbo={"n_init": 1}))
+
+
 # Optimizer settings a study config cannot set: fit and operator settings are
 # fixed, threshold and sieve come from the problem, seed from the replication,
 # and the budget keys must be JSON integers.
@@ -330,10 +335,10 @@ def test_a_failed_replication_keeps_the_csvs_of_those_before_it(tmp_path, monkey
     ))
     run_ga = study.run_ga
 
-    def failing(problem, space, ga_config):
-        if ga_config.seed == config.seed + 2:
+    def failing(problem, ga_config, seed):
+        if seed == config.seed + 2:
             raise RuntimeError("replication 2 failed")
-        return run_ga(problem, space, ga_config)
+        return run_ga(problem, ga_config, seed)
 
     monkeypatch.setattr(study, "run_ga", failing)
     with pytest.raises(RuntimeError, match="replication 2 failed"):
@@ -473,6 +478,16 @@ def test_cli_oracle_and_error_codes(tmp_path):
     assert res.exit_code == 2
 
 
+def test_registry_dispatch_and_unknown_name():
+    runner = CliRunner()
+    res = runner.invoke(main, ["oracle", "sim2pt", "--grid", "2", "--threshold", "0"])
+    assert res.exit_code == 0, res.output
+    assert "at t1=" in res.output and "(threshold 0.0)" in res.output
+    res = runner.invoke(main, ["oracle", "mystery"])
+    assert res.exit_code == 2
+    assert "'mystery' is not one of 'analytical', 'sim2pt', 'sim4pt'" in res.output
+
+
 def test_cli_oracle_has_a_default_grid_for_every_registered_problem():
     assert set(cli._DEFAULT_ORACLE_GRID) == set(FACTORIES)
 
@@ -498,6 +513,25 @@ def test_cli_trace_runs_the_readme_example(tmp_path):
     res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert out.read_text().startswith("time_min,T_C,alpha")
+
+
+def test_cli_trace_rejects_a_dt_past_the_node_cap(tmp_path):
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text(json.dumps({"variant": "baseline", "dt": 1e-9}))
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2, res.output
+    assert "validation error: dt = 1e-09 min puts more than 1000000 nodes" in res.output
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_library_use_runs_the_readme_example(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    namespace = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    report = namespace["report"]
+    assert report.complete and report.n_evaluations == 40
+    assert report.incumbent is not None and report.incumbent.g >= report.threshold
 
 
 def test_cli_trace_names_a_missing_parameter(tmp_path):
@@ -567,6 +601,18 @@ def test_failed_evaluations_reach_the_events_csv(tmp_path):
     assert lines[0] == "replication,event"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
     assert all("evaluation failed at step 0" in line for line in lines[1:])
+
+
+def test_a_dt_past_the_node_cap_is_a_failed_evaluation(tmp_path):
+    config = RunConfig.from_dict(small_config(
+        tmp_path, problem="sim2pt", optimizer="ga", replications=1,
+        ga={"pop_size": 2, "generations": 1}, problem_options={"dt": 1e-9},
+    ))
+    run_study(config)
+    lines = (Path(config.output_dir) / "ga_events.csv").read_text().splitlines()
+    assert lines[1:] == [
+        "0,evaluation failed at step 0: dt = 1e-09 min puts more than 1000000 nodes on the time grid"
+    ]
 
 
 def test_cli_run_smoke(tmp_path):
