@@ -13,7 +13,9 @@ is known.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
+
+# scipy.special loads at the first call, through scipy's lazy attributes
+import scipy
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -31,7 +33,7 @@ def ei_values(means, variances, y_min: float) -> np.ndarray:
     pos = s > 0.0
     if np.any(pos):
         z = gain[pos] / s[pos]
-        out[pos] = gain[pos] * ndtr(z) + s[pos] * _phi(z)
+        out[pos] = gain[pos] * scipy.special.ndtr(z) + s[pos] * _phi(z)
     return np.maximum(out, 0.0)
 
 
@@ -42,5 +44,5 @@ def pf_values(means, variances, threshold: float) -> np.ndarray:
     out = (means >= threshold).astype(float)  # s == 0 limit
     pos = s > 0.0
     if np.any(pos):
-        out[pos] = ndtr((means[pos] - threshold) / s[pos])
+        out[pos] = scipy.special.ndtr((means[pos] - threshold) / s[pos])
     return out

@@ -78,7 +78,12 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
         )
 
     # The products are small, so extra BLAS threads only cost time (twice
-    # the time at two threads, with the same bits).
+    # the time at two threads, with the same bits). The pin reaches only the
+    # libraries loaded by then, and gp loads scipy's submodules, and with
+    # them scipy's own OpenBLAS, at its first call; so that library is
+    # loaded here, before the pin.
+    import scipy.linalg  # noqa: F401
+
     with openblas_pinned_to_one_thread():
         for x in lhs_sample(space, config.n_init, init_ss):
             if evaluate(problem, x, 0, None, evaluations, events) is None:

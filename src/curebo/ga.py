@@ -8,6 +8,7 @@ the feasibility classes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -54,12 +55,20 @@ def _rank_key(e: Evaluation, threshold: float):
     return (1, violation if violation > 0.0 else math.inf)
 
 
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent elementwise through libm's pow. numpy's ** picks a
+    SIMD kernel by CPU (its AVX512 one rounds differently), which would make
+    the genes depend on the host; a generation takes only a few hundred."""
+    powers = map(math.pow, base.ravel().tolist(), itertools.repeat(exponent))
+    return np.fromiter(powers, float, base.size).reshape(base.shape)
+
+
 def sbx_pair(
     x1: np.ndarray, x2: np.ndarray, u: np.ndarray, eta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover of gene rows x1 and x2 under uniforms u of
     the same shape, clamped to [0, 1]."""
-    beta = np.where(u <= 0.5, (2.0 * u) ** (1.0 / (eta + 1.0)), (0.5 / (1.0 - u)) ** (1.0 / (eta + 1.0)))
+    beta = _pow(np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u)), 1.0 / (eta + 1.0))
     c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
     c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
     return np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
@@ -68,11 +77,9 @@ def sbx_pair(
 def polynomial_mutation(x: np.ndarray, u: np.ndarray, apply: np.ndarray, eta: float) -> np.ndarray:
     """Polynomial mutation of the genes of x where apply is true, under
     uniforms u of the same shape, clamped to [0, 1]."""
-    delta = np.where(
-        u < 0.5,
-        (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0,
-        1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0)),
-    )
+    low = u < 0.5
+    power = _pow(np.where(low, 2.0 * u, 2.0 * (1.0 - u)), 1.0 / (eta + 1.0))
+    delta = np.where(low, power - 1.0, 1.0 - power)
     return np.clip(np.where(apply, x + delta, x), 0.0, 1.0)
 
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
-# private to scipy, but minimize's Python layers cost over half as much as the
-# likelihood; tests/test_gp.py holds _lbfgsb to minimize's calls and bits
-from scipy.optimize._lbfgsb import setulb
-from scipy.spatial.distance import cdist
+# scipy's submodules load through its lazy attributes at the first call, so
+# that importing curebo, and every run without a surrogate, skips their
+# import time (about 0.2 s)
+import scipy
 
 SQRT5 = np.sqrt(5.0)
 
@@ -119,7 +118,8 @@ def matern52_matrix(x: np.ndarray, z: np.ndarray, length_scales: np.ndarray) -> 
     # one pass even for an empty x, so that cdist still checks the dimensions
     for start in range(0, max(len(xs), 1), KERNEL_BLOCK_ROWS):
         rows = slice(start, start + KERNEL_BLOCK_ROWS)
-        _matern52_from_d2(cdist(xs[rows], zs, metric="sqeuclidean"), out=out[rows])
+        d2 = scipy.spatial.distance.cdist(xs[rows], zs, metric="sqeuclidean")
+        _matern52_from_d2(d2, out=out[rows])
     return out
 
 
@@ -132,7 +132,7 @@ def _chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
         # r + jitter * I; a Fortran-ordered copy is factorized in place.
         a = np.array(r, order="F")
         a[diagonal] += jitter
-        L, info = dpotrf(a, lower=1, clean=1, overwrite_a=1)
+        L, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
         if jitter >= JITTER_MAX:
@@ -149,7 +149,9 @@ def _profile_estimates(L: np.ndarray, y: np.ndarray):
     """Closed-form mu_hat, sigma2_hat and caches from a Cholesky factor."""
     n = len(y)
     # one solve for both right-hand sides; the transposes are Fortran order
-    rinv_y, rinv_1 = dpotrs(L, np.array([y, np.ones(n)]).T, lower=1, overwrite_b=1)[0].T
+    rinv_y, rinv_1 = scipy.linalg.lapack.dpotrs(
+        L, np.array([y, np.ones(n)]).T, lower=1, overwrite_b=1
+    )[0].T
     one_r_one = float(rinv_1.sum())
     mu = float(rinv_y.sum()) / one_r_one
     resid_solve = rinv_y - mu * rinv_1  # R^-1 (y - mu 1)
@@ -186,7 +188,7 @@ def _nll_and_grad(delta2: np.ndarray, y: np.ndarray, log_ls: np.ndarray):
     except NumericalError:
         return 1e12, np.zeros(d)
     _, sigma2, ll, resid_solve, _, _ = _profile_estimates(L, y)
-    li = dtrtri(L, lower=1)[0]
+    li = scipy.linalg.lapack.dtrtri(L, lower=1)[0]
     w = np.multiply.outer(resid_solve, resid_solve / max(sigma2, 1e-300))
     w -= li.T @ li  # a a' / sigma2 - R^-1
     w *= lin
@@ -215,6 +217,9 @@ def _lbfgsb(objective, x0: np.ndarray, lo: float, hi: float) -> np.ndarray:
     task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
     lsave, isave, dsave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32), np.zeros(29)
     iterations, last_x = 0, None
+    # private to scipy, but minimize's Python layers cost over half as much as
+    # the likelihood; tests/test_gp.py holds _lbfgsb to minimize's calls and bits
+    setulb = scipy.optimize._lbfgsb.setulb
     while True:
         setulb(MAXCOR, x, low, up, nbd, f, g, FACTR, PGTOL, wa, iwa, task, lsave, isave, dsave,
                MAXLS, ln_task)
@@ -312,7 +317,7 @@ def fit_gp(train_x, train_y, length_scales=None) -> GpSurrogate:
     L, jitter = _chol_with_jitter(R)
     mu, sigma2, ll, resid_solve, rinv_1, one_r_one = _profile_estimates(L, y)
     projector = np.empty((n, n + 2))
-    projector[:, :n] = dtrtri(L, lower=1)[0].T
+    projector[:, :n] = scipy.linalg.lapack.dtrtri(L, lower=1)[0].T
     projector[:, n] = resid_solve
     projector[:, n + 1] = rinv_1
     return GpSurrogate(

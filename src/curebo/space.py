@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 @dataclass(frozen=True)
@@ -106,10 +105,14 @@ def sieve(
 def drop_near_duplicates(points: np.ndarray, evaluated, tol: float = 1e-9) -> np.ndarray:
     """Remove candidates within L-inf distance tol of any evaluated point.
 
-    Keeps the correlation matrix of the surrogates well conditioned.
+    Keeps the correlation matrix of the surrogates well conditioned. The
+    (k, n, d) differences are formed at once, which suits the one candidate
+    at a time that run_cbo offers.
     """
-    evaluated = np.asarray(evaluated, dtype=float)
+    evaluated = np.atleast_2d(np.asarray(evaluated, dtype=float))
     if len(points) == 0 or evaluated.size == 0:
         return points
-    gaps = cdist(points, np.atleast_2d(evaluated), metric="chebyshev")
+    if evaluated.shape[1] != points.shape[1]:
+        raise ValueError(f"expected {points.shape[1]} coordinates, got {evaluated.shape[1]}")
+    gaps = np.abs(points[:, None, :] - evaluated[None, :, :]).max(axis=2)
     return points[gaps.min(axis=1) > tol]

@@ -141,7 +141,9 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         """The study of a parsed config, or ConfigError naming every violation:
         json_violations checks each key against the default it sets, this
-        method the required fields and ranges, and a dry run the constructors."""
+        method the required fields and ranges, and a dry run that builds the
+        optimizer budgets and the problem, each on its own, their
+        constructors' checks."""
         if not isinstance(data, dict):
             raise ConfigError(["config must be a JSON object"])
         problem = data.get("problem")
@@ -173,13 +175,21 @@ class RunConfig:
         if violations:
             raise ConfigError(violations)
 
-        # construct the study, its optimizer budgets and its problem now, so
-        # that their constructors' complaints surface as violations
+        # construct the optimizer budgets and the problem now, each on its
+        # own, so that every constructor's complaint surfaces as a violation
+        arguments = {}
+        for name, value in data.items():
+            try:
+                arguments.update(json_arguments({name: value}, defaults))
+            except (TypeError, ValueError) as exc:
+                violations.append(str(exc))
         try:
-            config = cls(**json_arguments(data, defaults))
-            build_problem(config)
+            _problem(problem, data.get("problem_options", {}))
         except (TypeError, ValueError) as exc:
-            raise ConfigError([str(exc)]) from None
+            violations.append(str(exc))
+        if violations:
+            raise ConfigError(violations)
+        config = cls(**arguments)
         ref = config.reference_optimum  # a JSON integer that sets a float is read as one
         return replace(config, reference_optimum=None if ref is None else float(ref),
                        convergence_tol=float(config.convergence_tol))
@@ -194,10 +204,14 @@ class RunConfig:
         return cls.from_dict(data)
 
 
+def _problem(name: str, options: dict) -> Problem:
+    factory = FACTORIES[name]
+    return factory(**json_arguments(options, _defaults(factory)))
+
+
 def build_problem(config: RunConfig) -> Problem:
     """Call the configured problem's factory with problem_options."""
-    factory = FACTORIES[config.problem]
-    return factory(**json_arguments(config.problem_options, _defaults(factory)))
+    return _problem(config.problem, config.problem_options)
 
 
 def percentile(values, p: float) -> float:

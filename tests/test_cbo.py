@@ -343,6 +343,8 @@ def test_config_validation_lists_problems():
     not openblas_threads(), reason="no loaded OpenBLAS exposes openblas_get_num_threads"
 )
 def test_direct_run_fits_at_one_blas_thread_and_gives_the_callers_count_back(monkeypatch):
+    import scipy.linalg  # noqa: F401 - scipy's OpenBLAS, as after any earlier fit
+
     caller = openblas_threads()
     seen = []
     real_fit = cbo.fit_gp

@@ -185,11 +185,12 @@ def _golden_snapshot(report):
 
 
 def test_runs_are_bit_identical_to_recorded_values():
-    # Recorded with Python 3.11 / numpy 2.4.6 on an AVX512 x86-64 host. A
+    # Recorded with Python 3.11 / numpy 2.4.6 on an AVX512 x86-64 host; the
+    # same bits come out with NPY_DISABLE_CPU_FEATURES=X86_V4, since the SBX
+    # and mutation powers go through libm's pow, not numpy's SIMD **. A
     # speedup of the breeding loop must keep every bit of these genes; taking
-    # the SBX or mutation powers with Python's scalar ** (libm pow) in place
-    # of numpy's array ** already changes them, and so does any reordering
-    # of a pair's random draws.
+    # the powers with numpy's array ** changes them on such a host, and so
+    # does any reordering of a pair's random draws.
     golden = json.loads((Path(__file__).parent / "ga_golden.json").read_text())
     got = {name: _golden_snapshot(report) for name, report in _golden_runs()}
     assert list(got) == list(golden)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from curebo.problems import four_point_problem
 from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
@@ -181,3 +182,19 @@ def test_drop_near_duplicates():
         assert not any(np.array_equal(p, gone) for p in kept)
     untouched = drop_near_duplicates(pool, np.empty((0, 2)))
     assert np.array_equal(untouched, pool)
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        drop_near_duplicates(pool, np.array([[0.5]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    arrays(float, st.tuples(st.integers(1, 5), st.just(d)), elements=st.floats(0, 1)),
+    arrays(float, st.tuples(st.integers(1, 6), st.just(d)), elements=st.floats(0, 1)),
+)), st.integers(0, 29))
+def test_near_duplicate_gaps_are_those_of_a_chebyshev_cdist(sets, pick):
+    # the tolerance is one of the exact gaps, so a gap off by one bit shows
+    points, evaluated = sets
+    gaps = cdist(points, evaluated, metric="chebyshev")
+    for tol in (gaps.ravel()[pick % gaps.size], 1e-9):
+        kept = drop_near_duplicates(points, evaluated, tol)
+        assert np.array_equal(kept, points[gaps.min(axis=1) > tol])

@@ -75,6 +75,18 @@ def test_config_checks_the_budget_of_an_optimizer_the_study_does_not_run(tmp_pat
         RunConfig.from_dict(small_config(tmp_path, optimizer="ga", cbo={"n_init": 1}))
 
 
+def test_config_reports_every_constructor_fault_at_once(tmp_path):
+    data = small_config(tmp_path, problem="sim2pt", optimizer="both", problem_options={"dt": 0},
+                        cbo={"n_init": 1}, ga={"pop_size": 3})
+    with pytest.raises(ConfigError) as caught:
+        RunConfig.from_dict(data)
+    assert sorted(caught.value.violations) == [
+        "dt must be positive",
+        "n_init must be at least 2",
+        "pop_size must be an even count of at least 2",
+    ]
+
+
 # Optimizer settings a study config cannot set: fit and operator settings are
 # fixed, threshold and sieve come from the problem, seed from the replication,
 # and the budget keys must be JSON integers.
@@ -306,6 +318,8 @@ def test_worker_count_does_not_change_artifacts(tmp_path, optimizer):
 def test_study_workers_run_blas_single_threaded(tmp_path, monkeypatch):
     # run_cbo pins its own loop, in a worker too; a study pins nothing and
     # leaves the caller's counts as they were, also when it raises
+    import scipy.linalg  # noqa: F401 - scipy's OpenBLAS, as after any earlier fit
+
     parent = openblas_threads()
     pinned = {path: 1 for path in parent}
     fit_gp = cbo.fit_gp
