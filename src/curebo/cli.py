@@ -14,6 +14,7 @@ import click
 from curebo.gp import NumericalError
 from curebo.problems import build_cycle, simulate_cure
 from curebo.problems.blackbox import FACTORIES
+from curebo.problems.cycle import BUILDERS, cycle_parameters
 from curebo.problems.simulate import IntegrationError, KineticParams, MechanicalParams
 from curebo.study import (
     ConfigError,
@@ -21,6 +22,7 @@ from curebo.study import (
     grid_oracle,
     json_arguments,
     json_violations,
+    problem_from_options,
     run_study,
 )
 
@@ -93,7 +95,7 @@ def run(config_file):
 def oracle(problem_name, grid, threshold):
     """Brute-force grid search: print the feasible minimum and its argmin."""
     options = {} if threshold is None else {"threshold": threshold}
-    problem = FACTORIES[problem_name](**options)
+    problem = problem_from_options(problem_name, options)  # a study's problem_options rules
     if grid is None:
         grid = _DEFAULT_ORACLE_GRID[problem_name]
     result = grid_oracle(problem, grid)
@@ -122,8 +124,7 @@ def trace(cycle_config, out):
     params = data.get("params")
     if isinstance(params, dict):
         variant = data.get("variant", _TRACE_DEFAULTS["variant"])
-        order = {"two-point": ("t1", "T1"), "four-point": ("t1", "T1", "t2", "T2")}
-        keys = order.get(variant, ())
+        keys = cycle_parameters(variant) if variant in BUILDERS else ()
         missing = [k for k in keys if k not in params]
         if missing:
             raise ValueError(f"{variant} params lack {', '.join(missing)}")

@@ -47,9 +47,19 @@ def analytical_problem(threshold: float = DOC_THRESHOLD) -> Problem:
     )
 
 
-def _check_simulator_options(dt: float) -> None:
+def _simulator_problem(name, build, space, threshold, dt, kinetics, mechanical, sieve_raw=None):
+    """Problem whose raw point is the arguments of the cycle builder build, in
+    order, scored as simulate_cure's (u_proxy, final_doc)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+
+    # simulate_cure is read from this module at each call, so that a wrapper
+    # set here (the benchmark's tracer) sees every evaluation
+    def fn(raw):
+        trace = simulate_cure(build(*raw), kinetics, mechanical, dt)
+        return trace.u_proxy, trace.final_doc
+
+    return Problem(name=name, space=space, threshold=threshold, raw_fn=fn, sieve_raw=sieve_raw)
 
 
 def two_point_problem(
@@ -63,20 +73,10 @@ def two_point_problem(
 
     t1_min selects the case family (1 min or 10 min in the shipped configs).
     """
-    _check_simulator_options(dt)
     if t1_min <= _TIME_EPS:  # A would sit on the start vertex at another temperature
         raise ValueError(f"t1_min must be greater than {_TIME_EPS} min")
-
-    def fn(raw):
-        trace = simulate_cure(two_point_cycle(raw[0], raw[1]), kinetics, mechanical, dt)
-        return trace.u_proxy, trace.final_doc
-
-    return Problem(
-        name="sim2pt",
-        space=DesignSpace(lower=[t1_min, 125.0], upper=[110.0, 180.0], names=("t1", "T1")),
-        threshold=threshold,
-        raw_fn=fn,
-    )
+    space = DesignSpace(lower=[t1_min, 125.0], upper=[110.0, 180.0], names=("t1", "T1"))
+    return _simulator_problem("sim2pt", two_point_cycle, space, threshold, dt, kinetics, mechanical)
 
 
 def four_point_problem(
@@ -92,13 +92,6 @@ def four_point_problem(
     the second; require_rising_second_ramp additionally demands a positive
     second slope.
     """
-    _check_simulator_options(dt)
-
-    def fn(raw):
-        trace = simulate_cure(
-            four_point_cycle(raw[0], raw[1], raw[2], raw[3]), kinetics, mechanical, dt
-        )
-        return trace.u_proxy, trace.final_doc
 
     def slopes_ok(raw):
         # raw[h] is coordinate h: a scalar for one point, a column for a pool
@@ -109,16 +102,13 @@ def four_point_problem(
             ok &= s2 > 0.0
         return ok
 
-    return Problem(
-        name="sim4pt",
-        space=DesignSpace(
-            lower=[10.0, 125.0, 120.0, 150.0],
-            upper=[110.0, 180.0, 200.0, 180.0],
-            names=("t1", "T1", "t2", "T2"),
-        ),
-        threshold=threshold,
-        raw_fn=fn,
-        sieve_raw=slopes_ok,
+    space = DesignSpace(
+        lower=[10.0, 125.0, 120.0, 150.0],
+        upper=[110.0, 180.0, 200.0, 180.0],
+        names=("t1", "T1", "t2", "T2"),
+    )
+    return _simulator_problem(
+        "sim4pt", four_point_cycle, space, threshold, dt, kinetics, mechanical, slopes_ok
     )
 
 

@@ -9,6 +9,7 @@ baseline heating rate.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,66 +82,60 @@ def _assemble(vertices) -> CureCycle:
     return CureCycle(vertices=tuple(cleaned))
 
 
-def baseline_cycle() -> CureCycle:
-    """Fixed reference cycle: 2.6 C/min ramp, 112 min dwell at 180 C, cool."""
-    t_ramp = (DWELL_TEMP_C - START_TEMP_C) / BASE_RAMP_RATE
-    t_dwell_end = t_ramp + BASELINE_DWELL_MIN
-    t_end = t_dwell_end + (DWELL_TEMP_C - START_TEMP_C) / COOL_RATE
+def _cycle(points, dwell_start: float, dwell_min: float) -> CureCycle:
+    """(0, 20 C), the control points, the 180 C dwell from dwell_start for
+    dwell_min minutes, then the cool-down to 20 C at COOL_RATE."""
+    dwell_end = dwell_start + dwell_min
+    t_end = dwell_end + (DWELL_TEMP_C - START_TEMP_C) / COOL_RATE
     return _assemble(
         [
             (0.0, START_TEMP_C),
-            (t_ramp, DWELL_TEMP_C),
-            (t_dwell_end, DWELL_TEMP_C),
+            *points,
+            (dwell_start, DWELL_TEMP_C),
+            (dwell_end, DWELL_TEMP_C),
             (t_end, START_TEMP_C),
         ]
     )
+
+
+def baseline_cycle() -> CureCycle:
+    """Fixed reference cycle: 2.6 C/min ramp, 112 min dwell at 180 C, cool."""
+    return _cycle((), (DWELL_TEMP_C - START_TEMP_C) / BASE_RAMP_RATE, BASELINE_DWELL_MIN)
 
 
 def two_point_cycle(t1: float, T1: float) -> CureCycle:
     """Cycle through A = (t1, T1) with the dwell anchored at 120 min."""
-    t_dwell_end = TWO_POINT_DWELL_START_MIN + TWO_POINT_DWELL_MIN
-    t_end = t_dwell_end + (DWELL_TEMP_C - START_TEMP_C) / COOL_RATE
-    return _assemble(
-        [
-            (0.0, START_TEMP_C),
-            (t1, T1),
-            (TWO_POINT_DWELL_START_MIN, DWELL_TEMP_C),
-            (t_dwell_end, DWELL_TEMP_C),
-            (t_end, START_TEMP_C),
-        ]
-    )
+    return _cycle([(t1, T1)], TWO_POINT_DWELL_START_MIN, TWO_POINT_DWELL_MIN)
 
 
 def four_point_cycle(t1: float, T1: float, t2: float, T2: float) -> CureCycle:
     """Cycle through A and B, ramping from B to the dwell at the base rate."""
-    t_dwell_start = t2 + (DWELL_TEMP_C - T2) / BASE_RAMP_RATE
-    t_dwell_end = t_dwell_start + FOUR_POINT_DWELL_MIN
-    t_end = t_dwell_end + (DWELL_TEMP_C - START_TEMP_C) / COOL_RATE
-    return _assemble(
-        [
-            (0.0, START_TEMP_C),
-            (t1, T1),
-            (t2, T2),
-            (t_dwell_start, DWELL_TEMP_C),
-            (t_dwell_end, DWELL_TEMP_C),
-            (t_end, START_TEMP_C),
-        ]
+    return _cycle(
+        [(t1, T1), (t2, T2)], t2 + (DWELL_TEMP_C - T2) / BASE_RAMP_RATE, FOUR_POINT_DWELL_MIN
     )
+
+
+# Variant name -> builder. A variant's parameters are its builder's, in order.
+BUILDERS = {
+    "baseline": baseline_cycle,
+    "two-point": two_point_cycle,
+    "four-point": four_point_cycle,
+}
+
+
+def cycle_parameters(variant: str) -> tuple[str, ...]:
+    """The parameter names of a variant's builder, in order."""
+    return tuple(inspect.signature(BUILDERS[variant]).parameters)
 
 
 def build_cycle(variant: str, params=()) -> CureCycle:
     """Build a cycle by variant name: baseline, two-point, or four-point."""
     params = tuple(float(p) for p in params)
-    if variant == "baseline":
-        if params:
-            raise ValueError("baseline cycle takes no control-point parameters")
-        return baseline_cycle()
-    if variant == "two-point":
-        if len(params) != 2:
-            raise ValueError("two-point cycle needs (t1, T1)")
-        return two_point_cycle(*params)
-    if variant == "four-point":
-        if len(params) != 4:
-            raise ValueError("four-point cycle needs (t1, T1, t2, T2)")
-        return four_point_cycle(*params)
-    raise ValueError(f"unknown cycle variant: {variant!r}")
+    if variant not in BUILDERS:
+        raise ValueError(f"unknown cycle variant: {variant!r}")
+    names = cycle_parameters(variant)
+    if len(params) != len(names):
+        if not names:
+            raise ValueError(f"{variant} cycle takes no control-point parameters")
+        raise ValueError(f"{variant} cycle needs ({', '.join(names)})")
+    return BUILDERS[variant](*params)

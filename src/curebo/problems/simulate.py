@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +47,8 @@ KELVIN_OFFSET = 273.15
 # Most nodes a simulated time grid may hold; dt 0.1 puts about 2,650 on a
 # shipped cycle.
 MAX_GRID_NODES = 1_000_000
+# np.exp overflows past this exponent
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 TRACE_COLUMNS = (
     "time_min",
@@ -153,6 +156,16 @@ def viscosity(alpha, temp_k, mech: MechanicalParams = MechanicalParams()):
     temp_k = np.asarray(temp_k, dtype=float)
     out = mech.visc_inf * np.exp(mech.visc_u / (R_GAS * temp_k) + mech.visc_k * alpha)
     return out if out.ndim else float(out)
+
+
+def coldest_cycle_temp_c(mech: MechanicalParams = MechanicalParams()) -> float:
+    """Temperature (C) a cycle must stay above: absolute zero, and the one
+    below which viscosity's exponent visc_u / (R T) + visc_k alpha passes
+    log(DBL_MAX) for some alpha in [0, 1] (about -257 C by default)."""
+    headroom = _LOG_DBL_MAX - max(mech.visc_k, 0.0)
+    if headroom <= 0.0:  # the cure term alone overflows at alpha = 1
+        return math.inf
+    return max(mech.visc_u, 0.0) / (R_GAS * headroom) - KELVIN_OFFSET
 
 
 def glass_transition_c(alpha, mech: MechanicalParams = MechanicalParams()):
@@ -390,7 +403,8 @@ def simulate_cure(
     cycle : temperature schedule, evaluated exactly (piecewise linear).
     kin, mech : material constants.
     dt : nominal step in minutes; actual steps divide each cycle segment.
-        A dt that needs more than MAX_GRID_NODES nodes raises ValueError.
+        A dt that needs more than MAX_GRID_NODES nodes raises ValueError, and
+        so does a cycle that reaches coldest_cycle_temp_c(mech).
 
     Gelation is flagged at the first upward crossing of the gel viscosity
     (the resin starts cold and thick, so a plain threshold test would fire
@@ -400,6 +414,12 @@ def simulate_cure(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    lowest = min(temp for _, temp in cycle.vertices)  # a linear segment's minimum is a vertex
+    coldest = coldest_cycle_temp_c(mech)
+    if lowest <= coldest:
+        raise ValueError(
+            f"cycle reaches {lowest:g} C; the viscosity law needs it above {coldest:.6g} C"
+        )
     t = _time_grid(cycle, dt)
     temps_c = cycle.temperature(t)
     temps_k = temps_c + KELVIN_OFFSET

@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from curebo.problems import blackbox
 from curebo.problems import (
     InfeasibleCycleError,
     analytical_problem,
     four_point_problem,
     two_point_problem,
 )
+from curebo.records import evaluate
+from curebo.space import DesignSpace
 
 
 def test_two_point_spaces():
@@ -62,3 +67,31 @@ def test_analytical_problem_is_identity_normalized():
     problem = analytical_problem()
     f0, g0 = problem(np.array([0.0, 0.0]))
     assert (f0, g0) == (pytest.approx(1.8646), pytest.approx(0.9902))
+
+
+def test_a_cycle_too_cold_to_simulate_is_a_failed_evaluation():
+    problem = replace(
+        two_point_problem(dt=0.5),
+        space=DesignSpace(lower=[60.0, -300.0], upper=[61.0, -260.0], names=("t1", "T1")),
+    )
+    evaluations, events = [], []
+    assert evaluate(problem, np.array([0.0, 1.0]), 0, None, evaluations, events) is None
+    assert evaluations == []
+    assert events == [
+        "evaluation failed at step 0: cycle reaches -260 C; "
+        "the viscosity law needs it above -257.451 C"
+    ]
+
+
+def test_simulator_problems_simulate_through_the_module_global(monkeypatch):
+    # a tracer that wraps blackbox.simulate_cure sees every evaluation
+    calls, simulate_cure = [], blackbox.simulate_cure
+
+    def counting(*args):
+        calls.append(args)
+        return simulate_cure(*args)
+
+    monkeypatch.setattr(blackbox, "simulate_cure", counting)
+    two_point_problem(dt=1.0)(np.array([0.5, 0.5]))
+    four_point_problem(dt=1.0)(np.array([0.5, 0.5, 0.5, 0.5]))
+    assert len(calls) == 2

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from curebo.problems import (
     four_point_cycle,
     two_point_cycle,
 )
+from curebo.problems.cycle import BUILDERS, cycle_parameters
 
 
 def test_baseline_ramp_dwell_and_cooldown():
@@ -77,3 +80,28 @@ def test_build_cycle_dispatch():
         build_cycle("baseline", (1.0,))
     with pytest.raises(ValueError):
         build_cycle("spiral", ())
+
+
+@pytest.mark.parametrize(
+    "variant, params, message",
+    [
+        ("two-point", (60.0,), r"^two-point cycle needs \(t1, T1\)$"),
+        ("four-point", (40.0, 150.0), r"^four-point cycle needs \(t1, T1, t2, T2\)$"),
+        ("baseline", (1.0,), r"^baseline cycle takes no control-point parameters$"),
+    ],
+)
+def test_build_cycle_names_the_parameters_of_the_variant_builder(variant, params, message):
+    assert cycle_parameters(variant) == tuple(inspect.signature(BUILDERS[variant]).parameters)
+    with pytest.raises(ValueError, match=message):
+        build_cycle(variant, params)
+
+
+def test_a_variant_is_its_builder(monkeypatch):
+    def late_start_cycle(t_hold, T_hold):
+        return two_point_cycle(t_hold, T_hold)
+
+    monkeypatch.setitem(BUILDERS, "late-start", late_start_cycle)
+    assert cycle_parameters("late-start") == ("t_hold", "T_hold")
+    assert build_cycle("late-start", (60, 140)) == two_point_cycle(60.0, 140.0)
+    with pytest.raises(ValueError, match=r"^late-start cycle needs \(t_hold, T_hold\)$"):
+        build_cycle("late-start", (60.0, 140.0, 1.0))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,30 @@ def test_unstable_step_past_the_branch_switch_raises_integration_error():
     stiff = KineticParams(a3=1e8)
     with pytest.raises(IntegrationError, match=r"^degree of cure left \[0, 1\] at t=54\.5906 min$"):
         simulate_cure(baseline_cycle(), stiff, MECH, dt=1.0)
+
+
+# viscosity's exponent visc_u / (R T) + visc_k alpha passes log(DBL_MAX) below
+# about -257 C with the default constants; -273.15 C is absolute zero
+@pytest.mark.parametrize("temp1", [-260.0, -273.15, -300.0])
+def test_a_cycle_too_cold_for_the_viscosity_law_is_rejected(temp1):
+    with pytest.raises(ValueError, match=r"the viscosity law needs it above -257\.451 C$"):
+        simulate_cure(two_point_cycle(60.0, temp1), KIN, MECH, dt=0.5)
+
+
+def test_the_cold_bound_is_where_viscosity_overflows():
+    bound_k = simulate.coldest_cycle_temp_c(MECH) + simulate.KELVIN_OFFSET
+    assert np.isfinite(viscosity(1.0, bound_k * (1.0 + 1e-9), MECH))
+    with np.errstate(over="ignore"):
+        assert viscosity(1.0, bound_k * (1.0 - 1e-9), MECH) == math.inf
+    # the bound follows the constants: ten times visc_u, ten times the kelvins
+    stiff = replace(MECH, visc_u=10.0 * MECH.visc_u)
+    assert simulate.coldest_cycle_temp_c(stiff) + simulate.KELVIN_OFFSET == pytest.approx(
+        10.0 * bound_k, rel=1e-12)
+    with pytest.raises(ValueError, match=r"^cycle reaches -150 C; .* above -116\.163 C$"):
+        simulate_cure(two_point_cycle(60.0, -150.0), KIN, stiff, dt=0.5)
+    # a law without temperature dependence still needs the cycle above absolute zero
+    assert simulate.coldest_cycle_temp_c(replace(MECH, visc_u=0.0)) == -simulate.KELVIN_OFFSET
+    assert simulate.coldest_cycle_temp_c(replace(MECH, visc_k=710.0)) == math.inf
 
 
 def test_viscosity_and_tg_models():

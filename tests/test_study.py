@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from curebo import cbo, cli, study
 from curebo.blas import openblas_threads
 from curebo.cli import main
-from curebo.problems.blackbox import FACTORIES, Problem
+from curebo.problems.blackbox import FACTORIES, Problem, analytical_problem
 from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
 from curebo.study import (
@@ -502,6 +502,31 @@ def test_registry_dispatch_and_unknown_name():
     assert "'mystery' is not one of 'analytical', 'sim2pt', 'sim4pt'" in res.output
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_cli_oracle_threshold_follows_the_problem_options_rule(threshold):
+    res = CliRunner().invoke(main, ["oracle", "analytical", "--grid", "11",
+                                    f"--threshold={threshold}"])
+    assert res.exit_code == 2, res.output
+    assert res.output == "validation error: threshold must be a finite number\n"
+
+
+def test_grid_oracle_refuses_an_oversized_grid_before_building_it(monkeypatch):
+    def no_meshgrid(*args, **kwargs):
+        raise AssertionError("np.meshgrid reached before the grid was sized")
+
+    monkeypatch.setattr(study.np, "meshgrid", no_meshgrid)
+    problem = analytical_problem()
+    with pytest.raises(ValueError, match=r"^a 3163\^2 grid has more than 10000000 points$"):
+        grid_oracle(problem, 3163)  # 3163^2 = 10,004,569
+    res = CliRunner().invoke(main, ["oracle", "analytical", "--grid", "100000"])
+    assert res.exit_code == 2, res.output
+    assert "validation error: a 100000^2 grid has more than 10000000 points" in res.output
+    # the largest square grid under the cap, which holds criterion 1's 2001^2,
+    # gets as far as building its points
+    with pytest.raises(AssertionError, match="np.meshgrid reached"):
+        grid_oracle(problem, 3162)
+
+
 def test_cli_oracle_has_a_default_grid_for_every_registered_problem():
     assert set(cli._DEFAULT_ORACLE_GRID) == set(FACTORIES)
 
@@ -535,6 +560,33 @@ def test_cli_trace_rejects_a_dt_past_the_node_cap(tmp_path):
     res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
     assert res.exit_code == 2, res.output
     assert "validation error: dt = 1e-09 min puts more than 1000000 nodes" in res.output
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_trace_reads_four_point_params_by_name(tmp_path):
+    runner = CliRunner()
+    named = {"T2": 165, "t1": 40, "t2": 140, "T1": 150}  # any key order
+    for name, params in [("named", named), ("listed", [40, 150, 140, 165])]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"variant": "four-point", "params": params, "dt": 0.5}))
+        res = runner.invoke(main, ["trace", str(cfg), "--out", str(tmp_path / f"{name}.csv")])
+        assert res.exit_code == 0, res.output
+    assert (tmp_path / "named.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
+
+    cfg = tmp_path / "partial.json"
+    cfg.write_text(json.dumps({"variant": "four-point", "params": {"t1": 40, "T1": 150}}))
+    res = runner.invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2
+    assert "validation error: four-point params lack t2, T2" in res.output
+
+
+@pytest.mark.parametrize("temp1", [-260, -273.15, -300])
+def test_cli_trace_rejects_a_cycle_too_cold_for_the_viscosity_law(tmp_path, temp1):
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text(json.dumps({"variant": "two-point", "params": [60, temp1], "dt": 0.5}))
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2, res.output
+    assert "validation error: cycle reaches" in res.output
     assert not (tmp_path / "t.csv").exists()
 
 
