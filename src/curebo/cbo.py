@@ -7,6 +7,16 @@ candidate pool by expected constrained improvement, and evaluates the true
 functions at the best-scoring candidate that is not a near-duplicate of an
 evaluated point. With no feasible incumbent the acquisition degrades to the
 probability of feasibility alone.
+
+PF <= 1, so no candidate scores above its own EI (Gardner et al. 2014).
+A step therefore predicts the objective surrogate on the pool first, and
+settles on the EI leader, predicting the constraint surrogate at that one
+point only, when the leader leads every other EI strictly, passes the
+duplicate guard and has a PF of exactly 1.0. Exactly 1.0, because its
+score EI x 1.0 then has the bits of its EI; a one-row prediction rounds
+differently from the whole-pool one, so a PF just below 1 could move the
+logged acquisition value in its last bits. Any other step scores the whole
+pool.
 """
 
 from __future__ import annotations
@@ -55,7 +65,12 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     The points come from problem.space, feasibility is g >= problem.threshold,
     and a problem with a sieve_raw has every pool passed through it before
     scoring (see `space.sieve`). No pick lies within DUPLICATE_TOL of an
-    evaluated point.
+    evaluated point. When a feasible incumbent exists and the EI leader
+    leads every other EI strictly, passes the duplicate guard and has a PF
+    of exactly 1.0 at its one row, it is the pick, with its EI as the
+    acquisition value, and the constraint surrogate predicts that row alone.
+    PF must be exactly 1.0 because a one-row prediction rounds differently
+    from the whole-pool one. Any other step scores the whole pool.
 
     Every loaded OpenBLAS runs at one thread for the run and gets its thread
     count back after. The report is bitwise reproducible for identical
@@ -108,16 +123,16 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
                     events.append(f"step {step}: sieve emptied the pool, stopping early")
                     return finish(complete=False)
 
-            mean_g, var_g = predict_batch(model_g, pool)
-            pf = pf_values(mean_g, var_g, threshold)
             best = running_best(evaluations, threshold)[-1]
             if best is None:
-                scores = pf
+                scores = pf_values(*predict_batch(model_g, pool), threshold)
+                pick = _best_distinct(pool, scores, train_x)
             else:
-                mean_f, var_f = predict_batch(model_f, pool)
-                scores = ei_values(mean_f, var_f, evaluations[best].f) * pf
-
-            pick = _best_distinct(pool, scores, train_x)
+                scores = ei_values(*predict_batch(model_f, pool), evaluations[best].f)
+                pick = _certain_leader(pool, scores, train_x, model_g, threshold)
+                if pick is None:
+                    scores = scores * pf_values(*predict_batch(model_g, pool), threshold)
+                    pick = _best_distinct(pool, scores, train_x)
             if pick is None:
                 events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
                 return finish(complete=False)
@@ -127,16 +142,31 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
         return finish(complete=True)
 
 
-def _best_distinct(pool: np.ndarray, scores, train_x) -> Optional[int]:
-    """Index of the best-scoring candidate farther than DUPLICATE_TOL (L-inf)
-    from every evaluated point, first index on ties as np.argmax and NaN
-    ranked last; None when there is none. Normally the np.argmax winner is
-    it; only a NaN or near-duplicate winner sends the duplicate guard down
-    the candidates in descending score."""
-    def distinct(i):
-        return len(drop_near_duplicates(pool[i : i + 1], train_x, DUPLICATE_TOL)) > 0
+def _distinct(pool: np.ndarray, i: int, train_x) -> bool:
+    """Whether candidate i lies farther than DUPLICATE_TOL (L-inf) from every evaluated point."""
+    return len(drop_near_duplicates(pool[i : i + 1], train_x, DUPLICATE_TOL)) > 0
 
+
+def _certain_leader(pool: np.ndarray, ei, train_x, model_g, threshold: float) -> Optional[int]:
+    """The EI leader when it is certainly the pick of EI x PF (see the
+    module docstring), else None: its EI leads every other strictly, which
+    no NaN EI does, it passes the duplicate guard, and its PF, predicted on
+    its one row, is exactly 1.0."""
+    top = int(np.argmax(ei))
+    if (ei >= ei[top]).sum() != 1 or not _distinct(pool, top, train_x):
+        return None
+    pf = pf_values(*predict_batch(model_g, pool[top : top + 1]), threshold)
+    return top if pf[0] == 1.0 else None
+
+
+def _best_distinct(pool: np.ndarray, scores, train_x) -> Optional[int]:
+    """Index of the best-scoring candidate that passes the duplicate guard
+    (`_distinct`), first index on ties as np.argmax and NaN ranked last;
+    None when there is none. Normally the np.argmax winner is it; only a
+    NaN or near-duplicate winner sends the guard down the candidates in
+    descending score."""
     winner = int(np.argmax(scores))
-    if not np.isnan(scores[winner]) and distinct(winner):
+    if not np.isnan(scores[winner]) and _distinct(pool, winner, train_x):
         return winner
-    return next((i for i in np.argsort(-scores, kind="stable").tolist() if distinct(i)), None)
+    candidates = np.argsort(-scores, kind="stable").tolist()
+    return next((i for i in candidates if _distinct(pool, i, train_x)), None)

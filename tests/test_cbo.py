@@ -219,6 +219,75 @@ def test_acquisition_value_is_ei_times_pf_or_pf_alone(monkeypatch):
         assert scores[pick] == scores.max()
 
 
+def test_a_certainly_feasible_ei_leader_is_the_pick_of_whole_pool_scoring(monkeypatch):
+    real_predict = cbo.predict_batch
+    calls = []
+
+    def recording(model, points):
+        calls.append((model, points))
+        return real_predict(model, points)
+
+    monkeypatch.setattr(cbo, "predict_batch", recording)
+    # g == 1 everywhere: the constraint surrogate is certain, so every PF is 1
+    problem = Problem("bowl", UNIT_SQUARE, 0.5, bowl)
+    config = CboConfig(n_init=5, n_steps=3, pool_size=300)
+    report = run_cbo(problem, config, 4)
+    assert report.complete
+    # each step predicts f on the pool, then g on the leader's row alone
+    assert [len(points) for _, points in calls] == [config.pool_size, 1] * config.n_steps
+    for step in range(config.n_steps):
+        (model_f, pool), (model_g, _) = calls[2 * step : 2 * step + 2]
+        train = report.evaluations[: config.n_init + step]
+        best_f = min(e.f for e in train)
+        scores = ei_values(*real_predict(model_f, pool), best_f) * pf_values(
+            *real_predict(model_g, pool), 0.5
+        )
+        pick = cbo._best_distinct(pool, scores, np.array([e.x for e in train]))
+        chosen = report.evaluations[config.n_init + step]
+        assert np.array_equal(chosen.x, pool[pick])
+        assert chosen.acq == scores[pick]
+
+
+@pytest.mark.parametrize(
+    "ei, g_var, expected, g_sizes",
+    [
+        ([0.1, 0.7, 0.3, 0.7, 0.2], [0.0] * 5, 1, [5]),  # a tie at the top of EI
+        ([0.1, 0.2, 0.3, 0.7, np.nan], [0.0] * 5, 3, [5]),  # a NaN EI, though not the leader
+        ([0.1, 0.2, 0.9, 0.5, 0.4], [0.0] * 5, 3, [5]),  # the leader is a near-duplicate
+        ([0.1, 0.7, 0.3, 0.6, 0.2], [0.0, 0.01, 0.0, 0.0, 0.0], 3, [1, 5]),  # leader's PF < 1
+    ],
+)
+def test_a_step_without_a_certain_leader_scores_the_whole_pool(
+    monkeypatch, ei, g_var, expected, g_sizes
+):
+    init = np.array([[0.2, 0.2], [0.8, 0.8]])
+    pool = np.array([[0.1, 0.1], [0.4, 0.4], [0.2, 0.2 + 1e-12], [0.6, 0.6], [0.9, 0.9]])
+    ei, g_var = np.array(ei), np.array(g_var)
+    g_mean = np.full(len(pool), 0.6)
+    sizes = []
+
+    def fixed_lhs(space, m, seed=None):
+        return (init if m == len(init) else pool).copy()
+
+    def scripted(model, points):
+        rows = [np.flatnonzero((pool == p).all(axis=1))[0] for p in points]
+        if model.train_y[0] == 0.0:  # f: EI over the incumbent f = 0 is -mean at zero variance
+            return -ei[rows], np.zeros(len(rows))
+        sizes.append(len(points))
+        return g_mean[rows], g_var[rows]
+
+    monkeypatch.setattr(cbo, "lhs_sample", fixed_lhs)
+    monkeypatch.setattr(cbo, "predict_batch", scripted)
+    problem = Problem("flat", UNIT_SQUARE, 0.5, lambda x: (0.0, 1.0))
+    report = run_cbo(problem, CboConfig(n_init=2, n_steps=1, pool_size=len(pool)), 0)
+    assert report.complete
+    assert sizes == g_sizes
+    scores = ei_values(-ei, np.zeros(len(pool)), 0.0) * pf_values(g_mean, g_var, 0.5)
+    assert cbo._best_distinct(pool, scores, init) == expected
+    assert np.array_equal(report.evaluations[-1].x, pool[expected])
+    assert report.evaluations[-1].acq == scores[expected]
+
+
 def test_surrogate_fit_failure_returns_partial_report(monkeypatch):
     real_fit = cbo.fit_gp
     calls = {"n": 0}

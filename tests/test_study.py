@@ -609,6 +609,24 @@ def test_cli_trace_names_a_missing_parameter(tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "variant, params, message",
+    [
+        ("two-point", {"t1": 60, "T1": 140, "t2": 90}, "unknown keys: params.t2"),
+        ("baseline", {"t1": 60}, "unknown keys: params.t1"),
+        ("four-point", {"t1": 40, "T1": 150, "x": 1, "T3": 2},
+         "four-point params lack t2, T2; unknown keys: params.T3, params.x"),
+    ],
+)
+def test_cli_trace_names_named_params_the_variant_does_not_take(tmp_path, variant, params, message):
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text(json.dumps({"variant": variant, "params": params, "dt": 0.5}))
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2, res.output
+    assert f"validation error: {message}" in res.output
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("extra", [{"kinetic": {"a1": 1e9}}, {"DT": 0.5}])
 def test_cli_trace_rejects_unknown_keys(tmp_path, extra):
     cfg = tmp_path / "cycle.json"
