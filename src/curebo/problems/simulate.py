@@ -50,19 +50,21 @@ MAX_GRID_NODES = 1_000_000
 # np.exp overflows past this exponent
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
-TRACE_COLUMNS = (
-    "time_min",
-    "T_C",
-    "alpha",
-    "dalpha_dt",
-    "Q_dot",
-    "mu",
-    "Tg_C",
-    "Er",
-    "Vrs",
-    "eps_s",
-    "sigma_bar",
-)
+# CureTrace series field -> its trace CSV header, in file order
+_TRACE_FIELDS = {
+    "time_min": "time_min",
+    "temp_c": "T_C",
+    "alpha": "alpha",
+    "rate": "dalpha_dt",
+    "heat_rate": "Q_dot",
+    "mu": "mu",
+    "tg_c": "Tg_C",
+    "modulus": "Er",
+    "vol_shrinkage": "Vrs",
+    "shrink_strain": "eps_s",
+    "sigma_bar": "sigma_bar",
+}
+TRACE_COLUMNS = tuple(_TRACE_FIELDS.values())
 
 
 class IntegrationError(RuntimeError):
@@ -225,19 +227,7 @@ class CureTrace:
 
     def write_csv(self, path) -> None:
         """Write the trace with the fixed public column order."""
-        columns = (
-            self.time_min,
-            self.temp_c,
-            self.alpha,
-            self.rate,
-            self.heat_rate,
-            self.mu,
-            self.tg_c,
-            self.modulus,
-            self.vol_shrinkage,
-            self.shrink_strain,
-            self.sigma_bar,
-        )
+        columns = [getattr(self, name) for name in _TRACE_FIELDS]
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(TRACE_COLUMNS)

@@ -36,6 +36,7 @@ from curebo.ga import GaConfig, run_ga
 from curebo.problems.analytical import DOC_COEFFS, U_COEFFS, quad_surface
 from curebo.problems.blackbox import FACTORIES, Problem
 from curebo.records import RunReport
+from curebo.space import sieve
 
 _PROBLEMS = tuple(FACTORIES)
 _OPTIMIZERS = ("cbo", "ga", "both")
@@ -236,6 +237,17 @@ def percentile(values, p: float) -> float:
     return vals[low - 1] * (1.0 - frac) + vals[high - 1] * frac
 
 
+# Statistic of a step's best-feasible values over replications -> its value;
+# each is a StudySummary field and, after n_feasible, a convergence CSV column.
+_STATISTICS = {
+    "mean": lambda values: float(np.mean(values)),
+    "median": lambda values: percentile(values, 50.0),
+    "p5": lambda values: percentile(values, 5.0),
+    "p95": lambda values: percentile(values, 95.0),
+}
+_STEP_COLUMNS = ("n_feasible", *_STATISTICS)
+
+
 def evals_to_reach(report: RunReport, target: float) -> Optional[int]:
     """1-based count of true evaluations until best feasible f <= target."""
     for i, best in enumerate(report.best, start=1):
@@ -255,7 +267,7 @@ class Replication:
     events: list[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudySummary:
     """Per-step aggregates of the best-feasible objective over replications."""
 
@@ -277,14 +289,7 @@ class StudySummary:
 
     def step_row(self, step: int) -> dict:
         i = self.step_index.index(step)
-        return {
-            "step": step,
-            "n_feasible": self.n_feasible[i],
-            "mean": self.mean[i],
-            "median": self.median[i],
-            "p5": self.p5[i],
-            "p95": self.p95[i],
-        }
+        return {"step": step, **{name: getattr(self, name)[i] for name in _STEP_COLUMNS}}
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -297,46 +302,34 @@ def summarize(config: RunConfig, optimizer: str, rows: list[Replication]) -> Stu
     counts only at the steps it reached.
     """
     n_steps = max((len(r.best_trace) for r in rows), default=0)
-    steps, counts, means, medians, p5s, p95s = [], [], [], [], [], []
-    for s in range(n_steps):
+    columns = {name: [] for name in _STEP_COLUMNS}
+    for s in range(n_steps):  # one step's values at a time
         values = [
             r.best_trace[s] for r in rows if s < len(r.best_trace) and r.best_trace[s] is not None
         ]
-        steps.append(s + 1)
-        counts.append(len(values))
-        if values:
-            means.append(float(np.mean(values)))
-            medians.append(percentile(values, 50.0))
-            p5s.append(percentile(values, 5.0))
-            p95s.append(percentile(values, 95.0))
-        else:
-            means.append(None)
-            medians.append(None)
-            p5s.append(None)
-            p95s.append(None)
-
-    summary = StudySummary(
+        columns["n_feasible"].append(len(values))
+        for name, statistic in _STATISTICS.items():
+            columns[name].append(statistic(values) if values else None)
+    convergence = {}
+    if config.reference_optimum is not None:
+        conv = [r.evals_to_reach for r in rows]
+        med = percentile([float("inf") if c is None else float(c) for c in conv], 50.0)
+        convergence = {
+            "reference_optimum": config.reference_optimum,
+            "convergence_tol": config.convergence_tol,
+            "convergence_evals": conv,
+            "convergence_median": None if math.isinf(med) else med,
+        }
+    return StudySummary(
         problem=config.problem,
         optimizer=optimizer,
         replications=len(rows),
-        step_index=steps,
-        n_feasible=counts,
-        mean=means,
-        median=medians,
-        p5=p5s,
-        p95=p95s,
+        step_index=list(range(1, n_steps + 1)),
         evaluations_per_replication=[r.n_evaluations for r in rows],
         final_best=[r.f_star for r in rows],
+        **columns,
+        **convergence,
     )
-    if config.reference_optimum is not None:
-        conv = [r.evals_to_reach for r in rows]
-        summary.reference_optimum = config.reference_optimum
-        summary.convergence_tol = config.convergence_tol
-        summary.convergence_evals = conv
-        as_inf = [float("inf") if c is None else float(c) for c in conv]
-        med = percentile(as_inf, 50.0)
-        summary.convergence_median = None if math.isinf(med) else med
-    return summary
 
 
 def _fmt(value) -> str:
@@ -365,20 +358,14 @@ def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> N
 
 
 def _write_convergence_csv(path: Path, summary: StudySummary) -> None:
+    """One row per step; _fmt writes an n_feasible count as csv.writer would."""
+    columns = [getattr(summary, name) for name in _STEP_COLUMNS]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["step", "n_feasible", "mean", "median", "p5", "p95"])
-        for i, step in enumerate(summary.step_index):
-            writer.writerow(
-                [
-                    step,
-                    summary.n_feasible[i],
-                    _fmt(summary.mean[i]),
-                    _fmt(summary.median[i]),
-                    _fmt(summary.p5[i]),
-                    _fmt(summary.p95[i]),
-                ]
-            )
+        writer.writerow(["step", *_STEP_COLUMNS])
+        writer.writerows(
+            [step, *map(_fmt, values)] for step, *values in zip(summary.step_index, *columns)
+        )
 
 
 def _replicate(args) -> Replication:
@@ -460,7 +447,11 @@ class OracleResult:
 
 
 def grid_oracle(problem: Problem, grid: int) -> OracleResult:
-    """Brute-force feasible minimum over a full-factorial normalized grid."""
+    """Brute-force feasible minimum over a full-factorial normalized grid.
+
+    A problem with a sieve_raw has the grid passed through it first, as
+    run_cbo does its pools, so the oracle searches the set the cBO searches
+    and never simulates a rejected cycle."""
     if grid < 2:
         raise ValueError("grid needs at least 2 points per dimension")
     if grid ** problem.space.dims > MAX_ORACLE_POINTS:
@@ -473,7 +464,11 @@ def grid_oracle(problem: Problem, grid: int) -> OracleResult:
     if problem.name == "analytical":
         f, g = quad_surface(U_COEFFS, *cols), quad_surface(DOC_COEFFS, *cols)
     else:
-        f, g = np.array([problem(x) for x in np.stack(cols, axis=1)]).T
+        points = np.stack(cols, axis=1)
+        if problem.sieve_raw is not None:
+            points = sieve(points, problem.sieve_raw, problem.space)
+        cols = list(points.T)
+        f, g = np.array([problem(x) for x in points]).reshape(-1, 2).T
     # records.feasible's rule: g >= threshold and a finite f
     feasible = np.flatnonzero((g >= problem.threshold) & np.isfinite(f))
     n_feasible = len(feasible)

@@ -246,6 +246,11 @@ def test_trace_csv_schema(tmp_path):
     assert len(rows) == len(trace.time_min) + 1
     assert float(rows[1][1]) == pytest.approx(20.0)  # starting temperature
     assert float(rows[-1][2]) == pytest.approx(trace.final_doc, rel=1e-10)
+    fields = ("time_min", "temp_c", "alpha", "rate", "heat_rate", "mu", "tg_c", "modulus",
+              "vol_shrinkage", "shrink_strain", "sigma_bar")
+    assert len(fields) == len(TRACE_COLUMNS)
+    for j, name in enumerate(fields):  # every cell of every series, in column order
+        assert [row[j] for row in rows[1:]] == [format(v, ".12g") for v in getattr(trace, name)]
 
 
 def test_param_validation():

@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import asdict, is_dataclass
+from dataclasses import FrozenInstanceError, asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from curebo import cbo, cli, study
 from curebo.blas import openblas_threads
 from curebo.cli import main
-from curebo.problems.blackbox import FACTORIES, Problem, analytical_problem
+from curebo.problems.blackbox import FACTORIES, Problem, analytical_problem, four_point_problem
 from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
 from curebo.study import (
@@ -285,6 +285,8 @@ def test_summary_percentiles_ordered_and_artifacts_exist(tmp_path):
     for i in range(len(summary.step_index)):
         if summary.n_feasible[i]:
             assert summary.p5[i] <= summary.median[i] <= summary.p95[i]
+    assert summary.convergence_evals is summary.convergence_median is None
+    assert_convergence_csv_holds(out / "cbo_convergence.csv", summary)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -378,6 +380,50 @@ def test_both_optimizers_and_convergence_tracking(tmp_path):
         assert summary.convergence_evals is not None
         assert len(summary.convergence_evals) == 3
     assert summaries["ga"].evaluations_per_replication == [30, 30, 30]
+    for name, summary in summaries.items():
+        assert_convergence_csv_holds(Path(config.output_dir) / f"{name}_convergence.csv", summary)
+
+
+def assert_convergence_csv_holds(path, summary):
+    """The convergence CSV is the summary's step rows, each statistic through _fmt."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["step", "n_feasible", "mean", "median", "p5", "p95"]
+    assert len(rows) == len(summary.step_index)
+    for cells, step in zip(rows, summary.step_index):
+        row = summary.step_row(step)
+        stats = [study._fmt(row[name]) for name in ("mean", "median", "p5", "p95")]
+        assert cells == [str(step), str(row["n_feasible"]), *stats]
+
+
+@pytest.mark.parametrize("reference", [None, 1.5])
+def test_convergence_csv_reads_back_as_the_summary(tmp_path, reference):
+    def row(trace, reach):
+        return Replication(
+            best_trace=trace, n_evaluations=len(trace), f_star=trace[-1], evals_to_reach=reach,
+            events=[],
+        )
+
+    config = RunConfig(problem="analytical", optimizer="cbo", replications=3, seed=0,
+                       output_dir="-", reference_optimum=reference)
+    rows = [row([None, 3.0, 2.0], 3), row([None, 1.0], 2), row([None, 4.0, 1.5], None)]
+    summary = summarize(config, "cbo", rows)
+    assert summary.n_feasible == [0, 3, 2]
+    assert summary.mean[0] is summary.median[0] is summary.p5[0] is summary.p95[0] is None
+    assert summary.mean[1] == pytest.approx(8.0 / 3.0) and summary.p95[2] == pytest.approx(1.975)
+    if reference is None:
+        assert summary.reference_optimum is summary.convergence_tol is None
+        assert summary.convergence_evals is summary.convergence_median is None
+    else:
+        assert summary.reference_optimum == 1.5 and summary.convergence_tol == 2e-4
+        assert summary.convergence_evals == [3, 2, None] and summary.convergence_median == 3.0
+    path = tmp_path / "cbo_convergence.csv"
+    study._write_convergence_csv(path, summary)
+    assert_convergence_csv_holds(path, summary)
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh))[1] == ["1", "0", "", "", "", ""]
+    with pytest.raises(FrozenInstanceError):
+        summary.median = [2.0]
 
 
 def test_unwritable_output_fails_before_compute(tmp_path):
@@ -439,6 +485,24 @@ def test_grid_oracle_never_picks_a_non_finite_objective():
     assert result.f_min == pytest.approx(0.3, abs=1e-15)
     assert result.x_raw.tolist() == pytest.approx([0.3], abs=1e-15)
     assert result.n_feasible == 8
+
+
+def test_grid_oracle_searches_only_the_points_the_sieve_keeps():
+    problem = four_point_problem()
+    result = grid_oracle(problem, 2)
+    assert bool(problem.sieve_raw(result.x_raw))
+    assert result.n_feasible == 14  # of 16 grid points, 2 fail the slope sieve
+
+
+def test_grid_oracle_simulates_nothing_when_the_sieve_rejects_the_grid():
+    def never(raw):
+        raise AssertionError("a sieved-out point was evaluated")
+
+    space = DesignSpace(lower=[0.0], upper=[1.0], names=("t",))
+    toy = Problem(name="toy", space=space, threshold=0.5, raw_fn=never,
+                  sieve_raw=lambda raw: False)
+    result = grid_oracle(toy, 11)
+    assert result.f_min is None and result.x_raw is None and result.n_feasible == 0
 
 
 def csv_writer_replication_csv(path, problem, report):
