@@ -41,11 +41,8 @@ LENGTH_SCALE_BOUNDS = (1e-3, 1e3)
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 
-# Hyperparameter search: the default start plus RESTARTS perturbed starts
-# (drawn from a generator seeded with RESTART_SEED), each refined by at most
-# MAXITER L-BFGS-B iterations.
-RESTARTS = 2
-RESTART_SEED = 0
+# Hyperparameter search: a single L-BFGS-B run from the default start, of at
+# most MAXITER iterations.
 MAXITER = 60
 
 # minimize's other L-BFGS-B defaults: stored corrections, steps per line
@@ -285,33 +282,10 @@ def fit_gp(train_x, train_y, length_scales=None) -> GpSurrogate:
             raise ValueError("pinned length_scales must be finite and positive")
     else:
         init = np.log(_initial_length_scales(x))
-        starts = [init]
-        rng = np.random.default_rng(RESTART_SEED)
-        for _ in range(RESTARTS):
-            starts.append(np.clip(init + rng.normal(0.0, 0.7, size=d), lo, hi))
-
         delta2 = np.square(x[:, None, :] - x[None, :, :]).reshape(n * n, d)
-        nll_at: dict[bytes, float] = {}
-
-        def objective(v):
-            value, grad = _nll_and_grad(delta2, y, v)
-            nll_at[v.tobytes()] = value
-            return value, grad
-
-        def score(v):
-            # L-BFGS-B evaluates its start first and returns an evaluated
-            # iterate, so the memo usually holds the value already. The
-            # driver's last value would not do: after an ABNORMAL line-search
-            # exit it is the value of the last trial point, not of the result.
-            key = v.tobytes()
-            return -(nll_at[key] if key in nll_at else objective(v)[0])
-
-        # clipped in case round-off in the line search leaves the box
-        candidates = starts + [np.clip(_lbfgsb(objective, s, lo, hi), lo, hi) for s in starts]
-        # The untouched starts stay in the candidate set, so the selected
-        # optimum can never fall below the default initialization.
-        scores = [score(c) for c in candidates]
-        best_ls = np.exp(candidates[int(np.argmax(scores))])
+        # L-BFGS-B returns an accepted iterate, whose likelihood is never below
+        # the start's; clipped in case round-off in the line search leaves the box
+        best_ls = np.exp(np.clip(_lbfgsb(lambda v: _nll_and_grad(delta2, y, v), init, lo, hi), lo, hi))
 
     R = matern52_matrix(x, x, best_ls)
     L, jitter = _chol_with_jitter(R)

@@ -487,8 +487,10 @@ def test_predictions_are_invariant_to_a_common_shift_of_the_inputs(data, steps):
 
 def _golden_dataset():
     """40 points in 4-d with a smooth objective, a saturating cure-like g and a
-    constant output; the constant one ends L-BFGS-B runs with ABNORMAL
-    line-search exits, where res.fun is not the objective at res.x."""
+    constant output. L-BFGS-B runs on the constant one can end with ABNORMAL
+    line-search exits, where res.fun is not the objective at res.x: from the
+    driver test's perturbed start at both recorded levels, and from fit_gp's
+    default start with numpy's AVX512 kernels disabled."""
     rng = np.random.default_rng(20240601)
     x = rng.random((40, 4))
     queries = rng.random((20, 4))
@@ -499,7 +501,8 @@ def _golden_dataset():
 
 def _lbfgsb_matches_minimize(fun, x0, lo, hi):
     """Run gp._lbfgsb and scipy's minimize from x0 and require the same
-    sequence of objective calls and the same bits of x; minimize's result."""
+    sequence of objective calls, the same bits of x, and an objective at x no
+    greater than at x0; minimize's result."""
     ours, theirs = [], []
 
     def recording(calls):
@@ -513,6 +516,7 @@ def _lbfgsb_matches_minimize(fun, x0, lo, hi):
                    bounds=[(lo, hi)] * len(x0), options={"maxiter": gp.MAXITER})
     assert ours == theirs
     assert x.tobytes() == res.x.tobytes()
+    assert fun(x)[0] <= fun(x0)[0]
     return res
 
 
@@ -537,15 +541,17 @@ def _fit_gp_runs(y):
 def test_driver_matches_scipy_minimize_on_the_golden_likelihoods(name):
     _, _, outputs = _golden_dataset()
     runs = _fit_gp_runs(outputs[name])
-    assert len(runs) == 1 + gp.RESTARTS
-    results = [_lbfgsb_matches_minimize(*run) for run in runs]
+    assert len(runs) == 1
+    _lbfgsb_matches_minimize(*runs[0])
+    objective, x0, lo, hi = runs[0]
     if name == "flat":
-        assert any(res.message.startswith("ABNORMAL") for res in results)
+        # a perturbed start that ends with an ABNORMAL line-search exit
+        start = np.clip(x0 + np.random.default_rng(0).normal(0.0, 0.7, 4), lo, hi)
+        assert _lbfgsb_matches_minimize(objective, start, lo, hi).message.startswith("ABNORMAL")
     # From starts on the bounds, setulb asks again for the point it was just
     # given, which minimize answers without a call. On the AVX512 host the
     # goldens were recorded on, the first start does so on f and g, the
     # second on g and flat.
-    objective, x0, lo, hi = runs[0]
     for start in ([x0[0], lo, hi, x0[3]], [x0[0], lo, x0[2], hi]):
         _lbfgsb_matches_minimize(objective, np.array(start), lo, hi)
 
