@@ -21,7 +21,6 @@ pool.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,7 +78,6 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     candidate is a near-duplicate of an evaluated point ends the run early
     and returns the partial report with complete=False.
     """
-    t0 = time.perf_counter()
     space, threshold = problem.space, problem.threshold
     root = np.random.SeedSequence(seed)
     init_ss, *pool_seeds = root.spawn(1 + config.n_steps)
@@ -88,9 +86,7 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     events: list[str] = []
 
     def finish(complete: bool) -> RunReport:
-        return RunReport(
-            evaluations, threshold, config.n_init, time.perf_counter() - t0, complete, events
-        )
+        return RunReport(evaluations, threshold, complete, events)
 
     # The products are small, so extra BLAS threads only cost time (twice
     # the time at two threads, with the same bits). The pin reaches only the

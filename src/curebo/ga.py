@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +126,8 @@ def run_ga(problem: Problem, config: GaConfig, seed: int) -> RunReport:
     Generation 0 is a Latin hypercube of pop_size; each later generation
     breeds pop_size offspring and truncates the combined population under
     Deb's feasibility rule (_rank_key). Every evaluation's step_index is its
-    generation. The best-feasible trace has one entry per raw evaluation.
+    generation.
     """
-    t0 = time.perf_counter()
     root = np.random.SeedSequence(seed)
     init_ss, evo_ss = root.spawn(2)
     rng = np.random.default_rng(evo_ss)
@@ -139,7 +137,7 @@ def run_ga(problem: Problem, config: GaConfig, seed: int) -> RunReport:
     events: list[str] = []
 
     def finish(complete: bool) -> RunReport:
-        return RunReport(evaluations, threshold, 0, time.perf_counter() - t0, complete, events)
+        return RunReport(evaluations, threshold, complete, events)
 
     for x in lhs_sample(problem.space, config.pop_size, init_ss):
         if evaluate(problem, x, 0, None, evaluations, events) is None:

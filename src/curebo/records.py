@@ -56,22 +56,21 @@ def evaluate(
 @dataclass
 class RunReport:
     """What one run produced. best is running_best(evaluations, threshold),
-    computed once when the report is made, and the incumbent and best_trace
-    are read from it. best_trace holds the running best f from evaluation
-    trace_from on: one entry per learn step for cBO (trace_from = n_init),
-    per evaluation for the GA (trace_from = 0); None until the first
-    feasible point."""
+    and best_feasible the f of each of its entries (None until the first
+    feasible evaluation), both computed once when the report is made.
+    best_feasible has one entry per evaluation: it is the best_feasible
+    column of the replication CSV and all that a study's summary reads."""
 
     evaluations: list[Evaluation]
     threshold: float
-    trace_from: int
-    wall_time: float
     complete: bool = True
     events: list[str] = field(default_factory=list)
     best: list[Optional[int]] = field(init=False, repr=False)
+    best_feasible: list[Optional[float]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.best = running_best(self.evaluations, self.threshold)
+        self.best_feasible = [None if i is None else self.evaluations[i].f for i in self.best]
 
     @property
     def n_evaluations(self) -> int:
@@ -81,10 +80,6 @@ class RunReport:
     def incumbent(self) -> Optional[Evaluation]:
         """The best feasible evaluation; None when none is feasible."""
         return self.evaluations[self.best[-1]] if self.best and self.best[-1] is not None else None
-
-    @property
-    def best_trace(self) -> list[Optional[float]]:
-        return [None if i is None else self.evaluations[i].f for i in self.best[self.trace_from :]]
 
 
 def feasible(e: Evaluation, threshold: float) -> bool:

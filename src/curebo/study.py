@@ -6,11 +6,8 @@ evaluation log per replication, a CSV of the replications' events, a combined
 per-step convergence CSV, and a JSON summary with mean/median/5th/95th
 percentile of the best-feasible objective at every step. Outputs depend only
 on the config contents, so reruns are byte identical regardless of worker
-count.
-
-Step-axis convention: for cBO the step index counts acquisition-driven
-evaluations after initialization; for the GA it counts raw evaluations,
-initialization included.
+count. The summary and the convergence CSV are computed from each
+replication's best_feasible column alone (see summarize).
 
 Every JSON input, a study config and a cycle trace config alike, is checked
 by json_violations against the defaults of the parameters its keys set, and
@@ -248,25 +245,6 @@ _STATISTICS = {
 _STEP_COLUMNS = ("n_feasible", *_STATISTICS)
 
 
-def evals_to_reach(report: RunReport, target: float) -> Optional[int]:
-    """1-based count of true evaluations until best feasible f <= target."""
-    for i, best in enumerate(report.best, start=1):
-        if best is not None and report.evaluations[best].f <= target:
-            return i
-    return None
-
-
-@dataclass(frozen=True)
-class Replication:
-    """One replication's summary inputs; evals_to_reach is None without a reference_optimum."""
-
-    best_trace: list[Optional[float]]
-    n_evaluations: int
-    f_star: Optional[float]
-    evals_to_reach: Optional[int]
-    events: list[str]
-
-
 @dataclass(frozen=True)
 class StudySummary:
     """Per-step aggregates of the best-feasible objective over replications."""
@@ -295,24 +273,34 @@ class StudySummary:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def summarize(config: RunConfig, optimizer: str, rows: list[Replication]) -> StudySummary:
-    """Aggregate best-feasible traces across replications.
+def summarize(
+    config: RunConfig, optimizer: str, columns: list[list[Optional[float]]]
+) -> StudySummary:
+    """Aggregate the replications' best_feasible columns, one entry per
+    evaluation each, in replication order.
 
-    The step axis runs to the longest trace; a replication that stopped early
-    counts only at the steps it reached.
+    The step axis counts the cBO's learn steps (each cBO column loses its
+    first config.cbo.n_init entries) and every evaluation of the GA. It runs
+    to the longest trace; a replication that stopped early counts only at
+    the steps it reached. convergence_evals counts every evaluation up to the
+    first best feasible f within convergence_tol of the reference_optimum.
     """
-    n_steps = max((len(r.best_trace) for r in rows), default=0)
-    columns = {name: [] for name in _STEP_COLUMNS}
+    start = config.cbo.n_init if optimizer == "cbo" else 0
+    traces = [column[start:] for column in columns]
+    n_steps = max(map(len, traces), default=0)
+    stats = {name: [] for name in _STEP_COLUMNS}
     for s in range(n_steps):  # one step's values at a time
-        values = [
-            r.best_trace[s] for r in rows if s < len(r.best_trace) and r.best_trace[s] is not None
-        ]
-        columns["n_feasible"].append(len(values))
+        values = [trace[s] for trace in traces if s < len(trace) and trace[s] is not None]
+        stats["n_feasible"].append(len(values))
         for name, statistic in _STATISTICS.items():
-            columns[name].append(statistic(values) if values else None)
+            stats[name].append(statistic(values) if values else None)
     convergence = {}
     if config.reference_optimum is not None:
-        conv = [r.evals_to_reach for r in rows]
+        target = config.reference_optimum + config.convergence_tol
+        conv = [
+            next((i for i, v in enumerate(column, start=1) if v is not None and v <= target), None)
+            for column in columns
+        ]
         med = percentile([float("inf") if c is None else float(c) for c in conv], 50.0)
         convergence = {
             "reference_optimum": config.reference_optimum,
@@ -323,11 +311,11 @@ def summarize(config: RunConfig, optimizer: str, rows: list[Replication]) -> Stu
     return StudySummary(
         problem=config.problem,
         optimizer=optimizer,
-        replications=len(rows),
+        replications=len(columns),
         step_index=list(range(1, n_steps + 1)),
-        evaluations_per_replication=[r.n_evaluations for r in rows],
-        final_best=[r.f_star for r in rows],
-        **columns,
+        evaluations_per_replication=[len(column) for column in columns],
+        final_best=[column[-1] if column else None for column in columns],
+        **stats,
         **convergence,
     )
 
@@ -341,20 +329,26 @@ def _fmt(value) -> str:
 def _write_replication_csv(path: Path, problem: Problem, report: RunReport) -> None:
     """One row per evaluation, in the bytes csv.writer would write: no field
     needs quoting, "%.17g" % v is _fmt(v) for a float v, and the optional
-    best_feasible and acq columns go through _fmt."""
+    best_feasible and acq columns go through _fmt. The rows go to a temporary
+    file that replaces path once complete, so path is never a partial log."""
     dims = problem.space.dims
     header = ["eval", "phase", "step", *problem.space.names, "f", "g", "best_feasible", "acq"]
     row = ",".join(["%d", "%s", "%d", *["%.17g"] * (dims + 2), "%s", "%s"]) + "\r\n"
-    evaluations = report.evaluations
-    xs = np.array([e.x for e in evaluations]).reshape(-1, dims)
+    xs = np.array([e.x for e in report.evaluations]).reshape(-1, dims)
     raws = problem.space.denormalize(xs).tolist()
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow(header)
-        handle.writelines(
-            row % (i, e.phase, e.step_index, *raw, e.f, e.g,
-                   _fmt(None if b is None else evaluations[b].f), _fmt(e.acq))
-            for i, (e, b, raw) in enumerate(zip(evaluations, report.best, raws), start=1)
-        )
+    cells = enumerate(zip(report.evaluations, report.best_feasible, raws), start=1)
+    part = path.with_name(path.name + ".tmp")
+    try:
+        with open(part, "w", newline="") as handle:
+            csv.writer(handle).writerow(header)
+            handle.writelines(
+                row % (i, e.phase, e.step_index, *raw, e.f, e.g, _fmt(best), _fmt(e.acq))
+                for i, (e, best, raw) in cells
+            )
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _write_convergence_csv(path: Path, summary: StudySummary) -> None:
@@ -368,18 +362,16 @@ def _write_convergence_csv(path: Path, summary: StudySummary) -> None:
         )
 
 
-def _replicate(args) -> Replication:
-    """Run one replication, write its CSV and return its summary inputs."""
+def _replicate(args) -> tuple[list[Optional[float]], list[str]]:
+    """Run one replication, write its CSV and return its best_feasible
+    column and events."""
     config, optimizer, index = args
     problem = build_problem(config)
     run = run_cbo if optimizer == "cbo" else run_ga
     report = run(problem, getattr(config, optimizer), config.seed + index)
     out = Path(config.output_dir) / f"{optimizer}_rep{index:03d}.csv"
     _write_replication_csv(out, problem, report)
-    ref = config.reference_optimum
-    reach = None if ref is None else evals_to_reach(report, ref + config.convergence_tol)
-    f_star = None if report.incumbent is None else report.incumbent.f
-    return Replication(report.best_trace, report.n_evaluations, f_star, reach, report.events)
+    return report.best_feasible, report.events
 
 
 def worker_pool(workers: int) -> ProcessPoolExecutor:
@@ -388,8 +380,8 @@ def worker_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _replications(config: RunConfig, optimizer: str):
-    """Run the replications of optimizer and yield each one's summary inputs,
-    in replication order whatever the worker count."""
+    """Run the replications of optimizer and yield each one's best_feasible
+    column and events, in replication order whatever the worker count."""
     jobs = [(config, optimizer, i) for i in range(config.replications)]
     if config.workers > 1 and config.replications > 1:
         with worker_pool(min(config.workers, config.replications)) as pool:
@@ -401,9 +393,9 @@ def _replications(config: RunConfig, optimizer: str):
 def run_study(config: RunConfig) -> dict[str, StudySummary]:
     """Execute all replications, write artifacts, and return the summaries.
 
-    Replication i runs with seed root_seed + i. Its CSV and events are
-    written as it finishes, so a study that raises keeps those of the
-    replications before the failing one.
+    The replication of index i runs with seed root_seed + i. Its CSV and
+    events are written as it finishes, so a study that raises keeps those of
+    the replications before the failing one.
 
     With workers > 1 the replications run in a pool of
     min(workers, replications) processes. Only run_cbo calls BLAS, and it
@@ -419,11 +411,11 @@ def run_study(config: RunConfig) -> dict[str, StudySummary]:
         with open(out_dir / f"{optimizer}_events.csv", "w", newline="") as handle:
             events = csv.writer(handle)
             events.writerow(["replication", "event"])
-            rows = []
-            for index, row in enumerate(_replications(config, optimizer)):
-                events.writerows([index, event] for event in row.events)
-                rows.append(row)
-        summary = summarize(config, optimizer, rows)
+            columns = []
+            for index, (column, logged) in enumerate(_replications(config, optimizer)):
+                events.writerows([index, event] for event in logged)
+                columns.append(column)
+        summary = summarize(config, optimizer, columns)
         _write_convergence_csv(out_dir / f"{optimizer}_convergence.csv", summary)
         (out_dir / f"{optimizer}_summary.json").write_text(summary.to_json())
         summaries[optimizer] = summary

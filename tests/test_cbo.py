@@ -12,6 +12,7 @@ from curebo.problems import Problem, analytical_problem, four_point_problem
 from curebo.acquisition import ei_values, pf_values
 from curebo.records import Evaluation, RunReport
 from curebo.space import DesignSpace
+from curebo.study import RunConfig, summarize
 
 UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
 
@@ -25,7 +26,14 @@ def _eval(f, g):
 
 
 def _incumbent(evaluations, threshold):
-    return RunReport(evaluations, threshold, 0, wall_time=0.0).incumbent
+    return RunReport(evaluations, threshold).incumbent
+
+
+def _learn_steps(report, config):
+    """The length of a study's step axis for this one cBO run."""
+    study = RunConfig(problem="analytical", optimizer="cbo", replications=1, seed=0,
+                      output_dir="-", cbo=config)
+    return len(summarize(study, "cbo", [report.best_feasible]).step_index)
 
 
 def test_best_feasible_rules():
@@ -46,15 +54,16 @@ def test_budget_exactness_forty_evaluations():
     assert report.n_evaluations == 40
     assert sum(e.phase == "init" for e in report.evaluations) == 10
     assert sum(e.phase == "learn" for e in report.evaluations) == 30
-    assert len(report.best_trace) == 30
+    assert len(report.best_feasible) == 40
+    assert _learn_steps(report, config) == 30
     assert report.complete
 
 
 def test_unconstrained_bowl_converges_and_trace_monotone():
     config = CboConfig(n_init=6, n_steps=10, pool_size=2000)
     report = run_cbo(Problem("bowl", UNIT_SQUARE, 0.5, bowl), config, 3)
-    values = [v for v in report.best_trace if v is not None]
-    assert len(values) == 10  # g == 1 everywhere: feasible from the start
+    values = [v for v in report.best_feasible if v is not None]
+    assert len(values) == 16  # g == 1 everywhere: feasible from the start
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     # within pool resolution of the bowl minimum
     assert report.incumbent.f < 1e-3
@@ -118,10 +127,11 @@ def test_exhausted_fixed_pool_returns_partial_report(monkeypatch):
 
     monkeypatch.setattr(cbo, "lhs_sample", fixed_lhs)
     problem = analytical_problem()
-    report = run_cbo(problem, CboConfig(n_init=2, n_steps=8, pool_size=len(pool)), 1)
+    config = CboConfig(n_init=2, n_steps=8, pool_size=len(pool))
+    report = run_cbo(problem, config, 1)
     assert not report.complete
     assert report.n_evaluations == 8
-    assert len(report.best_trace) == 6
+    assert _learn_steps(report, config) == 6
     assert any("duplicate guard emptied the pool" in e for e in report.events)
     xs = {tuple(e.x) for e in report.evaluations}
     assert len(xs) == report.n_evaluations
@@ -300,10 +310,11 @@ def test_surrogate_fit_failure_returns_partial_report(monkeypatch):
 
     monkeypatch.setattr(cbo, "fit_gp", fit_failing_at_step_2)
     problem = Problem("bowl", UNIT_SQUARE, 0.995, bowl)
-    report = run_cbo(problem, CboConfig(n_init=4, n_steps=5, pool_size=100), 0)
+    config = CboConfig(n_init=4, n_steps=5, pool_size=100)
+    report = run_cbo(problem, config, 0)
     assert not report.complete
     assert report.n_evaluations == 5
-    assert len(report.best_trace) == 1
+    assert _learn_steps(report, config) == 1
     assert report.events == ["step 2: surrogate fit failed: not positive definite"]
 
 
@@ -321,7 +332,7 @@ def test_non_finite_objective_trains_no_model_and_is_never_incumbent(seed):
     # no fit failed; each NaN evaluation has its event (test_non_finite_results_are_events)
     assert all(event.startswith("non-finite result at step") for event in report.events)
     assert report.incumbent is not None and math.isfinite(report.incumbent.f)
-    assert all(v is None or math.isfinite(v) for v in report.best_trace)
+    assert all(v is None or math.isfinite(v) for v in report.best_feasible)
     # a NaN in the f surrogate's data would make every posterior, so every acq, NaN
     assert all(math.isfinite(e.acq) for e in report.evaluations[config.n_init :])
 

@@ -18,6 +18,7 @@ from curebo.ga import (
 from curebo.problems import Problem, analytical_problem
 from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
+from curebo.study import RunConfig, summarize
 
 THRESHOLD = 1.0
 UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
@@ -78,7 +79,7 @@ def test_rank_key_uses_the_running_best_feasibility_rule(log):
     expected += sorted(infeasible, key=lambda i: violation[i])
     order = sorted(range(len(pairs)), key=lambda i: _rank_key(evaluations[i], t))
     assert order == expected
-    incumbent = RunReport(evaluations, t, trace_from=0, wall_time=0.0).incumbent
+    incumbent = RunReport(evaluations, t).incumbent
     assert incumbent is (evaluations[order[0]] if feasible else None)
 
 
@@ -110,7 +111,7 @@ def test_ga_incumbent_and_population_avoid_a_nan_objective(seed):
     problem = Problem("nan_where_cheap", UNIT_SQUARE, 0.5, nan_where_cheap)
     report = run_ga(problem, GaConfig(pop_size=10, generations=5), seed)
     assert report.incumbent is not None and 0.7 <= report.incumbent.f <= 1.0
-    assert all(v is None or math.isfinite(v) for v in report.best_trace)
+    assert all(v is None or math.isfinite(v) for v in report.best_feasible)
     last = [e for e in report.evaluations if e.step_index == 5]
     assert sum(math.isnan(e.f) for e in last) < len(last) // 2
 
@@ -202,7 +203,10 @@ def test_evaluation_count_pop100_gen10():
     report = run_ga(problem, GaConfig(pop_size=100, generations=10), 0)
     assert report.n_evaluations == 1100  # 100 init + 10 x 100 offspring
     assert 1000 <= report.n_evaluations <= 1100
-    assert len(report.best_trace) == 1100
+    assert len(report.best_feasible) == 1100
+    # the GA's step axis counts every evaluation, initialization included
+    study = RunConfig(problem="analytical", optimizer="ga", replications=1, seed=0, output_dir="-")
+    assert summarize(study, "ga", [report.best_feasible]).step_index == list(range(1, 1101))
 
 
 def test_run_is_deterministic_and_genes_bounded():
@@ -216,10 +220,10 @@ def test_run_is_deterministic_and_genes_bounded():
         assert np.all(e.x >= 0.0) and np.all(e.x <= 1.0)
 
 
-def test_best_trace_monotone_and_incumbent_feasible():
+def test_best_feasible_monotone_and_incumbent_feasible():
     problem = analytical_problem()
     report = run_ga(problem, GaConfig(pop_size=20, generations=5), 3)
-    values = [v for v in report.best_trace if v is not None]
+    values = [v for v in report.best_feasible if v is not None]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert report.incumbent is not None
     f, g = problem(report.incumbent.x)

@@ -24,8 +24,8 @@ def _log(pairs):
     ]
 
 
-def _report(evaluations, trace_from=0):
-    return RunReport(evaluations, THRESHOLD, trace_from, wall_time=0.0)
+def _report(evaluations):
+    return RunReport(evaluations, THRESHOLD)
 
 
 def reference_running_best(pairs, threshold):
@@ -43,17 +43,17 @@ def reference_running_best(pairs, threshold):
 
 
 @settings(max_examples=300, deadline=None)
-@given(logs, st.integers(0, 14))
-def test_running_best_matches_plain_loop(pairs, trace_from):
+@given(logs)
+def test_running_best_matches_plain_loop(pairs):
     evaluations = _log(pairs)
     expected = reference_running_best(pairs, THRESHOLD)
     assert running_best(evaluations, THRESHOLD) == expected
 
-    report = _report(evaluations, trace_from)
+    report = _report(evaluations)
     assert report.best == expected
     last = expected[-1] if expected else None
     assert report.incumbent is (None if last is None else evaluations[last])
-    assert report.best_trace == [None if i is None else pairs[i][0] for i in expected[trace_from:]]
+    assert report.best_feasible == [None if i is None else pairs[i][0] for i in expected]
 
 
 def test_phase_follows_step_index():
@@ -85,5 +85,5 @@ def test_ga_trace_ends_at_its_incumbent_when_constraint_is_nan():
     problem = Problem("half_nan", DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0]), 0.5, half_nan)
     report = run_ga(problem, GaConfig(pop_size=10, generations=3), 4)
     assert report.incumbent is not None and report.incumbent.f >= 0.5
-    assert report.best_trace[-1] == report.incumbent.f
-    assert all(v is None or v >= 0.5 for v in report.best_trace)
+    assert report.best_feasible[-1] == report.incumbent.f
+    assert all(v is None or v >= 0.5 for v in report.best_feasible)

@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import FrozenInstanceError, asdict, is_dataclass
+from dataclasses import FrozenInstanceError, asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,16 +10,15 @@ from click.testing import CliRunner
 
 from curebo import cbo, cli, study
 from curebo.blas import openblas_threads
+from curebo.cbo import CboConfig
 from curebo.cli import main
 from curebo.problems.blackbox import FACTORIES, Problem, analytical_problem, four_point_problem
 from curebo.records import Evaluation, RunReport, running_best
 from curebo.space import DesignSpace
 from curebo.study import (
     ConfigError,
-    Replication,
     RunConfig,
     build_problem,
-    evals_to_reach,
     grid_oracle,
     percentile,
     run_study,
@@ -398,26 +397,21 @@ def assert_convergence_csv_holds(path, summary):
 
 @pytest.mark.parametrize("reference", [None, 1.5])
 def test_convergence_csv_reads_back_as_the_summary(tmp_path, reference):
-    def row(trace, reach):
-        return Replication(
-            best_trace=trace, n_evaluations=len(trace), f_star=trace[-1], evals_to_reach=reach,
-            events=[],
-        )
-
-    config = RunConfig(problem="analytical", optimizer="cbo", replications=3, seed=0,
+    config = RunConfig(problem="analytical", optimizer="ga", replications=3, seed=0,
                        output_dir="-", reference_optimum=reference)
-    rows = [row([None, 3.0, 2.0], 3), row([None, 1.0], 2), row([None, 4.0, 1.5], None)]
-    summary = summarize(config, "cbo", rows)
+    columns = [[None, 3.0, 1.5], [None, 1.0], [None, 4.0, 2.0]]
+    summary = summarize(config, "ga", columns)
     assert summary.n_feasible == [0, 3, 2]
     assert summary.mean[0] is summary.median[0] is summary.p5[0] is summary.p95[0] is None
     assert summary.mean[1] == pytest.approx(8.0 / 3.0) and summary.p95[2] == pytest.approx(1.975)
+    assert summary.final_best == [1.5, 1.0, 2.0] and summary.evaluations_per_replication == [3, 2, 3]
     if reference is None:
         assert summary.reference_optimum is summary.convergence_tol is None
         assert summary.convergence_evals is summary.convergence_median is None
     else:
         assert summary.reference_optimum == 1.5 and summary.convergence_tol == 2e-4
         assert summary.convergence_evals == [3, 2, None] and summary.convergence_median == 3.0
-    path = tmp_path / "cbo_convergence.csv"
+    path = tmp_path / "ga_convergence.csv"
     study._write_convergence_csv(path, summary)
     assert_convergence_csv_holds(path, summary)
     with open(path, newline="") as fh:
@@ -435,38 +429,39 @@ def test_unwritable_output_fails_before_compute(tmp_path):
         run_study(config)
 
 
-def test_evals_to_reach():
+def test_an_infeasible_smaller_f_does_not_count_toward_convergence():
     evals = [
         Evaluation(x=np.zeros(1), f=2.0, g=1.0, step_index=0, acq=None),
+        Evaluation(x=np.zeros(1), f=3.0, g=1.0, step_index=0, acq=None),
         Evaluation(x=np.zeros(1), f=1.0, g=0.0, step_index=1, acq=0.5),
         Evaluation(x=np.zeros(1), f=1.2, g=1.0, step_index=2, acq=0.25),
     ]
-    report = RunReport(evals, threshold=0.5, trace_from=1, wall_time=0.0)
-    assert report.best_trace == [2.0, 1.2] and report.incumbent is evals[2]
-    assert evals_to_reach(report, 2.5) == 1
-    assert evals_to_reach(report, 1.3) == 3  # the infeasible f=1.0 does not count
-    assert evals_to_reach(report, 0.5) is None
+    report = RunReport(evals, threshold=0.5)
+    assert report.best_feasible == [2.0, 2.0, 2.0, 1.2] and report.incumbent is evals[3]
+
+    def summary(reference):
+        config = RunConfig(problem="analytical", optimizer="cbo", replications=1, seed=0,
+                           output_dir="-", cbo=CboConfig(n_init=2), reference_optimum=reference)
+        return summarize(config, "cbo", [report.best_feasible])
+
+    assert summary(None).median == [2.0, 1.2]  # one entry per learn step
+    assert summary(2.5).convergence_evals == [1]
+    assert summary(1.3).convergence_evals == [4]  # the infeasible f=1.0 does not count
+    assert summary(0.5).convergence_evals == [None]
 
 
 def test_summarize_counts_a_short_replication_only_up_to_its_last_step():
-    def row(trace):
-        return Replication(
-            best_trace=trace, n_evaluations=len(trace), f_star=trace[-1], evals_to_reach=None,
-            events=[],
-        )
-
-    config = RunConfig(problem="analytical", optimizer="cbo", replications=2, seed=0, output_dir="-")
-    summary = summarize(config, "cbo", [row([None, 3.0, 2.0]), row([1.0])])
+    config = RunConfig(problem="analytical", optimizer="cbo", replications=2, seed=0,
+                       output_dir="-", cbo=CboConfig(n_init=2))
+    summary = summarize(config, "cbo", [[None, None, None, 3.0, 2.0], [5.0, 1.0, 1.0]])
     assert summary.step_index == [1, 2, 3]
     assert summary.n_feasible == [1, 1, 1]
     assert summary.median == [1.0, 3.0, 2.0]
     assert summary.final_best == [2.0, 1.0]
-    assert summary.evaluations_per_replication == [3, 1]
+    assert summary.evaluations_per_replication == [5, 3]
 
 
 def test_generic_grid_oracle_agrees_with_fast_path():
-    from dataclasses import replace
-
     problem = build_problem(RunConfig.from_dict(small_config(Path("."))))
     fast = grid_oracle(problem, 41)
     generic = grid_oracle(replace(problem, name="generic"), 41)
@@ -528,12 +523,90 @@ def test_replication_csv_has_the_bytes_of_csv_writer(tmp_path):
                    acq=None if i % 4 == 0 else values[(i + 3) % len(values)])
         for i, f in enumerate(values)
     ]
-    report = RunReport(evaluations, threshold=0.5, trace_from=0, wall_time=0.0)
-    study._write_replication_csv(tmp_path / "fast.csv", problem, report)
-    csv_writer_replication_csv(tmp_path / "reference.csv", problem, report)
-    fast = (tmp_path / "fast.csv").read_bytes()
-    assert fast == (tmp_path / "reference.csv").read_bytes()
-    assert fast.count(b"\r\n") == len(values) + 1
+    # every f feasible and each one smaller, so the best_feasible column holds them all
+    descending = [1e30, 1.0 / 3.0, 5e-324, -0.0, -1e-310]
+    falling = [
+        Evaluation(x=np.array([i / 9.0, 0.5]), f=f, g=1.0, step_index=0, acq=None)
+        for i, f in enumerate(descending)
+    ]
+    for log in (evaluations, falling):
+        report = RunReport(log, threshold=0.5)
+        study._write_replication_csv(tmp_path / "fast.csv", problem, report)
+        csv_writer_replication_csv(tmp_path / "reference.csv", problem, report)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "reference.csv").read_bytes()
+        assert fast.count(b"\r\n") == len(log) + 1
+        # the best_feasible cells read back as report.best_feasible, bit for bit:
+        # repr tells -0.0 from 0.0 and keeps every digit of 5e-324
+        with open(tmp_path / "fast.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        cells = [row[header.index("best_feasible")] for row in rows]
+        read = [float(cell) if cell else None for cell in cells]
+        assert list(map(repr, read)) == list(map(repr, report.best_feasible))
+    assert report.best_feasible == descending
+    assert [math.copysign(1.0, v) for v in read] == [1.0, 1.0, 1.0, -1.0, -1.0]
+
+
+def test_a_replication_csv_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
+    config = RunConfig.from_dict(small_config(tmp_path, replications=1))
+    fmt, calls = study._fmt, []
+
+    def failing_partway(value):
+        calls.append(value)
+        if len(calls) > 10:  # past the fifth of nine rows
+            raise RuntimeError("write failed")
+        return fmt(value)
+
+    monkeypatch.setattr(study, "_fmt", failing_partway)
+    with pytest.raises(RuntimeError, match="write failed"):
+        run_study(config)
+    # no cbo_rep000.csv, and no temporary file left behind
+    assert sorted(p.name for p in Path(config.output_dir).iterdir()) == ["cbo_events.csv"]
+
+
+def failing_where_t_and_T_are_high(build):
+    """A study's build_problem whose problem raises at t > 0.7 and T > 0.6,
+    so that some replications stop early."""
+
+    def build_failing(config):
+        problem = build(config)
+
+        def fn(raw):
+            if raw[0] > 0.7 and raw[1] > 0.6:
+                raise ValueError("no result here")
+            return problem.raw_fn(raw)
+
+        return replace(problem, raw_fn=fn)
+
+    return build_failing
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("optimizer", ["cbo", "ga"])
+def test_summary_is_a_function_of_the_best_feasible_columns(tmp_path, monkeypatch, optimizer,
+                                                            workers):
+    # a forked worker builds its problem through the patched build_problem too
+    monkeypatch.setattr(study, "build_problem", failing_where_t_and_T_are_high(build_problem))
+    config = RunConfig.from_dict(small_config(
+        tmp_path, optimizer=optimizer, replications=6, workers=workers,
+        ga={"pop_size": 4, "generations": 4}, reference_optimum=1.8570136, convergence_tol=0.05,
+    ))
+    written = run_study(config)[optimizer]
+    assert len(set(written.evaluations_per_replication)) > 1  # some columns are short
+    assert None in written.convergence_evals and set(written.convergence_evals) != {None}
+
+    out = Path(config.output_dir)
+    columns = []
+    for path in sorted(out.glob(f"{optimizer}_rep*.csv")):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        best = header.index("best_feasible")
+        columns.append([float(row[best]) if row[best] else None for row in rows])
+    summary = summarize(config, optimizer, columns)
+    assert summary.to_json().encode() == (out / f"{optimizer}_summary.json").read_bytes()
+    study._write_convergence_csv(tmp_path / "rebuilt.csv", summary)
+    rebuilt = (tmp_path / "rebuilt.csv").read_bytes()
+    assert rebuilt == (out / f"{optimizer}_convergence.csv").read_bytes()
 
 
 def test_cli_oracle_and_error_codes(tmp_path):
