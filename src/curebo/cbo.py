@@ -30,7 +30,7 @@ from curebo.acquisition import ei_values, pf_values
 from curebo.blas import openblas_pinned_to_one_thread
 from curebo.gp import NumericalError, fit_gp, predict_batch
 from curebo.problems.blackbox import Problem
-from curebo.records import Evaluation, RunReport, evaluate, running_best
+from curebo.records import Evaluation, RunReport, RunStopped, evaluate, running_best
 from curebo.space import drop_near_duplicates, lhs_sample, sieve
 
 # L-inf distance within which a candidate counts as an already evaluated point.
@@ -75,8 +75,8 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     count back after. The report is bitwise reproducible for identical
     inputs. A failing problem evaluation, a surrogate that cannot be fitted,
     a sieve that rejects every candidate of a pool, or a pool whose every
-    candidate is a near-duplicate of an evaluated point ends the run early
-    and returns the partial report with complete=False.
+    candidate is a near-duplicate of an evaluated point stops the run: its
+    RunStopped message ends the events of the partial report, complete=False.
     """
     space, threshold = problem.space, problem.threshold
     root = np.random.SeedSequence(seed)
@@ -85,9 +85,6 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     evaluations: list[Evaluation] = []
     events: list[str] = []
 
-    def finish(complete: bool) -> RunReport:
-        return RunReport(evaluations, threshold, complete, events)
-
     # The products are small, so extra BLAS threads only cost time (twice
     # the time at two threads, with the same bits). The pin reaches only the
     # libraries loaded by then, and gp loads scipy's submodules, and with
@@ -95,47 +92,45 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     # loaded here, before the pin.
     import scipy.linalg  # noqa: F401
 
-    with openblas_pinned_to_one_thread():
-        for x in lhs_sample(space, config.n_init, init_ss):
-            if evaluate(problem, x, 0, None, evaluations, events) is None:
-                return finish(complete=False)
+    try:
+        with openblas_pinned_to_one_thread():
+            for x in lhs_sample(space, config.n_init, init_ss):
+                evaluate(problem, x, 0, None, evaluations, events)
 
-        for step in range(1, config.n_steps + 1):
-            train_x = np.array([e.x for e in evaluations])
-            y_f = np.array([e.f for e in evaluations])
-            y_g = np.array([e.g for e in evaluations])
-            finite_f, finite_g = np.isfinite(y_f), np.isfinite(y_g)  # non-finite values train no model
-            try:
-                model_f = fit_gp(train_x[finite_f], y_f[finite_f])
-                model_g = fit_gp(train_x[finite_g], y_g[finite_g])
-            except (NumericalError, ValueError) as exc:
-                events.append(f"step {step}: surrogate fit failed: {exc}")
-                return finish(complete=False)
+            for step in range(1, config.n_steps + 1):
+                train_x = np.array([e.x for e in evaluations])
+                y_f = np.array([e.f for e in evaluations])
+                y_g = np.array([e.g for e in evaluations])
+                finite_f, finite_g = np.isfinite(y_f), np.isfinite(y_g)  # NaN, inf train no model
+                try:
+                    model_f = fit_gp(train_x[finite_f], y_f[finite_f])
+                    model_g = fit_gp(train_x[finite_g], y_g[finite_g])
+                except (NumericalError, ValueError) as exc:
+                    raise RunStopped(f"step {step}: surrogate fit failed: {exc}") from exc
 
-            pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
-            if problem.sieve_raw is not None:
-                pool = sieve(pool, problem.sieve_raw, space)
-                if len(pool) == 0:
-                    events.append(f"step {step}: sieve emptied the pool, stopping early")
-                    return finish(complete=False)
+                pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
+                if problem.sieve_raw is not None:
+                    pool = sieve(pool, problem.sieve_raw, space)
+                    if len(pool) == 0:
+                        raise RunStopped(f"step {step}: sieve emptied the pool, stopping early")
 
-            best = running_best(evaluations, threshold)[-1]
-            if best is None:
-                scores = pf_values(*predict_batch(model_g, pool), threshold)
-                pick = _best_distinct(pool, scores, train_x)
-            else:
-                scores = ei_values(*predict_batch(model_f, pool), evaluations[best].f)
-                pick = _certain_leader(pool, scores, train_x, model_g, threshold)
-                if pick is None:
-                    scores = scores * pf_values(*predict_batch(model_g, pool), threshold)
+                best = running_best(evaluations, threshold)[-1]
+                if best is None:
+                    scores = pf_values(*predict_batch(model_g, pool), threshold)
                     pick = _best_distinct(pool, scores, train_x)
-            if pick is None:
-                events.append(f"step {step}: duplicate guard emptied the pool, stopping early")
-                return finish(complete=False)
-            if evaluate(problem, pool[pick], step, float(scores[pick]), evaluations, events) is None:
-                return finish(complete=False)
-
-        return finish(complete=True)
+                else:
+                    scores = ei_values(*predict_batch(model_f, pool), evaluations[best].f)
+                    pick = _certain_leader(pool, scores, train_x, model_g, threshold)
+                    if pick is None:
+                        scores = scores * pf_values(*predict_batch(model_g, pool), threshold)
+                        pick = _best_distinct(pool, scores, train_x)
+                if pick is None:
+                    raise RunStopped(f"step {step}: duplicate guard emptied the pool, stopping early")
+                evaluate(problem, pool[pick], step, float(scores[pick]), evaluations, events)
+    except RunStopped as stop:
+        events.append(str(stop))
+        return RunReport(evaluations, threshold, False, events)
+    return RunReport(evaluations, threshold, True, events)
 
 
 def _distinct(pool: np.ndarray, i: int, train_x) -> bool:

@@ -126,11 +126,9 @@ def trace(cycle_config, out):
         variant = data.get("variant", _TRACE_DEFAULTS["variant"])
         keys = cycle_parameters(variant) if variant in BUILDERS else ()
         missing = [k for k in keys if k not in params]
-        # an unknown variant is build_cycle's to name, not its params
-        unknown = sorted(set(params) - set(keys)) if variant in BUILDERS else []
         violations = [f"{variant} params lack {', '.join(missing)}"] if missing else []
-        if unknown:
-            violations.append(f"unknown keys: {', '.join(f'params.{k}' for k in unknown)}")
+        if variant in BUILDERS:  # an unknown variant is build_cycle's to name, not its params
+            violations += json_violations(params, dict.fromkeys(keys, 0.0), "params.")
         if violations:
             raise ConfigError(violations)
         data = {**data, "params": [params[k] for k in keys]}

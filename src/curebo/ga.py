@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from curebo.problems.blackbox import Problem
-from curebo.records import Evaluation, RunReport, evaluate, feasible
+from curebo.records import Evaluation, RunReport, RunStopped, evaluate, feasible
 from curebo.space import lhs_sample
 
 # Fixed operators: SBX applied to a pair with probability CROSSOVER_PROB,
@@ -126,7 +126,7 @@ def run_ga(problem: Problem, config: GaConfig, seed: int) -> RunReport:
     Generation 0 is a Latin hypercube of pop_size; each later generation
     breeds pop_size offspring and truncates the combined population under
     Deb's feasibility rule (_rank_key). Every evaluation's step_index is its
-    generation.
+    generation. A failed evaluation stops the run as it does run_cbo.
     """
     root = np.random.SeedSequence(seed)
     init_ss, evo_ss = root.spawn(2)
@@ -136,20 +136,18 @@ def run_ga(problem: Problem, config: GaConfig, seed: int) -> RunReport:
     evaluations: list[Evaluation] = []
     events: list[str] = []
 
-    def finish(complete: bool) -> RunReport:
-        return RunReport(evaluations, threshold, complete, events)
+    try:
+        for x in lhs_sample(problem.space, config.pop_size, init_ss):
+            evaluate(problem, x, 0, None, evaluations, events)
+        population = list(evaluations)
 
-    for x in lhs_sample(problem.space, config.pop_size, init_ss):
-        if evaluate(problem, x, 0, None, evaluations, events) is None:
-            return finish(complete=False)
-    population = list(evaluations)
-
-    for generation in range(1, config.generations + 1):
-        for x in _breed(population, rng, threshold):
-            if evaluate(problem, x, generation, None, evaluations, events) is None:
-                return finish(complete=False)
-        combined = population + evaluations[-config.pop_size :]
-        combined.sort(key=lambda e: _rank_key(e, threshold))  # stable: earlier ones win ties
-        population = combined[: config.pop_size]
-
-    return finish(complete=True)
+        for generation in range(1, config.generations + 1):
+            for x in _breed(population, rng, threshold):
+                evaluate(problem, x, generation, None, evaluations, events)
+            combined = population + evaluations[-config.pop_size :]
+            combined.sort(key=lambda e: _rank_key(e, threshold))  # stable: earlier ones win ties
+            population = combined[: config.pop_size]
+    except RunStopped as stop:  # a failed evaluation
+        events.append(str(stop))
+        return RunReport(evaluations, threshold, False, events)
+    return RunReport(evaluations, threshold, True, events)

@@ -16,9 +16,8 @@ from curebo.space import DesignSpace
 
 @dataclass(frozen=True)
 class Problem:
-    """Named black box with its design space and feasibility threshold."""
+    """Black box raw_fn from one raw point of space to (f, g), feasible where g >= threshold."""
 
-    name: str
     space: DesignSpace
     threshold: float
     raw_fn: Callable[[np.ndarray], tuple]
@@ -30,24 +29,25 @@ class Problem:
         return self.raw_fn(self.space.denormalize(x))
 
 
+def analytical_fn(raw) -> tuple:
+    """(deformation, degree of cure) of the quadratic surfaces at one raw point
+    (t, T) of the unit square; a point outside it raises ValueError."""
+    t, T = float(raw[0]), float(raw[1])
+    if t < 0.0 or t > 1.0 or T < 0.0 or T > 1.0:
+        raise ValueError(f"(t, T) = ({t}, {T}) outside the unit square")
+    return quad_surface(U_COEFFS, t, T), quad_surface(DOC_COEFFS, t, T)
+
+
 def analytical_problem(threshold: float = DOC_THRESHOLD) -> Problem:
     """Closed-form validation problem on the normalized unit square."""
-
-    def fn(raw):
-        t, T = float(raw[0]), float(raw[1])
-        if t < 0.0 or t > 1.0 or T < 0.0 or T > 1.0:
-            raise ValueError(f"(t, T) = ({t}, {T}) outside the unit square")
-        return quad_surface(U_COEFFS, t, T), quad_surface(DOC_COEFFS, t, T)
-
     return Problem(
-        name="analytical",
         space=DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0], names=("t", "T")),
         threshold=threshold,
-        raw_fn=fn,
+        raw_fn=analytical_fn,
     )
 
 
-def _simulator_problem(name, build, space, threshold, dt, kinetics, mechanical, sieve_raw=None):
+def _simulator_problem(build, space, threshold, dt, kinetics, mechanical, sieve_raw=None):
     """Problem whose raw point is the arguments of the cycle builder build, in
     order, scored as simulate_cure's (u_proxy, final_doc)."""
     if dt <= 0:
@@ -59,7 +59,7 @@ def _simulator_problem(name, build, space, threshold, dt, kinetics, mechanical, 
         trace = simulate_cure(build(*raw), kinetics, mechanical, dt)
         return trace.u_proxy, trace.final_doc
 
-    return Problem(name=name, space=space, threshold=threshold, raw_fn=fn, sieve_raw=sieve_raw)
+    return Problem(space, threshold, fn, sieve_raw)
 
 
 def two_point_problem(
@@ -76,7 +76,7 @@ def two_point_problem(
     if t1_min <= _TIME_EPS:  # A would sit on the start vertex at another temperature
         raise ValueError(f"t1_min must be greater than {_TIME_EPS} min")
     space = DesignSpace(lower=[t1_min, 125.0], upper=[110.0, 180.0], names=("t1", "T1"))
-    return _simulator_problem("sim2pt", two_point_cycle, space, threshold, dt, kinetics, mechanical)
+    return _simulator_problem(two_point_cycle, space, threshold, dt, kinetics, mechanical)
 
 
 def four_point_problem(
@@ -107,9 +107,7 @@ def four_point_problem(
         upper=[110.0, 180.0, 200.0, 180.0],
         names=("t1", "T1", "t2", "T2"),
     )
-    return _simulator_problem(
-        "sim4pt", four_point_cycle, space, threshold, dt, kinetics, mechanical, slopes_ok
-    )
+    return _simulator_problem(four_point_cycle, space, threshold, dt, kinetics, mechanical, slopes_ok)
 
 
 # Config selector name -> factory. A study's problem_options are the factory's

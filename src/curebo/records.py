@@ -30,27 +30,26 @@ class Evaluation:
         return PHASE_INIT if self.step_index == 0 else PHASE_LEARN
 
 
-def evaluate(
-    problem, x, step_index: int, acq: Optional[float], evaluations: list, events: list
-) -> Optional[Evaluation]:
+class RunStopped(Exception):
+    """Ends a run early; its message is the event that says why."""
+
+
+def evaluate(problem, x, step_index: int, acq: Optional[float], evaluations: list, events: list):
     """Evaluate problem at x and append the Evaluation to evaluations.
 
-    Returns the new Evaluation. When the problem raises, or returns an f or g
-    that float() cannot convert, appends one "evaluation failed at step k"
-    event instead and returns None, so the caller can end its run with a
-    partial report. An f or g that is NaN or infinite is kept, and one
-    "non-finite result at step k" event says so.
+    When the problem raises, or returns an f or g that float() cannot
+    convert, raises RunStopped("evaluation failed at step k: ...") instead.
+    An f or g that is NaN or infinite is kept, and one "non-finite result at
+    step k" event says so.
     """
     try:
         f, g = problem(x)
         e = Evaluation(x=x, f=float(f), g=float(g), step_index=step_index, acq=acq)
     except Exception as exc:  # noqa: BLE001 - a failed evaluation ends the run, not the study
-        events.append(f"evaluation failed at step {step_index}: {exc}")
-        return None
+        raise RunStopped(f"evaluation failed at step {step_index}: {exc}") from exc
     if not (math.isfinite(e.f) and math.isfinite(e.g)):
         events.append(f"non-finite result at step {step_index}: f={e.f!r}, g={e.g!r}")
     evaluations.append(e)
-    return e
 
 
 @dataclass

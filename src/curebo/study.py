@@ -31,7 +31,7 @@ import numpy as np
 from curebo.cbo import CboConfig, run_cbo
 from curebo.ga import GaConfig, run_ga
 from curebo.problems.analytical import DOC_COEFFS, U_COEFFS, quad_surface
-from curebo.problems.blackbox import FACTORIES, Problem
+from curebo.problems.blackbox import FACTORIES, Problem, analytical_fn
 from curebo.records import RunReport
 from curebo.space import sieve
 
@@ -422,10 +422,11 @@ def run_study(config: RunConfig) -> dict[str, StudySummary]:
     return summaries
 
 
-# grid_oracle holds every grid point at once, about 40 bytes a point for the
-# analytical problem (peak RSS 185 MB at 2001^2, 413 MB at 3162^2), so this
-# cap keeps it near 0.4 GB while admitting criterion 1's 2001^2 grid
+# grid_oracle holds every grid point and its f and g at once, about 36 bytes a
+# point (peak RSS 179 MB at 2001^2, 398 MB at 3162^2 for the analytical
+# problem), so this cap keeps it near 0.4 GB while admitting criterion 1's grid
 MAX_ORACLE_POINTS = 10_000_000
+_ORACLE_SLAB = 1 << 16  # points evaluated at once: the analytical temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -441,26 +442,36 @@ class OracleResult:
 def grid_oracle(problem: Problem, grid: int) -> OracleResult:
     """Brute-force feasible minimum over a full-factorial normalized grid.
 
-    A problem with a sieve_raw has the grid passed through it first, as
+    The grid is passed through the problem's sieve_raw, where it has one, as
     run_cbo does its pools, so the oracle searches the set the cBO searches
-    and never simulates a rejected cycle."""
+    and never evaluates a rejected point. The problem's raw_fn evaluates the
+    rest at their raw coordinates, so each point scores what problem(x)
+    returns there: one point at a time, except that analytical_fn takes
+    whole columns, with the same arithmetic and the same error for a point
+    outside its unit square."""
     if grid < 2:
         raise ValueError("grid needs at least 2 points per dimension")
-    if grid ** problem.space.dims > MAX_ORACLE_POINTS:
-        raise ValueError(
-            f"a {grid}^{problem.space.dims} grid has more than {MAX_ORACLE_POINTS} points"
-        )
+    space = problem.space
+    if grid ** space.dims > MAX_ORACLE_POINTS:
+        raise ValueError(f"a {grid}^{space.dims} grid has more than {MAX_ORACLE_POINTS} points")
     t0 = time.perf_counter()
     axis = np.linspace(0.0, 1.0, grid)
-    cols = [m.ravel() for m in np.meshgrid(*([axis] * problem.space.dims), indexing="ij")]
-    if problem.name == "analytical":
-        f, g = quad_surface(U_COEFFS, *cols), quad_surface(DOC_COEFFS, *cols)
-    else:
-        points = np.stack(cols, axis=1)
-        if problem.sieve_raw is not None:
-            points = sieve(points, problem.sieve_raw, problem.space)
-        cols = list(points.T)
-        f, g = np.array([problem(x) for x in points]).reshape(-1, 2).T
+    points = np.stack(np.meshgrid(*([axis] * space.dims), indexing="ij", copy=False))
+    points = points.reshape(space.dims, -1).T  # a row per point, each column contiguous
+    if problem.sieve_raw is not None:
+        points = sieve(points, problem.sieve_raw, space)
+    f, g = np.empty((2, len(points)))
+    for start in range(0, len(points), _ORACLE_SLAB):
+        slab = slice(start, start + _ORACLE_SLAB)
+        raw = space.denormalize(points[slab])
+        if problem.raw_fn is analytical_fn:
+            t, T = raw[:, 0], raw[:, 1]
+            outside = (t < 0.0) | (t > 1.0) | (T < 0.0) | (T > 1.0)
+            if outside.any():
+                analytical_fn(raw[outside.argmax()])  # raises for the first such point
+            f[slab], g[slab] = quad_surface(U_COEFFS, t, T), quad_surface(DOC_COEFFS, t, T)
+        else:
+            f[slab], g[slab] = np.array([problem.raw_fn(r) for r in raw]).reshape(-1, 2).T
     # records.feasible's rule: g >= threshold and a finite f
     feasible = np.flatnonzero((g >= problem.threshold) & np.isfinite(f))
     n_feasible = len(feasible)
@@ -469,7 +480,7 @@ def grid_oracle(problem: Problem, grid: int) -> OracleResult:
     k = int(feasible[np.argmin(f[feasible])])  # ties go to the first in grid order
     return OracleResult(
         f_min=float(f[k]),
-        x_raw=problem.space.denormalize(np.array([c[k] for c in cols])),
+        x_raw=space.denormalize(points[k]),
         g_at_min=float(g[k]),
         n_feasible=n_feasible,
         grid=grid,

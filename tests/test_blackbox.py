@@ -10,7 +10,7 @@ from curebo.problems import (
     four_point_problem,
     two_point_problem,
 )
-from curebo.records import evaluate
+from curebo.records import RunStopped, evaluate
 from curebo.space import DesignSpace
 
 
@@ -75,12 +75,13 @@ def test_a_cycle_too_cold_to_simulate_is_a_failed_evaluation():
         space=DesignSpace(lower=[60.0, -300.0], upper=[61.0, -260.0], names=("t1", "T1")),
     )
     evaluations, events = [], []
-    assert evaluate(problem, np.array([0.0, 1.0]), 0, None, evaluations, events) is None
-    assert evaluations == []
-    assert events == [
+    with pytest.raises(RunStopped) as stop:
+        evaluate(problem, np.array([0.0, 1.0]), 0, None, evaluations, events)
+    assert evaluations == [] and events == []
+    assert str(stop.value) == (
         "evaluation failed at step 0: cycle reaches -260 C; "
         "the viscosity law needs it above -257.451 C"
-    ]
+    )
 
 
 def test_simulator_problems_simulate_through_the_module_global(monkeypatch):

@@ -61,7 +61,7 @@ def test_budget_exactness_forty_evaluations():
 
 def test_unconstrained_bowl_converges_and_trace_monotone():
     config = CboConfig(n_init=6, n_steps=10, pool_size=2000)
-    report = run_cbo(Problem("bowl", UNIT_SQUARE, 0.5, bowl), config, 3)
+    report = run_cbo(Problem(UNIT_SQUARE, 0.5, bowl), config, 3)
     values = [v for v in report.best_feasible if v is not None]
     assert len(values) == 16  # g == 1 everywhere: feasible from the start
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
@@ -151,7 +151,7 @@ def test_near_duplicate_winner_gives_way_to_the_next_best(monkeypatch):
 
     monkeypatch.setattr(cbo, "lhs_sample", fixed_lhs)
     monkeypatch.setattr(cbo, "predict_batch", peak_at_first_init_point)
-    problem = Problem("zero", UNIT_SQUARE, 0.5, lambda x: (0.0, 0.0))
+    problem = Problem(UNIT_SQUARE, 0.5, lambda x: (0.0, 0.0))
     report = run_cbo(problem, CboConfig(n_init=2, n_steps=1, pool_size=len(pool)), 0)
     # row 1 scores highest but lies 1e-12 from an evaluated point; rows 4 and 5
     # tie next, and the tie goes to the first
@@ -209,7 +209,7 @@ def test_acquisition_value_is_ei_times_pf_or_pf_alone(monkeypatch):
     # g = x1 leaves some initial points feasible; g = 0.4 x1 leaves none
     for g_scale, feasible in ((1.0, True), (0.4, False)):
         calls.clear()
-        problem = Problem("plane", UNIT_SQUARE, 0.5, lambda x: (float(x[0]), g_scale * float(x[1])))
+        problem = Problem(UNIT_SQUARE, 0.5, lambda x: (float(x[0]), g_scale * float(x[1])))
         report = run_cbo(problem, config, 0)
         init = report.evaluations[:4]
         y_f = sorted(e.f for e in init)
@@ -239,7 +239,7 @@ def test_a_certainly_feasible_ei_leader_is_the_pick_of_whole_pool_scoring(monkey
 
     monkeypatch.setattr(cbo, "predict_batch", recording)
     # g == 1 everywhere: the constraint surrogate is certain, so every PF is 1
-    problem = Problem("bowl", UNIT_SQUARE, 0.5, bowl)
+    problem = Problem(UNIT_SQUARE, 0.5, bowl)
     config = CboConfig(n_init=5, n_steps=3, pool_size=300)
     report = run_cbo(problem, config, 4)
     assert report.complete
@@ -288,7 +288,7 @@ def test_a_step_without_a_certain_leader_scores_the_whole_pool(
 
     monkeypatch.setattr(cbo, "lhs_sample", fixed_lhs)
     monkeypatch.setattr(cbo, "predict_batch", scripted)
-    problem = Problem("flat", UNIT_SQUARE, 0.5, lambda x: (0.0, 1.0))
+    problem = Problem(UNIT_SQUARE, 0.5, lambda x: (0.0, 1.0))
     report = run_cbo(problem, CboConfig(n_init=2, n_steps=1, pool_size=len(pool)), 0)
     assert report.complete
     assert sizes == g_sizes
@@ -309,7 +309,7 @@ def test_surrogate_fit_failure_returns_partial_report(monkeypatch):
         return real_fit(x, y)
 
     monkeypatch.setattr(cbo, "fit_gp", fit_failing_at_step_2)
-    problem = Problem("bowl", UNIT_SQUARE, 0.995, bowl)
+    problem = Problem(UNIT_SQUARE, 0.995, bowl)
     config = CboConfig(n_init=4, n_steps=5, pool_size=100)
     report = run_cbo(problem, config, 0)
     assert not report.complete
@@ -327,7 +327,7 @@ def nan_beyond_08(x):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_non_finite_objective_trains_no_model_and_is_never_incumbent(seed):
     config = CboConfig(n_init=6, n_steps=8, pool_size=200)
-    report = run_cbo(Problem("nan_beyond_08", UNIT_SQUARE, 0.5, nan_beyond_08), config, seed)
+    report = run_cbo(Problem(UNIT_SQUARE, 0.5, nan_beyond_08), config, seed)
     assert report.complete
     # no fit failed; each NaN evaluation has its event (test_non_finite_results_are_events)
     assert all(event.startswith("non-finite result at step") for event in report.events)
@@ -348,7 +348,7 @@ def test_non_finite_results_are_events():
             return 0.25, -math.inf
         return float(x[0]), 1.0
 
-    problem = Problem("non_finite", UNIT_SQUARE, 0.995, non_finite_on_calls_3_and_8)
+    problem = Problem(UNIT_SQUARE, 0.995, non_finite_on_calls_3_and_8)
     report = run_cbo(problem, CboConfig(n_init=5, n_steps=3, pool_size=100), 0)
     assert report.complete and report.n_evaluations == 8
     assert report.events == [
@@ -366,7 +366,7 @@ def nan_g_beyond_08(x):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_non_finite_constraint_trains_no_model(seed):
     config = CboConfig(n_init=6, n_steps=8, pool_size=200)
-    report = run_cbo(Problem("nan_g_beyond_08", UNIT_SQUARE, 0.5, nan_g_beyond_08), config, seed)
+    report = run_cbo(Problem(UNIT_SQUARE, 0.5, nan_g_beyond_08), config, seed)
     # one of the six Latin hypercube strata lies beyond x0 = 5/6, so a NaN g is
     # in the first fit's data; with it the g surrogate's fit would fail
     assert any(math.isnan(e.g) for e in report.evaluations[: config.n_init])
@@ -384,7 +384,7 @@ def test_failing_problem_returns_partial_report():
             raise RuntimeError("simulator crashed")
         return float(x[0]), 1.0
 
-    problem = Problem("flaky", UNIT_SQUARE, 0.995, flaky)
+    problem = Problem(UNIT_SQUARE, 0.995, flaky)
     config = CboConfig(n_init=5, n_steps=10, pool_size=100)
     report = run_cbo(problem, config, 0)
     assert not report.complete
@@ -404,7 +404,7 @@ def test_result_that_is_not_a_number_returns_partial_report():
         calls["n"] += 1
         return (None if calls["n"] == 7 else float(x[0])), 1.0
 
-    problem = Problem("none_on_call_7", UNIT_SQUARE, 0.995, none_on_call_7)
+    problem = Problem(UNIT_SQUARE, 0.995, none_on_call_7)
     report = run_cbo(problem, CboConfig(n_init=5, n_steps=10, pool_size=100), 0)
     assert not report.complete
     assert report.n_evaluations == 6
@@ -434,7 +434,7 @@ def test_direct_run_fits_at_one_blas_thread_and_gives_the_callers_count_back(mon
         return real_fit(train_x, train_y)
 
     monkeypatch.setattr(cbo, "fit_gp", recording)
-    problem = Problem("bowl", UNIT_SQUARE, 0.995, bowl)
+    problem = Problem(UNIT_SQUARE, 0.995, bowl)
     report = run_cbo(problem, CboConfig(n_init=4, n_steps=2, pool_size=50), 0)
     assert report.complete
     assert seen == [{path: 1 for path in caller}] * 4

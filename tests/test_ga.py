@@ -88,7 +88,7 @@ def test_ga_stops_breeding_from_points_without_a_constraint_value():
         # the cheap half of the box has no defined constraint value
         return float(x[0]), math.nan if x[0] < 0.5 else 1.0
 
-    problem = Problem("half_nan", UNIT_SQUARE, 0.5, half_nan)
+    problem = Problem(UNIT_SQUARE, 0.5, half_nan)
     report = run_ga(problem, GaConfig(pop_size=10, generations=5), 0)
     last = [e for e in report.evaluations if e.step_index == 5]
     # NaN-g points rank below every finite g, so the population leaves the cheap half
@@ -108,7 +108,7 @@ def test_ga_incumbent_and_population_avoid_a_nan_objective(seed):
         # the cheap part of the box has no defined objective value
         return (math.nan if x[0] < 0.7 else float(x[0])), 1.0
 
-    problem = Problem("nan_where_cheap", UNIT_SQUARE, 0.5, nan_where_cheap)
+    problem = Problem(UNIT_SQUARE, 0.5, nan_where_cheap)
     report = run_ga(problem, GaConfig(pop_size=10, generations=5), seed)
     assert report.incumbent is not None and 0.7 <= report.incumbent.f <= 1.0
     assert all(v is None or math.isfinite(v) for v in report.best_feasible)
@@ -120,7 +120,7 @@ def test_non_finite_results_are_events():
     def nan_where_cheap(x):
         return (math.nan if x[0] < 0.3 else float(x[0])), 1.0
 
-    problem = Problem("nan_where_cheap", UNIT_SQUARE, 0.5, nan_where_cheap)
+    problem = Problem(UNIT_SQUARE, 0.5, nan_where_cheap)
     report = run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
     expected = [
         f"non-finite result at step {e.step_index}: f=nan, g=1.0"
@@ -174,7 +174,7 @@ def _golden_runs():
     mutation path reach the recorded genes."""
     problem = analytical_problem()
     yield "analytical pop10 gen3 seed0", run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
-    ridge4 = Problem("ridge4", DesignSpace(lower=[0.0] * 4, upper=[1.0] * 4), 0.8, _ridge4)
+    ridge4 = Problem(DesignSpace(lower=[0.0] * 4, upper=[1.0] * 4), 0.8, _ridge4)
     yield "ridge4 pop6 gen4 seed0", run_ga(ridge4, GaConfig(pop_size=6, generations=4), 0)
 
 
@@ -259,7 +259,7 @@ def test_failing_problem_returns_partial_report():
                 raise RuntimeError("boom")
             return float(x[0]), 1.0
 
-        problem = Problem("flaky", UNIT_SQUARE, 0.995, flaky)
+        problem = Problem(UNIT_SQUARE, 0.995, flaky)
         report = run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
         assert not report.complete
         assert report.n_evaluations == good_calls
@@ -273,7 +273,7 @@ def test_result_that_is_not_a_number_returns_partial_report():
         calls["n"] += 1
         return (None if calls["n"] == 15 else float(x[0])), 1.0
 
-    problem = Problem("none_on_call_15", UNIT_SQUARE, 0.995, none_on_call_15)
+    problem = Problem(UNIT_SQUARE, 0.995, none_on_call_15)
     report = run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
     assert not report.complete
     assert report.n_evaluations == 14

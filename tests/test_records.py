@@ -82,7 +82,7 @@ def test_ga_trace_ends_at_its_incumbent_when_constraint_is_nan():
         # the cheap half of the box has no defined constraint value
         return float(x[0]), math.nan if x[0] < 0.5 else 1.0
 
-    problem = Problem("half_nan", DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0]), 0.5, half_nan)
+    problem = Problem(DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0]), 0.5, half_nan)
     report = run_ga(problem, GaConfig(pop_size=10, generations=3), 4)
     assert report.incumbent is not None and report.incumbent.f >= 0.5
     assert report.best_feasible[-1] == report.incumbent.f

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 from dataclasses import FrozenInstanceError, asdict, is_dataclass, replace
@@ -464,10 +465,57 @@ def test_summarize_counts_a_short_replication_only_up_to_its_last_step():
 def test_generic_grid_oracle_agrees_with_fast_path():
     problem = build_problem(RunConfig.from_dict(small_config(Path("."))))
     fast = grid_oracle(problem, 41)
-    generic = grid_oracle(replace(problem, name="generic"), 41)
+    generic = grid_oracle(replace(problem, raw_fn=lambda raw: problem.raw_fn(raw)), 41)
     assert fast.f_min == pytest.approx(generic.f_min, rel=0.0, abs=0.0)
     assert np.allclose(fast.x_raw, generic.x_raw)
     assert fast.n_feasible == generic.n_feasible
+
+
+# the oracle searches what the problem evaluates: its evaluator, its sieve and its space
+def test_grid_oracle_evaluates_the_problems_own_function():
+    toy = replace(analytical_problem(), raw_fn=lambda raw: (raw[0] + raw[1], 1.0))
+    result = grid_oracle(toy, 11)
+    assert result.f_min == 0.0 and result.x_raw.tolist() == [0.0, 0.0]
+
+
+def test_grid_oracle_applies_the_analytical_problems_sieve():
+    problem = replace(analytical_problem(), sieve_raw=lambda raw: raw[1] > 0.5)
+    result = grid_oracle(problem, 101)
+    assert result.f_min == pytest.approx(1.88228629, abs=1e-12)
+    assert result.x_raw.tolist() == [0.0, 0.51]
+    assert result.n_feasible == 3143
+
+
+def test_grid_oracle_searches_the_analytical_problems_own_space():
+    problem = replace(analytical_problem(), space=DesignSpace([0.5, 0.5], [1.0, 1.0]))
+    result = grid_oracle(problem, 11)
+    assert result.f_min == pytest.approx(1.960944, abs=1e-12)
+    assert result.f_min == problem(problem.space.normalize(result.x_raw))[0]
+    assert result.x_raw.tolist() == [0.5, 0.6]
+
+
+def test_grid_oracle_scores_each_analytical_grid_point_as_the_problem_does():
+    problem = replace(analytical_problem(), space=DesignSpace([0.1, 0.3], [0.7, 0.9]),
+                      threshold=-math.inf)
+    axis = np.linspace(0.0, 1.0, 7)
+    for x in itertools.product(axis, axis):
+        t, T = problem.space.denormalize(np.array(x))
+        # a sieve that keeps this one point, so the oracle's minimum is its score
+        only_x = replace(problem, sieve_raw=lambda raw: (raw[0] == t) & (raw[1] == T))
+        result = grid_oracle(only_x, 7)
+        assert result.n_feasible == 1
+        assert (result.f_min, result.g_at_min) == problem(np.array(x))
+
+
+def test_grid_oracle_meets_a_point_outside_the_unit_square_as_the_problem_does():
+    problem = replace(analytical_problem(), space=DesignSpace([0.5, 0.5], [2.0, 1.0]))
+    one_at_a_time = replace(problem, raw_fn=lambda raw: problem.raw_fn(raw))
+    messages = []
+    for p in (problem, one_at_a_time):
+        with pytest.raises(ValueError, match="outside the unit square") as err:
+            grid_oracle(p, 11)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_grid_oracle_never_picks_a_non_finite_objective():
@@ -475,7 +523,7 @@ def test_grid_oracle_never_picks_a_non_finite_objective():
         return (math.nan if raw[0] < 0.3 else float(raw[0])), 1.0
 
     space = DesignSpace(lower=[0.0], upper=[1.0], names=("t",))
-    toy = Problem(name="toy", space=space, threshold=0.5, raw_fn=nan_below_03)
+    toy = Problem(space=space, threshold=0.5, raw_fn=nan_below_03)
     result = grid_oracle(toy, 11)
     assert result.f_min == pytest.approx(0.3, abs=1e-15)
     assert result.x_raw.tolist() == pytest.approx([0.3], abs=1e-15)
@@ -494,8 +542,7 @@ def test_grid_oracle_simulates_nothing_when_the_sieve_rejects_the_grid():
         raise AssertionError("a sieved-out point was evaluated")
 
     space = DesignSpace(lower=[0.0], upper=[1.0], names=("t",))
-    toy = Problem(name="toy", space=space, threshold=0.5, raw_fn=never,
-                  sieve_raw=lambda raw: False)
+    toy = Problem(space=space, threshold=0.5, raw_fn=never, sieve_raw=lambda raw: False)
     result = grid_oracle(toy, 11)
     assert result.f_min is None and result.x_raw is None and result.n_feasible == 0
 
@@ -761,6 +808,24 @@ def test_cli_trace_names_named_params_the_variant_does_not_take(tmp_path, varian
     res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
     assert res.exit_code == 2, res.output
     assert f"validation error: {message}" in res.output
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"t1": "x", "T1": 140}, "validation error: params.t1 must be a finite number\n"),
+        ({"t1": 60, "T1": None, "t2": 1}, "validation error: unknown keys: params.t2; "
+                                          "params.T1 must be a finite number\n"),
+    ],
+    ids=["string", "null-and-unknown"],
+)
+def test_cli_trace_names_the_named_param_that_is_not_a_number(tmp_path, params, message):
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text(json.dumps({"variant": "two-point", "params": params}))
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2
+    assert res.output == message
     assert not (tmp_path / "t.csv").exists()
 
 
