@@ -8,7 +8,7 @@ and a batch study runner with seeded replications.
 from curebo.space import DesignSpace, lhs_sample, sieve
 from curebo.gp import GpSurrogate, fit_gp, predict_batch
 from curebo.acquisition import ei_values, pf_values
-from curebo.records import Evaluation, RunReport, running_best
+from curebo.records import Evaluation, RunReport
 from curebo.cbo import CboConfig, run_cbo
 from curebo.ga import GaConfig, run_ga
 from curebo.problems import (
@@ -37,7 +37,6 @@ __all__ = [
     "predict_batch",
     "run_cbo",
     "run_ga",
-    "running_best",
     "sieve",
     "two_point_problem",
 ]

@@ -30,7 +30,7 @@ from curebo.acquisition import ei_values, pf_values
 from curebo.blas import openblas_pinned_to_one_thread
 from curebo.gp import NumericalError, fit_gp, predict_batch
 from curebo.problems.blackbox import Problem
-from curebo.records import Evaluation, RunReport, RunStopped, evaluate, running_best
+from curebo.records import RunReport, RunStopped, evaluate
 from curebo.space import drop_near_duplicates, lhs_sample, sieve
 
 # L-inf distance within which a candidate counts as an already evaluated point.
@@ -77,13 +77,13 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     a sieve that rejects every candidate of a pool, or a pool whose every
     candidate is a near-duplicate of an evaluated point stops the run: its
     RunStopped message ends the events of the partial report, complete=False.
+    Each evaluation is logged into the report as it is made, and each learn
+    step reads its y_min from the report's incumbent.
     """
     space, threshold = problem.space, problem.threshold
     root = np.random.SeedSequence(seed)
     init_ss, *pool_seeds = root.spawn(1 + config.n_steps)
-
-    evaluations: list[Evaluation] = []
-    events: list[str] = []
+    report = RunReport(threshold)
 
     # The products are small, so extra BLAS threads only cost time (twice
     # the time at two threads, with the same bits). The pin reaches only the
@@ -95,12 +95,12 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     try:
         with openblas_pinned_to_one_thread():
             for x in lhs_sample(space, config.n_init, init_ss):
-                evaluate(problem, x, 0, None, evaluations, events)
+                report.log(evaluate(problem, x, 0, None))
 
             for step in range(1, config.n_steps + 1):
-                train_x = np.array([e.x for e in evaluations])
-                y_f = np.array([e.f for e in evaluations])
-                y_g = np.array([e.g for e in evaluations])
+                train_x = np.array([e.x for e in report.evaluations])
+                y_f = np.array([e.f for e in report.evaluations])
+                y_g = np.array([e.g for e in report.evaluations])
                 finite_f, finite_g = np.isfinite(y_f), np.isfinite(y_g)  # NaN, inf train no model
                 try:
                     model_f = fit_gp(train_x[finite_f], y_f[finite_f])
@@ -114,23 +114,22 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
                     if len(pool) == 0:
                         raise RunStopped(f"step {step}: sieve emptied the pool, stopping early")
 
-                best = running_best(evaluations, threshold)[-1]
-                if best is None:
+                if report.incumbent is None:
                     scores = pf_values(*predict_batch(model_g, pool), threshold)
                     pick = _best_distinct(pool, scores, train_x)
                 else:
-                    scores = ei_values(*predict_batch(model_f, pool), evaluations[best].f)
+                    scores = ei_values(*predict_batch(model_f, pool), report.incumbent.f)
                     pick = _certain_leader(pool, scores, train_x, model_g, threshold)
                     if pick is None:
                         scores = scores * pf_values(*predict_batch(model_g, pool), threshold)
                         pick = _best_distinct(pool, scores, train_x)
                 if pick is None:
                     raise RunStopped(f"step {step}: duplicate guard emptied the pool, stopping early")
-                evaluate(problem, pool[pick], step, float(scores[pick]), evaluations, events)
+                report.log(evaluate(problem, pool[pick], step, float(scores[pick])))
+        report.complete = True
     except RunStopped as stop:
-        events.append(str(stop))
-        return RunReport(evaluations, threshold, False, events)
-    return RunReport(evaluations, threshold, True, events)
+        report.events.append(str(stop))
+    return report
 
 
 def _distinct(pool: np.ndarray, i: int, train_x) -> bool:

@@ -124,10 +124,12 @@ def trace(cycle_config, out):
     params = data.get("params")
     if isinstance(params, dict):
         variant = data.get("variant", _TRACE_DEFAULTS["variant"])
-        keys = cycle_parameters(variant) if variant in BUILDERS else ()
+        # a variant that is not a string is json_violations' to name, an unknown one build_cycle's
+        known = isinstance(variant, str) and variant in BUILDERS
+        keys = cycle_parameters(variant) if known else ()
         missing = [k for k in keys if k not in params]
         violations = [f"{variant} params lack {', '.join(missing)}"] if missing else []
-        if variant in BUILDERS:  # an unknown variant is build_cycle's to name, not its params
+        if known:
             violations += json_violations(params, dict.fromkeys(keys, 0.0), "params.")
         if violations:
             raise ConfigError(violations)

@@ -126,28 +126,28 @@ def run_ga(problem: Problem, config: GaConfig, seed: int) -> RunReport:
     Generation 0 is a Latin hypercube of pop_size; each later generation
     breeds pop_size offspring and truncates the combined population under
     Deb's feasibility rule (_rank_key). Every evaluation's step_index is its
-    generation. A failed evaluation stops the run as it does run_cbo.
+    generation, and each is logged into the report as it is made. A failed
+    evaluation stops the run as it does run_cbo.
     """
     root = np.random.SeedSequence(seed)
     init_ss, evo_ss = root.spawn(2)
     rng = np.random.default_rng(evo_ss)
 
     threshold = problem.threshold
-    evaluations: list[Evaluation] = []
-    events: list[str] = []
+    report = RunReport(threshold)
 
     try:
         for x in lhs_sample(problem.space, config.pop_size, init_ss):
-            evaluate(problem, x, 0, None, evaluations, events)
-        population = list(evaluations)
+            report.log(evaluate(problem, x, 0, None))
+        population = list(report.evaluations)
 
         for generation in range(1, config.generations + 1):
             for x in _breed(population, rng, threshold):
-                evaluate(problem, x, generation, None, evaluations, events)
-            combined = population + evaluations[-config.pop_size :]
+                report.log(evaluate(problem, x, generation, None))
+            combined = population + report.evaluations[-config.pop_size :]
             combined.sort(key=lambda e: _rank_key(e, threshold))  # stable: earlier ones win ties
             population = combined[: config.pop_size]
+        report.complete = True
     except RunStopped as stop:  # a failed evaluation
-        events.append(str(stop))
-        return RunReport(evaluations, threshold, False, events)
-    return RunReport(evaluations, threshold, True, events)
+        report.events.append(str(stop))
+    return report

@@ -1,4 +1,5 @@
-"""Shared evaluation records and run reports for the cBO and GA drivers."""
+"""Evaluation records, the feasibility rule, and the run report that each
+cBO and GA run logs its evaluations into."""
 
 from __future__ import annotations
 
@@ -34,51 +35,17 @@ class RunStopped(Exception):
     """Ends a run early; its message is the event that says why."""
 
 
-def evaluate(problem, x, step_index: int, acq: Optional[float], evaluations: list, events: list):
-    """Evaluate problem at x and append the Evaluation to evaluations.
+def evaluate(problem, x, step_index: int, acq: Optional[float]) -> Evaluation:
+    """Evaluate problem at x and return the Evaluation.
 
     When the problem raises, or returns an f or g that float() cannot
     convert, raises RunStopped("evaluation failed at step k: ...") instead.
-    An f or g that is NaN or infinite is kept, and one "non-finite result at
-    step k" event says so.
     """
     try:
         f, g = problem(x)
-        e = Evaluation(x=x, f=float(f), g=float(g), step_index=step_index, acq=acq)
+        return Evaluation(x=x, f=float(f), g=float(g), step_index=step_index, acq=acq)
     except Exception as exc:  # noqa: BLE001 - a failed evaluation ends the run, not the study
         raise RunStopped(f"evaluation failed at step {step_index}: {exc}") from exc
-    if not (math.isfinite(e.f) and math.isfinite(e.g)):
-        events.append(f"non-finite result at step {step_index}: f={e.f!r}, g={e.g!r}")
-    evaluations.append(e)
-
-
-@dataclass
-class RunReport:
-    """What one run produced. best is running_best(evaluations, threshold),
-    and best_feasible the f of each of its entries (None until the first
-    feasible evaluation), both computed once when the report is made.
-    best_feasible has one entry per evaluation: it is the best_feasible
-    column of the replication CSV and all that a study's summary reads."""
-
-    evaluations: list[Evaluation]
-    threshold: float
-    complete: bool = True
-    events: list[str] = field(default_factory=list)
-    best: list[Optional[int]] = field(init=False, repr=False)
-    best_feasible: list[Optional[float]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.best = running_best(self.evaluations, self.threshold)
-        self.best_feasible = [None if i is None else self.evaluations[i].f for i in self.best]
-
-    @property
-    def n_evaluations(self) -> int:
-        return len(self.evaluations)
-
-    @property
-    def incumbent(self) -> Optional[Evaluation]:
-        """The best feasible evaluation; None when none is feasible."""
-        return self.evaluations[self.best[-1]] if self.best and self.best[-1] is not None else None
 
 
 def feasible(e: Evaluation, threshold: float) -> bool:
@@ -87,17 +54,32 @@ def feasible(e: Evaluation, threshold: float) -> bool:
     return e.g >= threshold and math.isfinite(e.f)
 
 
-def running_best(evaluations, threshold: float) -> list[Optional[int]]:
-    """Index of the best feasible evaluation after each evaluation in order.
+@dataclass
+class RunReport:
+    """The log one run writes into, with log(e) the only way in.
 
-    A later feasible evaluation takes over only with a strictly smaller f, so
-    ties go to the earliest. Entries are None until the first feasible
-    evaluation.
-    """
-    best: list[Optional[int]] = []
-    current = None
-    for i, e in enumerate(evaluations):
-        if feasible(e, threshold) and (current is None or e.f < evaluations[current].f):
-            current = i
-        best.append(current)
-    return best
+    log applies the incumbent rule as it goes: a feasible evaluation becomes
+    the incumbent only with an f strictly below the incumbent's, so ties go
+    to the earliest. best_feasible holds the incumbent's f after every
+    evaluation (None until the first feasible one); it is the best_feasible
+    column of the replication CSV and all that a study's summary reads.
+    events holds one "non-finite result at step k" line for each evaluation
+    whose f or g is NaN or infinite, then, for a run that stopped early, the
+    RunStopped message that says why. complete is set once the run has spent
+    its whole budget."""
+
+    threshold: float
+    complete: bool = field(init=False, default=False)
+    events: list[str] = field(init=False, default_factory=list)
+    evaluations: list[Evaluation] = field(init=False, default_factory=list)
+    best_feasible: list[Optional[float]] = field(init=False, default_factory=list, repr=False)
+    incumbent: Optional[Evaluation] = field(init=False, default=None, repr=False)
+
+    def log(self, e: Evaluation) -> None:
+        """Append e to the log and to best_feasible under the incumbent rule."""
+        if not (math.isfinite(e.f) and math.isfinite(e.g)):
+            self.events.append(f"non-finite result at step {e.step_index}: f={e.f!r}, g={e.g!r}")
+        if feasible(e, self.threshold) and (self.incumbent is None or e.f < self.incumbent.f):
+            self.incumbent = e
+        self.evaluations.append(e)
+        self.best_feasible.append(None if self.incumbent is None else self.incumbent.f)

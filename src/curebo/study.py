@@ -422,9 +422,9 @@ def run_study(config: RunConfig) -> dict[str, StudySummary]:
     return summaries
 
 
-# grid_oracle holds every grid point and its f and g at once, about 36 bytes a
-# point (peak RSS 179 MB at 2001^2, 398 MB at 3162^2 for the analytical
-# problem), so this cap keeps it near 0.4 GB while admitting criterion 1's grid
+# grid_oracle holds one slab at a time (peak RSS 42 MB at 2001^2 for the
+# analytical problem), so this cap bounds its work, not its memory: 10^7
+# simulations take hours, while criterion 1's grid fits well inside
 MAX_ORACLE_POINTS = 10_000_000
 _ORACLE_SLAB = 1 << 16  # points evaluated at once: the analytical temporaries stay in cache
 
@@ -435,7 +435,6 @@ class OracleResult:
     x_raw: Optional[np.ndarray]
     g_at_min: Optional[float]
     n_feasible: int
-    grid: int
     runtime: float
 
 
@@ -448,7 +447,14 @@ def grid_oracle(problem: Problem, grid: int) -> OracleResult:
     rest at their raw coordinates, so each point scores what problem(x)
     returns there: one point at a time, except that analytical_fn takes
     whole columns, with the same arithmetic and the same error for a point
-    outside its unit square."""
+    outside its unit square.
+
+    The grid is built, sieved, evaluated and reduced one slab at a time: a
+    slab is as many values of the first coordinate as keep it near
+    _ORACLE_SLAB points, crossed with the full grid of the others. Only the
+    best feasible point so far and the feasible count are kept, and a later
+    point replaces the best only with a strictly smaller f, so ties go to
+    the first in grid order."""
     if grid < 2:
         raise ValueError("grid needs at least 2 points per dimension")
     space = problem.space
@@ -456,33 +462,29 @@ def grid_oracle(problem: Problem, grid: int) -> OracleResult:
         raise ValueError(f"a {grid}^{space.dims} grid has more than {MAX_ORACLE_POINTS} points")
     t0 = time.perf_counter()
     axis = np.linspace(0.0, 1.0, grid)
-    points = np.stack(np.meshgrid(*([axis] * space.dims), indexing="ij", copy=False))
-    points = points.reshape(space.dims, -1).T  # a row per point, each column contiguous
-    if problem.sieve_raw is not None:
-        points = sieve(points, problem.sieve_raw, space)
-    f, g = np.empty((2, len(points)))
-    for start in range(0, len(points), _ORACLE_SLAB):
-        slab = slice(start, start + _ORACLE_SLAB)
-        raw = space.denormalize(points[slab])
+    rows = max(1, _ORACLE_SLAB // grid ** (space.dims - 1))
+    best, n_feasible = None, 0
+    for start in range(0, grid, rows):
+        mesh = np.meshgrid(axis[start : start + rows], *[axis] * (space.dims - 1), indexing="ij")
+        points = np.stack(mesh).reshape(space.dims, -1).T  # a row per point, each column contiguous
+        if problem.sieve_raw is not None:
+            points = sieve(points, problem.sieve_raw, space)
+        raw = space.denormalize(points)
         if problem.raw_fn is analytical_fn:
             t, T = raw[:, 0], raw[:, 1]
             outside = (t < 0.0) | (t > 1.0) | (T < 0.0) | (T > 1.0)
             if outside.any():
                 analytical_fn(raw[outside.argmax()])  # raises for the first such point
-            f[slab], g[slab] = quad_surface(U_COEFFS, t, T), quad_surface(DOC_COEFFS, t, T)
+            f, g = quad_surface(U_COEFFS, t, T), quad_surface(DOC_COEFFS, t, T)
         else:
-            f[slab], g[slab] = np.array([problem.raw_fn(r) for r in raw]).reshape(-1, 2).T
-    # records.feasible's rule: g >= threshold and a finite f
-    feasible = np.flatnonzero((g >= problem.threshold) & np.isfinite(f))
-    n_feasible = len(feasible)
-    if n_feasible == 0:
-        return OracleResult(None, None, None, 0, grid, time.perf_counter() - t0)
-    k = int(feasible[np.argmin(f[feasible])])  # ties go to the first in grid order
-    return OracleResult(
-        f_min=float(f[k]),
-        x_raw=space.denormalize(points[k]),
-        g_at_min=float(g[k]),
-        n_feasible=n_feasible,
-        grid=grid,
-        runtime=time.perf_counter() - t0,
-    )
+            f, g = np.array([problem.raw_fn(r) for r in raw]).reshape(-1, 2).T
+        # records.feasible's rule: g >= threshold and a finite f
+        feasible = np.flatnonzero((g >= problem.threshold) & np.isfinite(f))
+        n_feasible += len(feasible)
+        if len(feasible):
+            k = int(feasible[np.argmin(f[feasible])])  # ties go to the first in grid order
+            if best is None or f[k] < best[0]:
+                best = (float(f[k]), space.denormalize(points[k]), float(g[k]))
+    if best is None:
+        return OracleResult(None, None, None, 0, time.perf_counter() - t0)
+    return OracleResult(*best, n_feasible, time.perf_counter() - t0)

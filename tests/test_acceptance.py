@@ -279,7 +279,7 @@ def test_criterion_9_simulator_optimization_smoke():
     problem = two_point_problem(t1_min=1.0, threshold=0.995)
     baseline = simulate_cure(baseline_cycle(), KineticParams(), MechanicalParams(), dt=0.1)
     report = run_cbo(problem, CboConfig(n_init=10, n_steps=30, pool_size=10000), 7)
-    assert report.complete and report.n_evaluations == 40
+    assert report.complete and len(report.evaluations) == 40
     incumbent = report.incumbent
     assert incumbent is not None
     assert incumbent.g >= 0.995

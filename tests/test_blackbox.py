@@ -74,10 +74,8 @@ def test_a_cycle_too_cold_to_simulate_is_a_failed_evaluation():
         two_point_problem(dt=0.5),
         space=DesignSpace(lower=[60.0, -300.0], upper=[61.0, -260.0], names=("t1", "T1")),
     )
-    evaluations, events = [], []
     with pytest.raises(RunStopped) as stop:
-        evaluate(problem, np.array([0.0, 1.0]), 0, None, evaluations, events)
-    assert evaluations == [] and events == []
+        evaluate(problem, np.array([0.0, 1.0]), 0, None)
     assert str(stop.value) == (
         "evaluation failed at step 0: cycle reaches -260 C; "
         "the viscosity law needs it above -257.451 C"

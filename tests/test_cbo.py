@@ -10,9 +10,10 @@ from curebo.cbo import CboConfig, run_cbo
 from curebo.gp import NumericalError
 from curebo.problems import Problem, analytical_problem, four_point_problem
 from curebo.acquisition import ei_values, pf_values
-from curebo.records import Evaluation, RunReport
+from curebo.records import Evaluation
 from curebo.space import DesignSpace
 from curebo.study import RunConfig, summarize
+from logs import logged
 
 UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
 
@@ -26,7 +27,7 @@ def _eval(f, g):
 
 
 def _incumbent(evaluations, threshold):
-    return RunReport(evaluations, threshold).incumbent
+    return logged(evaluations, threshold).incumbent
 
 
 def _learn_steps(report, config):
@@ -51,7 +52,7 @@ def test_budget_exactness_forty_evaluations():
     problem = analytical_problem()
     config = CboConfig(n_init=10, n_steps=30, pool_size=500)
     report = run_cbo(problem, config, 1)
-    assert report.n_evaluations == 40
+    assert len(report.evaluations) == 40
     assert sum(e.phase == "init" for e in report.evaluations) == 10
     assert sum(e.phase == "learn" for e in report.evaluations) == 30
     assert len(report.best_feasible) == 40
@@ -75,7 +76,7 @@ def test_reproducible_given_seed():
     config = CboConfig(n_init=5, n_steps=6, pool_size=300)
     a = run_cbo(problem, config, 11)
     b = run_cbo(problem, config, 11)
-    assert a.n_evaluations == b.n_evaluations
+    assert len(a.evaluations) == len(b.evaluations)
     for ea, eb in zip(a.evaluations, b.evaluations):
         assert np.array_equal(ea.x, eb.x)
         assert ea.f == eb.f and ea.g == eb.g
@@ -103,7 +104,7 @@ def test_run_reads_threshold_and_sieve_from_the_problem():
 def test_emptied_sieve_ends_the_run():
     problem = replace(analytical_problem(), sieve_raw=lambda raw: False)
     report = run_cbo(problem, CboConfig(n_init=5, n_steps=3, pool_size=200), 2)
-    assert report.n_evaluations == 5  # no learn point is taken from outside the sieve
+    assert len(report.evaluations) == 5  # no learn point is taken from outside the sieve
     assert not report.complete
     assert report.events == ["step 1: sieve emptied the pool, stopping early"]
 
@@ -130,11 +131,11 @@ def test_exhausted_fixed_pool_returns_partial_report(monkeypatch):
     config = CboConfig(n_init=2, n_steps=8, pool_size=len(pool))
     report = run_cbo(problem, config, 1)
     assert not report.complete
-    assert report.n_evaluations == 8
+    assert len(report.evaluations) == 8
     assert _learn_steps(report, config) == 6
     assert any("duplicate guard emptied the pool" in e for e in report.events)
     xs = {tuple(e.x) for e in report.evaluations}
-    assert len(xs) == report.n_evaluations
+    assert len(xs) == len(report.evaluations)
 
 
 def test_near_duplicate_winner_gives_way_to_the_next_best(monkeypatch):
@@ -313,7 +314,7 @@ def test_surrogate_fit_failure_returns_partial_report(monkeypatch):
     config = CboConfig(n_init=4, n_steps=5, pool_size=100)
     report = run_cbo(problem, config, 0)
     assert not report.complete
-    assert report.n_evaluations == 5
+    assert len(report.evaluations) == 5
     assert _learn_steps(report, config) == 1
     assert report.events == ["step 2: surrogate fit failed: not positive definite"]
 
@@ -350,7 +351,7 @@ def test_non_finite_results_are_events():
 
     problem = Problem(UNIT_SQUARE, 0.995, non_finite_on_calls_3_and_8)
     report = run_cbo(problem, CboConfig(n_init=5, n_steps=3, pool_size=100), 0)
-    assert report.complete and report.n_evaluations == 8
+    assert report.complete and len(report.evaluations) == 8
     assert report.events == [
         "non-finite result at step 0: f=nan, g=1.0",
         "non-finite result at step 3: f=0.25, g=-inf",
@@ -370,7 +371,7 @@ def test_non_finite_constraint_trains_no_model(seed):
     # one of the six Latin hypercube strata lies beyond x0 = 5/6, so a NaN g is
     # in the first fit's data; with it the g surrogate's fit would fail
     assert any(math.isnan(e.g) for e in report.evaluations[: config.n_init])
-    assert report.complete and report.n_evaluations == 14
+    assert report.complete and len(report.evaluations) == 14
     assert all(event.startswith("non-finite result at step") for event in report.events)
     assert all(math.isfinite(e.acq) for e in report.evaluations[config.n_init :])
 
@@ -388,12 +389,12 @@ def test_failing_problem_returns_partial_report():
     config = CboConfig(n_init=5, n_steps=10, pool_size=100)
     report = run_cbo(problem, config, 0)
     assert not report.complete
-    assert report.n_evaluations == 7
+    assert len(report.evaluations) == 7
     assert report.events == ["evaluation failed at step 3: simulator crashed"]
     # a failure among the initial points is step 0
     calls["n"] = 4
     report = run_cbo(problem, config, 0)
-    assert report.n_evaluations == 3
+    assert len(report.evaluations) == 3
     assert report.events == ["evaluation failed at step 0: simulator crashed"]
 
 
@@ -407,7 +408,7 @@ def test_result_that_is_not_a_number_returns_partial_report():
     problem = Problem(UNIT_SQUARE, 0.995, none_on_call_7)
     report = run_cbo(problem, CboConfig(n_init=5, n_steps=10, pool_size=100), 0)
     assert not report.complete
-    assert report.n_evaluations == 6
+    assert len(report.evaluations) == 6
     assert len(report.events) == 1
     assert report.events[0].startswith("evaluation failed at step 2: float() argument must be")
 

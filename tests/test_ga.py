@@ -16,9 +16,10 @@ from curebo.ga import (
     sbx_pair,
 )
 from curebo.problems import Problem, analytical_problem
-from curebo.records import Evaluation, RunReport, running_best
+from curebo.records import Evaluation
 from curebo.space import DesignSpace
 from curebo.study import RunConfig, summarize
+from logs import logged
 
 THRESHOLD = 1.0
 UNIT_SQUARE = DesignSpace(lower=[0.0, 0.0], upper=[1.0, 1.0])
@@ -67,7 +68,7 @@ def ranked_logs(draw):
 def test_rank_key_uses_the_running_best_feasibility_rule(log):
     t, pairs = log
     evaluations = [_ev(f, g) for f, g in pairs]
-    feasible = [i for i, e in enumerate(evaluations) if running_best([e], t) == [0]]
+    feasible = [i for i, e in enumerate(evaluations) if logged([e], t).incumbent is e]
     assert feasible == [i for i, e in enumerate(evaluations) if _rank_key(e, t)[0] == 0]
     assert feasible == [i for i, (f, g) in enumerate(pairs) if g >= t and math.isfinite(f)]
 
@@ -79,7 +80,7 @@ def test_rank_key_uses_the_running_best_feasibility_rule(log):
     expected += sorted(infeasible, key=lambda i: violation[i])
     order = sorted(range(len(pairs)), key=lambda i: _rank_key(evaluations[i], t))
     assert order == expected
-    incumbent = RunReport(evaluations, t).incumbent
+    incumbent = logged(evaluations, t).incumbent
     assert incumbent is (evaluations[order[0]] if feasible else None)
 
 
@@ -201,8 +202,8 @@ def test_runs_are_bit_identical_to_recorded_values():
 def test_evaluation_count_pop100_gen10():
     problem = analytical_problem()
     report = run_ga(problem, GaConfig(pop_size=100, generations=10), 0)
-    assert report.n_evaluations == 1100  # 100 init + 10 x 100 offspring
-    assert 1000 <= report.n_evaluations <= 1100
+    assert len(report.evaluations) == 1100  # 100 init + 10 x 100 offspring
+    assert 1000 <= len(report.evaluations) <= 1100
     assert len(report.best_feasible) == 1100
     # the GA's step axis counts every evaluation, initialization included
     study = RunConfig(problem="analytical", optimizer="ga", replications=1, seed=0, output_dir="-")
@@ -262,7 +263,7 @@ def test_failing_problem_returns_partial_report():
         problem = Problem(UNIT_SQUARE, 0.995, flaky)
         report = run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
         assert not report.complete
-        assert report.n_evaluations == good_calls
+        assert len(report.evaluations) == good_calls
         assert report.events == [f"evaluation failed at step {step}: boom"]
 
 
@@ -276,7 +277,7 @@ def test_result_that_is_not_a_number_returns_partial_report():
     problem = Problem(UNIT_SQUARE, 0.995, none_on_call_15)
     report = run_ga(problem, GaConfig(pop_size=10, generations=3), 0)
     assert not report.complete
-    assert report.n_evaluations == 14
+    assert len(report.evaluations) == 14
     assert len(report.events) == 1
     assert report.events[0].startswith("evaluation failed at step 1: float() argument must be")
 

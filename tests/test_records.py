@@ -1,13 +1,15 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curebo.ga import GaConfig, run_ga
 from curebo.problems import Problem
-from curebo.records import Evaluation, RunReport, running_best
+from curebo.records import Evaluation, RunReport
 from curebo.space import DesignSpace
+from logs import logged
 
 THRESHOLD = 0.5
 
@@ -24,8 +26,13 @@ def _log(pairs):
     ]
 
 
-def _report(evaluations):
-    return RunReport(evaluations, THRESHOLD)
+def _best(pairs):
+    """The index of the incumbent after each pair is logged."""
+    report, best = RunReport(THRESHOLD), []
+    for e in _log(pairs):
+        report.log(e)
+        best.append(None if report.incumbent is None else report.incumbent.step_index)
+    return best
 
 
 def reference_running_best(pairs, threshold):
@@ -44,16 +51,16 @@ def reference_running_best(pairs, threshold):
 
 @settings(max_examples=300, deadline=None)
 @given(logs)
-def test_running_best_matches_plain_loop(pairs):
+def test_log_matches_plain_loop(pairs):
     evaluations = _log(pairs)
     expected = reference_running_best(pairs, THRESHOLD)
-    assert running_best(evaluations, THRESHOLD) == expected
-
-    report = _report(evaluations)
-    assert report.best == expected
-    last = expected[-1] if expected else None
-    assert report.incumbent is (None if last is None else evaluations[last])
-    assert report.best_feasible == [None if i is None else pairs[i][0] for i in expected]
+    report = RunReport(THRESHOLD)
+    for n, e in enumerate(evaluations, start=1):
+        report.log(e)
+        last = expected[n - 1]
+        assert report.incumbent is (None if last is None else evaluations[last])
+        assert report.best_feasible == [None if i is None else pairs[i][0] for i in expected[:n]]
+    assert report.evaluations == evaluations
 
 
 def test_phase_follows_step_index():
@@ -63,18 +70,27 @@ def test_phase_follows_step_index():
 def test_rule_examples():
     # ties go to the earliest; g == threshold is feasible; NaN g never is
     pairs = [(1.0, 0.0), (1.0, math.nan), (2.0, THRESHOLD), (1.0, 0.75), (1.0, 1.0), (0.5, math.nan)]
-    assert running_best(_log(pairs), THRESHOLD) == [None, None, 2, 3, 3, 3]
-    assert running_best(_log([(1.0, 0.0), (0.0, math.nan)]), THRESHOLD) == [None, None]
-    assert running_best([], THRESHOLD) == []
+    assert _best(pairs) == [None, None, 2, 3, 3, 3]
+    assert _best([(1.0, 0.0), (0.0, math.nan)]) == [None, None]
+    empty = RunReport(THRESHOLD)
+    assert empty.evaluations == empty.best_feasible == empty.events == []
+    assert empty.incumbent is None and not empty.complete
 
 
 def test_non_finite_objective_is_never_feasible():
     # a feasible NaN f must not become the incumbent that no later f can beat
-    assert running_best(_log([(math.nan, 1.0), (0.5, 1.0)]), THRESHOLD) == [None, 1]
+    assert _best([(math.nan, 1.0), (0.5, 1.0)]) == [None, 1]
     infinite = [(-math.inf, 1.0), (math.inf, 1.0), (2.0, 1.0)]
-    assert running_best(_log(infinite), THRESHOLD) == [None, None, 2]
+    assert _best(infinite) == [None, None, 2]
     after = [(1.0, 1.0), (math.nan, 1.0), (-math.inf, 0.75)]
-    assert running_best(_log(after), THRESHOLD) == [0, 0, 0]
+    assert _best(after) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("f, g", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, math.nan)])
+def test_a_non_finite_result_adds_exactly_one_event(f, g):
+    report = logged(_log([(1.0, 1.0), (f, g), (2.0, 0.0)]), THRESHOLD)
+    assert report.events == [f"non-finite result at step 1: f={f!r}, g={g!r}"]
+    assert len(report.evaluations) == len(report.best_feasible) == 3
 
 
 def test_ga_trace_ends_at_its_incumbent_when_constraint_is_nan():

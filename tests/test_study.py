@@ -14,7 +14,7 @@ from curebo.blas import openblas_threads
 from curebo.cbo import CboConfig
 from curebo.cli import main
 from curebo.problems.blackbox import FACTORIES, Problem, analytical_problem, four_point_problem
-from curebo.records import Evaluation, RunReport, running_best
+from curebo.records import Evaluation, feasible
 from curebo.space import DesignSpace
 from curebo.study import (
     ConfigError,
@@ -25,6 +25,7 @@ from curebo.study import (
     run_study,
     summarize,
 )
+from logs import logged
 
 
 def small_config(tmp_path, **overrides):
@@ -437,7 +438,7 @@ def test_an_infeasible_smaller_f_does_not_count_toward_convergence():
         Evaluation(x=np.zeros(1), f=1.0, g=0.0, step_index=1, acq=0.5),
         Evaluation(x=np.zeros(1), f=1.2, g=1.0, step_index=2, acq=0.25),
     ]
-    report = RunReport(evals, threshold=0.5)
+    report = logged(evals, 0.5)
     assert report.best_feasible == [2.0, 2.0, 2.0, 1.2] and report.incumbent is evals[3]
 
     def summary(reference):
@@ -547,18 +548,37 @@ def test_grid_oracle_simulates_nothing_when_the_sieve_rejects_the_grid():
     assert result.f_min is None and result.x_raw is None and result.n_feasible == 0
 
 
+def test_grid_oracle_slab_boundaries_change_nothing(monkeypatch):
+    problems = [
+        (analytical_problem(), 101),
+        # a constant f ties everywhere, so grid point (0, 0) must win
+        (replace(analytical_problem(), raw_fn=lambda raw: (1.0, 1.0)), 11),
+        (four_point_problem(), 3),
+    ]
+    default = [grid_oracle(problem, grid) for problem, grid in problems]
+    monkeypatch.setattr(study, "_ORACLE_SLAB", 7)
+    for (problem, grid), expected in zip(problems, default):
+        result = grid_oracle(problem, grid)
+        assert (result.f_min, result.g_at_min) == (expected.f_min, expected.g_at_min)
+        assert result.x_raw.tolist() == expected.x_raw.tolist()
+        assert result.n_feasible == expected.n_feasible
+    assert default[1].x_raw.tolist() == [0.0, 0.0] and default[1].n_feasible == 121
+    assert default[2].n_feasible < 3**4  # the slope sieve removed some of the grid
+
+
 def csv_writer_replication_csv(path, problem, report):
     """The replication CSV as csv.writer writes it, one field at a time."""
-    evaluations = report.evaluations
-    best = running_best(evaluations, report.threshold)
+    best = None  # the incumbent's f, by records.feasible and a strictly smaller f
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["eval", "phase", "step", *problem.space.names, "f", "g", "best_feasible", "acq"])
-        for i, (e, b) in enumerate(zip(evaluations, best), start=1):
+        for i, e in enumerate(report.evaluations, start=1):
+            if feasible(e, report.threshold) and (best is None or e.f < best):
+                best = e.f
             raw = problem.space.denormalize(e.x)
             writer.writerow(
                 [i, e.phase, e.step_index, *map(study._fmt, raw), study._fmt(e.f), study._fmt(e.g),
-                 study._fmt(None if b is None else evaluations[b].f), study._fmt(e.acq)]
+                 study._fmt(best), study._fmt(e.acq)]
             )
 
 
@@ -577,7 +597,7 @@ def test_replication_csv_has_the_bytes_of_csv_writer(tmp_path):
         for i, f in enumerate(descending)
     ]
     for log in (evaluations, falling):
-        report = RunReport(log, threshold=0.5)
+        report = logged(log, 0.5)
         study._write_replication_csv(tmp_path / "fast.csv", problem, report)
         csv_writer_replication_csv(tmp_path / "reference.csv", problem, report)
         fast = (tmp_path / "fast.csv").read_bytes()
@@ -780,7 +800,7 @@ def test_library_use_runs_the_readme_example(capsys):
     namespace = {}
     exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
     report = namespace["report"]
-    assert report.complete and report.n_evaluations == 40
+    assert report.complete and len(report.evaluations) == 40
     assert report.incumbent is not None and report.incumbent.g >= report.threshold
 
 
@@ -808,6 +828,16 @@ def test_cli_trace_names_named_params_the_variant_does_not_take(tmp_path, varian
     res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
     assert res.exit_code == 2, res.output
     assert f"validation error: {message}" in res.output
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("params", [{"t1": 60, "T1": 140}, [60, 140]], ids=["named", "listed"])
+def test_cli_trace_names_a_variant_that_is_not_a_string(tmp_path, params):
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text(json.dumps({"variant": ["two-point"], "params": params}))
+    res = CliRunner().invoke(main, ["trace", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 2
+    assert res.output == "validation error: variant must be a string\n"
     assert not (tmp_path / "t.csv").exists()
 
 
