@@ -58,6 +58,12 @@ class CboConfig:
             raise ValueError("; ".join(problems))
 
 
+def import_surrogate_scipy() -> None:
+    """Load the scipy submodules that gp and acquisition reach at call time,
+    and with scipy.linalg scipy's own OpenBLAS."""
+    import scipy.linalg, scipy.optimize, scipy.spatial, scipy.special  # noqa: E401, F401
+
+
 def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     """Run the constrained BO loop against a problem, seeded by seed.
 
@@ -87,10 +93,8 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
 
     # The products are small, so extra BLAS threads only cost time (twice
     # the time at two threads, with the same bits). The pin reaches only the
-    # libraries loaded by then, and gp loads scipy's submodules, and with
-    # them scipy's own OpenBLAS, at its first call; so that library is
-    # loaded here, before the pin.
-    import scipy.linalg  # noqa: F401
+    # libraries loaded by then, so scipy's own OpenBLAS is loaded here.
+    import_surrogate_scipy()
 
     try:
         with openblas_pinned_to_one_thread():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -13,12 +13,14 @@ PHASE_INIT = "init"
 PHASE_LEARN = "learn"
 
 
-@dataclass(frozen=True, slots=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """One true black-box evaluation: normalized input x, objective f,
     constraint g and the step that made it (0 for initialization, else the
     cBO learn step or GA generation). acq is the acquisition value that
-    chose a cBO learn point, None for every other evaluation."""
+    chose a cBO learn point, None for every other evaluation.
+
+    An immutable named tuple: a run logs one per evaluation, and a tuple
+    built positionally costs a fraction of a frozen dataclass."""
 
     x: np.ndarray
     f: float
@@ -43,7 +45,7 @@ def evaluate(problem, x, step_index: int, acq: Optional[float]) -> Evaluation:
     """
     try:
         f, g = problem(x)
-        return Evaluation(x=x, f=float(f), g=float(g), step_index=step_index, acq=acq)
+        return Evaluation(x, float(f), float(g), step_index, acq)
     except Exception as exc:  # noqa: BLE001 - a failed evaluation ends the run, not the study
         raise RunStopped(f"evaluation failed at step {step_index}: {exc}") from exc
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -10,17 +10,20 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Axis-aligned box of raw design variables (e.g. minutes, deg C)."""
+    """Axis-aligned box of raw design variables (e.g. minutes, deg C).
+
+    lower, upper and width = upper - lower are read-only float copies made
+    at construction, so the width that normalize and denormalize use cannot
+    go stale: writing to the caller's arrays leaves the space unchanged."""
 
     lower: np.ndarray
     upper: np.ndarray
     names: tuple[str, ...] = ()
+    width: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        lower = np.atleast_1d(np.array(self.lower, dtype=float))
+        upper = np.atleast_1d(np.array(self.upper, dtype=float))
         if lower.ndim != 1 or lower.size < 1:
             raise ValueError("design space needs at least one dimension")
         if lower.shape != upper.shape:
@@ -28,6 +31,9 @@ class DesignSpace:
         if not np.all(lower < upper):
             bad = int(np.argmin(upper - lower))
             raise ValueError(f"lower bound must be strictly below upper in dimension {bad}")
+        for name, bound in (("lower", lower), ("upper", upper), ("width", upper - lower)):
+            bound.flags.writeable = False
+            object.__setattr__(self, name, bound)
         if not self.names:
             object.__setattr__(self, "names", tuple(f"x{i}" for i in range(lower.size)))
         elif len(self.names) != lower.size:
@@ -52,14 +58,14 @@ class DesignSpace:
                     f"{self.names[i]} out of bounds "
                     f"[{self.lower[i]}, {self.upper[i]}]"
                 )
-        return (raw - self.lower) / (self.upper - self.lower)
+        return (raw - self.lower) / self.width
 
     def denormalize(self, unit) -> np.ndarray:
         """Inverse of normalize; exact round trip up to float rounding."""
         unit = np.asarray(unit, dtype=float)
         if unit.shape[-1] != self.dims:
             raise ValueError(f"expected {self.dims} coordinates, got {unit.shape[-1]}")
-        return self.lower + unit * (self.upper - self.lower)
+        return self.lower + unit * self.width
 
 
 def lhs_sample(space: DesignSpace, m: int, seed=None) -> np.ndarray:

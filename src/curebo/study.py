@@ -20,6 +20,7 @@ import csv
 import inspect
 import json
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from curebo.cbo import CboConfig, run_cbo
+from curebo.cbo import CboConfig, import_surrogate_scipy, run_cbo
 from curebo.ga import GaConfig, run_ga
 from curebo.problems.analytical import DOC_COEFFS, U_COEFFS, quad_surface
 from curebo.problems.blackbox import FACTORIES, Problem, analytical_fn
@@ -375,8 +376,9 @@ def _replicate(args) -> tuple[list[Optional[float]], list[str]]:
 
 
 def worker_pool(workers: int) -> ProcessPoolExecutor:
-    """The process pool of run_study."""
-    return ProcessPoolExecutor(max_workers=workers)
+    """The process pool of run_study. Its workers fork, so they start with
+    the modules the parent has loaded."""
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _replications(config: RunConfig, optimizer: str):
@@ -384,6 +386,8 @@ def _replications(config: RunConfig, optimizer: str):
     column and events, in replication order whatever the worker count."""
     jobs = [(config, optimizer, i) for i in range(config.replications)]
     if config.workers > 1 and config.replications > 1:
+        if optimizer == "cbo":
+            import_surrogate_scipy()  # loaded before the fork, one import for every worker
         with worker_pool(min(config.workers, config.replications)) as pool:
             yield from pool.map(_replicate, jobs)
     else:
@@ -400,6 +404,8 @@ def run_study(config: RunConfig) -> dict[str, StudySummary]:
     With workers > 1 the replications run in a pool of
     min(workers, replications) processes. Only run_cbo calls BLAS, and it
     pins every loaded OpenBLAS to one thread for its loop, in a worker too.
+    The pool forks, and before a cBO pool forks, the scipy submodules of the
+    surrogates are loaded here, once for all its workers.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -67,6 +67,17 @@ def test_phase_follows_step_index():
     assert [e.phase for e in _log([(1.0, 1.0)] * 3)] == ["init", "learn", "learn"]
 
 
+def test_evaluation_is_immutable_and_built_by_position_or_keyword():
+    x = np.array([0.25, 0.5])
+    by_position = Evaluation(x, 1.5, 0.75, 3, 0.125)
+    by_keyword = Evaluation(x=x, f=1.5, g=0.75, step_index=3, acq=0.125)
+    for e in (by_position, by_keyword):
+        assert e.x is x and (e.f, e.g, e.step_index, e.acq) == (1.5, 0.75, 3, 0.125)
+    for name in Evaluation._fields + ("phase", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, None)
+
+
 def test_rule_examples():
     # ties go to the earliest; g == threshold is feasible; NaN g never is
     pairs = [(1.0, 0.0), (1.0, math.nan), (2.0, THRESHOLD), (1.0, 0.75), (1.0, 1.0), (0.5, math.nan)]

@@ -163,6 +163,31 @@ def test_normalize_denormalize_round_trip(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(boxes_and_points())
+def test_normalize_and_denormalize_keep_the_bits_of_the_inline_width(case):
+    # the width made once at construction is the difference each call made
+    space, raw = case
+    raw = np.clip(raw, space.lower, space.upper)
+    lower, upper = np.array(space.lower), np.array(space.upper)
+    for rows in (raw[0], raw):  # one point, then many
+        unit = space.normalize(rows)
+        assert unit.tobytes() == ((rows - lower) / (upper - lower)).tobytes()
+        assert space.denormalize(unit).tobytes() == (lower + unit * (upper - lower)).tobytes()
+
+
+def test_space_owns_read_only_copies_of_its_bounds():
+    lower, upper = np.array([0.0, 10.0]), np.array([1.0, 20.0])
+    space = DesignSpace(lower, upper)
+    lower[0], upper[1] = -5.0, 50.0
+    assert space.lower.tolist() == [0.0, 10.0] and space.upper.tolist() == [1.0, 20.0]
+    assert space.denormalize([1.0, 1.0]).tolist() == [1.0, 20.0]
+    for bound in (space.lower, space.upper, space.width):
+        with pytest.raises(ValueError, match="read-only"):
+            bound[0] = 3.0
+    assert space.width.tolist() == [1.0, 10.0]
+
+
+@settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 300), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_lhs_puts_one_point_in_each_stratum(m, d, seed):
     pool = lhs_sample(DesignSpace([0.0] * d, [1.0] * d), m, seed=seed)

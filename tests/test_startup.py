@@ -67,6 +67,30 @@ assert report.complete, report.events
 print(json.dumps({"fits": fits, "after": openblas_threads()}))
 """
 
+FORKED_WORKERS = """\
+import json, sys
+from pathlib import Path
+from curebo import study
+
+tmp = Path(sys.argv[1])
+replicate = study._replicate
+
+
+def recording(args):
+    # runs in a worker: what it finds loaded before its replication starts
+    loaded = [name for name in %r if name in sys.modules]
+    (tmp / f"loaded{args[2]}.json").write_text(json.dumps(loaded))
+    return replicate(args)
+
+
+study._replicate = recording
+config = study.RunConfig.from_dict({
+    "problem": "analytical", "optimizer": "cbo", "replications": 2, "workers": 2, "seed": 0,
+    "output_dir": str(tmp / "out"), "cbo": {"n_init": 4, "n_steps": 1, "pool_size": 20}})
+study.run_study(config)
+print(json.dumps([json.loads((tmp / f"loaded{i}.json").read_text()) for i in range(2)]))
+""" % (SCIPY_SUBMODULES,)
+
 
 def _run(script: str, *args: str) -> str:
     """Last line of what script prints in a new interpreter that finds this
@@ -99,3 +123,10 @@ def test_fresh_run_fits_with_every_openblas_at_one_thread():
         pytest.skip("every OpenBLAS here starts at one thread, as a pinned one runs")
     assert len(fits) == 4
     assert fits == [{path: 1 for path in after}] * 4
+
+
+def test_cbo_study_workers_start_with_the_scipy_submodules_loaded(tmp_path):
+    # the parent loads them once before it forks the pool, so no worker
+    # pays for the import again
+    loaded = json.loads(_run(FORKED_WORKERS, str(tmp_path)))
+    assert loaded == [list(SCIPY_SUBMODULES)] * 2
