@@ -30,7 +30,7 @@ from curebo.acquisition import ei_values, pf_values
 from curebo.blas import openblas_pinned_to_one_thread
 from curebo.gp import NumericalError, fit_gp, predict_batch
 from curebo.problems.blackbox import Problem
-from curebo.records import RunReport, RunStopped, evaluate
+from curebo.records import RunReport, RunStopped
 from curebo.space import drop_near_duplicates, lhs_sample, sieve
 
 # L-inf distance within which a candidate counts as an already evaluated point.
@@ -81,10 +81,8 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     count back after. The report is bitwise reproducible for identical
     inputs. A failing problem evaluation, a surrogate that cannot be fitted,
     a sieve that rejects every candidate of a pool, or a pool whose every
-    candidate is a near-duplicate of an evaluated point stops the run: its
-    RunStopped message ends the events of the partial report, complete=False.
-    Each evaluation is logged into the report as it is made, and each learn
-    step reads its y_min from the report's incumbent.
+    candidate is a near-duplicate of an evaluated point stops the run (see
+    RunReport). Each learn step reads its y_min from the report's incumbent.
     """
     space, threshold = problem.space, problem.threshold
     root = np.random.SeedSequence(seed)
@@ -96,43 +94,38 @@ def run_cbo(problem: Problem, config: CboConfig, seed: int) -> RunReport:
     # libraries loaded by then, so scipy's own OpenBLAS is loaded here.
     import_surrogate_scipy()
 
-    try:
-        with openblas_pinned_to_one_thread():
-            for x in lhs_sample(space, config.n_init, init_ss):
-                report.log(evaluate(problem, x, 0, None))
+    with report, openblas_pinned_to_one_thread():
+        for x in lhs_sample(space, config.n_init, init_ss):
+            report.evaluate(problem, x, 0)
 
-            for step in range(1, config.n_steps + 1):
-                train_x = np.array([e.x for e in report.evaluations])
-                y_f = np.array([e.f for e in report.evaluations])
-                y_g = np.array([e.g for e in report.evaluations])
-                finite_f, finite_g = np.isfinite(y_f), np.isfinite(y_g)  # NaN, inf train no model
-                try:
-                    model_f = fit_gp(train_x[finite_f], y_f[finite_f])
-                    model_g = fit_gp(train_x[finite_g], y_g[finite_g])
-                except (NumericalError, ValueError) as exc:
-                    raise RunStopped(f"step {step}: surrogate fit failed: {exc}") from exc
+        for step in range(1, config.n_steps + 1):
+            train_x = np.array([e.x for e in report.evaluations])
+            y_f = np.array([e.f for e in report.evaluations])
+            y_g = np.array([e.g for e in report.evaluations])
+            finite_f, finite_g = np.isfinite(y_f), np.isfinite(y_g)  # NaN, inf train no model
+            try:
+                model_f = fit_gp(train_x[finite_f], y_f[finite_f])
+                model_g = fit_gp(train_x[finite_g], y_g[finite_g])
+            except (NumericalError, ValueError) as exc:
+                raise RunStopped(f"step {step}: surrogate fit failed: {exc}") from exc
 
-                pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
-                if problem.sieve_raw is not None:
-                    pool = sieve(pool, problem.sieve_raw, space)
-                    if len(pool) == 0:
-                        raise RunStopped(f"step {step}: sieve emptied the pool, stopping early")
+            pool = lhs_sample(space, config.pool_size, pool_seeds[step - 1])
+            if problem.sieve_raw is not None:
+                pool = sieve(pool, problem.sieve_raw, space)
+                if len(pool) == 0:
+                    raise RunStopped(f"step {step}: sieve emptied the pool, stopping early")
 
-                if report.incumbent is None:
-                    scores = pf_values(*predict_batch(model_g, pool), threshold)
-                    pick = _best_distinct(pool, scores, train_x)
-                else:
-                    scores = ei_values(*predict_batch(model_f, pool), report.incumbent.f)
-                    pick = _certain_leader(pool, scores, train_x, model_g, threshold)
-                    if pick is None:
-                        scores = scores * pf_values(*predict_batch(model_g, pool), threshold)
-                        pick = _best_distinct(pool, scores, train_x)
-                if pick is None:
-                    raise RunStopped(f"step {step}: duplicate guard emptied the pool, stopping early")
-                report.log(evaluate(problem, pool[pick], step, float(scores[pick])))
-        report.complete = True
-    except RunStopped as stop:
-        report.events.append(str(stop))
+            # EI x PF, with EI taken as 1 while no evaluated point is feasible
+            pick, scores = None, 1.0
+            if report.incumbent is not None:
+                scores = ei_values(*predict_batch(model_f, pool), report.incumbent.f)
+                pick = _certain_leader(pool, scores, train_x, model_g, threshold)
+            if pick is None:
+                scores = scores * pf_values(*predict_batch(model_g, pool), threshold)
+                pick = _best_distinct(pool, scores, train_x)
+            if pick is None:
+                raise RunStopped(f"step {step}: duplicate guard emptied the pool, stopping early")
+            report.evaluate(problem, pool[pick], step, float(scores[pick]))
     return report
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from curebo.problems.blackbox import Problem
-from curebo.records import Evaluation, RunReport, RunStopped, evaluate, feasible
+from curebo.records import Evaluation, RunReport, feasible
 from curebo.space import lhs_sample
 
 # Fixed operators: SBX applied to a pair with probability CROSSOVER_PROB,
@@ -126,28 +126,20 @@ def run_ga(problem: Problem, config: GaConfig, seed: int) -> RunReport:
     Generation 0 is a Latin hypercube of pop_size; each later generation
     breeds pop_size offspring and truncates the combined population under
     Deb's feasibility rule (_rank_key). Every evaluation's step_index is its
-    generation, and each is logged into the report as it is made. A failed
-    evaluation stops the run as it does run_cbo.
+    generation. A failed evaluation stops the run (see RunReport).
     """
     root = np.random.SeedSequence(seed)
     init_ss, evo_ss = root.spawn(2)
     rng = np.random.default_rng(evo_ss)
 
     threshold = problem.threshold
-    report = RunReport(threshold)
-
-    try:
-        for x in lhs_sample(problem.space, config.pop_size, init_ss):
-            report.log(evaluate(problem, x, 0, None))
-        population = list(report.evaluations)
-
+    with RunReport(threshold) as report:
+        initial = lhs_sample(problem.space, config.pop_size, init_ss)
+        population = [report.evaluate(problem, x, 0) for x in initial]
         for generation in range(1, config.generations + 1):
-            for x in _breed(population, rng, threshold):
-                report.log(evaluate(problem, x, generation, None))
-            combined = population + report.evaluations[-config.pop_size :]
-            combined.sort(key=lambda e: _rank_key(e, threshold))  # stable: earlier ones win ties
-            population = combined[: config.pop_size]
-        report.complete = True
-    except RunStopped as stop:  # a failed evaluation
-        report.events.append(str(stop))
+            children = _breed(population, rng, threshold)
+            offspring = [report.evaluate(problem, x, generation) for x in children]
+            # stable: earlier ones win ties
+            ranked = sorted(population + offspring, key=lambda e: _rank_key(e, threshold))
+            population = ranked[: config.pop_size]
     return report

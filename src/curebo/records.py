@@ -1,5 +1,5 @@
 """Evaluation records, the feasibility rule, and the run report that each
-cBO and GA run logs its evaluations into."""
+cBO and GA run executes in and evaluates through."""
 
 from __future__ import annotations
 
@@ -37,19 +37,6 @@ class RunStopped(Exception):
     """Ends a run early; its message is the event that says why."""
 
 
-def evaluate(problem, x, step_index: int, acq: Optional[float]) -> Evaluation:
-    """Evaluate problem at x and return the Evaluation.
-
-    When the problem raises, or returns an f or g that float() cannot
-    convert, raises RunStopped("evaluation failed at step k: ...") instead.
-    """
-    try:
-        f, g = problem(x)
-        return Evaluation(x, float(f), float(g), step_index, acq)
-    except Exception as exc:  # noqa: BLE001 - a failed evaluation ends the run, not the study
-        raise RunStopped(f"evaluation failed at step {step_index}: {exc}") from exc
-
-
 def feasible(e: Evaluation, threshold: float) -> bool:
     """g >= threshold and a finite f: a NaN g never is, and neither is an
     evaluation whose f is NaN or infinite, whatever its g."""
@@ -67,8 +54,9 @@ class RunReport:
     column of the replication CSV and all that a study's summary reads.
     events holds one "non-finite result at step k" line for each evaluation
     whose f or g is NaN or infinite, then, for a run that stopped early, the
-    RunStopped message that says why. complete is set once the run has spent
-    its whole budget."""
+    RunStopped message that says why. A run executes in `with report:`: a
+    body that returns has spent its whole budget and sets complete, a
+    RunStopped ends the run as its last event, and other exceptions pass."""
 
     threshold: float
     complete: bool = field(init=False, default=False)
@@ -85,3 +73,29 @@ class RunReport:
             self.incumbent = e
         self.evaluations.append(e)
         self.best_feasible.append(None if self.incumbent is None else self.incumbent.f)
+
+    def evaluate(self, problem, x, step_index: int, acq: Optional[float] = None) -> Evaluation:
+        """Evaluate problem at x, log the Evaluation and return it.
+
+        When the problem raises, or returns an f or g that float() cannot
+        convert, raises RunStopped("evaluation failed at step k: ...") and
+        logs nothing.
+        """
+        try:
+            f, g = problem(x)
+            e = Evaluation(x, float(f), float(g), step_index, acq)
+        except Exception as exc:  # noqa: BLE001 - a failed evaluation ends the run, not the study
+            raise RunStopped(f"evaluation failed at step {step_index}: {exc}") from exc
+        self.log(e)
+        return e
+
+    def __enter__(self) -> RunReport:
+        return self
+
+    def __exit__(self, kind, stop, traceback) -> bool:
+        if kind is None:
+            self.complete = True
+        elif issubclass(kind, RunStopped):
+            self.events.append(str(stop))
+            return True
+        return False

@@ -8,13 +8,14 @@ from typing import Callable
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignSpace:
     """Axis-aligned box of raw design variables (e.g. minutes, deg C).
 
-    lower, upper and width = upper - lower are read-only float copies made
-    at construction, so the width that normalize and denormalize use cannot
-    go stale: writing to the caller's arrays leaves the space unchanged."""
+    lower, upper and width = upper - lower are finite, read-only float
+    copies made at construction, so the width that normalize and denormalize
+    use cannot go stale: writing to the caller's arrays leaves the space
+    unchanged. Two spaces are equal, and hash, by identity."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -28,10 +29,16 @@ class DesignSpace:
             raise ValueError("design space needs at least one dimension")
         if lower.shape != upper.shape:
             raise ValueError("lower and upper bounds differ in length")
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = upper - lower  # not finite where a bound is not, or where it overflows
+        finite = np.isfinite(width)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"bounds and their width must be finite in dimension {bad}")
         if not np.all(lower < upper):
-            bad = int(np.argmin(upper - lower))
+            bad = int(np.argmin(width))
             raise ValueError(f"lower bound must be strictly below upper in dimension {bad}")
-        for name, bound in (("lower", lower), ("upper", upper), ("width", upper - lower)):
+        for name, bound in (("lower", lower), ("upper", upper), ("width", width)):
             bound.flags.writeable = False
             object.__setattr__(self, name, bound)
         if not self.names:

@@ -10,7 +10,7 @@ from curebo.problems import (
     four_point_problem,
     two_point_problem,
 )
-from curebo.records import RunStopped, evaluate
+from curebo.records import RunReport, RunStopped
 from curebo.space import DesignSpace
 
 
@@ -75,7 +75,7 @@ def test_a_cycle_too_cold_to_simulate_is_a_failed_evaluation():
         space=DesignSpace(lower=[60.0, -300.0], upper=[61.0, -260.0], names=("t1", "T1")),
     )
     with pytest.raises(RunStopped) as stop:
-        evaluate(problem, np.array([0.0, 1.0]), 0, None)
+        RunReport(problem.threshold).evaluate(problem, np.array([0.0, 1.0]), 0)
     assert str(stop.value) == (
         "evaluation failed at step 0: cycle reaches -260 C; "
         "the viscosity law needs it above -257.451 C"

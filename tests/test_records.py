@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from curebo.ga import GaConfig, run_ga
 from curebo.problems import Problem
-from curebo.records import Evaluation, RunReport
+from curebo.records import Evaluation, RunReport, RunStopped
 from curebo.space import DesignSpace
 from logs import logged
 
@@ -114,3 +114,70 @@ def test_ga_trace_ends_at_its_incumbent_when_constraint_is_nan():
     assert report.incumbent is not None and report.incumbent.f >= 0.5
     assert report.best_feasible[-1] == report.incumbent.f
     assert all(v is None or v >= 0.5 for v in report.best_feasible)
+
+
+def square(x):
+    return float(x[0]) ** 2, 1.0
+
+
+def test_a_run_body_that_returns_completes_the_report():
+    with RunReport(THRESHOLD) as report:
+        report.evaluate(square, np.array([0.5]), 0)
+    assert report.complete and report.events == []
+    assert report.best_feasible == [0.25]
+
+
+def test_a_stopped_run_keeps_its_log_and_ends_its_events_with_the_stop():
+    with RunReport(THRESHOLD) as report:
+        report.evaluate(square, np.array([0.5]), 0)
+        report.evaluate(square, np.array([math.nan]), 1)
+        raise RunStopped("step 2: sieve emptied the pool, stopping early")
+    assert not report.complete
+    assert [e.step_index for e in report.evaluations] == [0, 1]
+    assert report.events == [
+        "non-finite result at step 1: f=nan, g=1.0",
+        "step 2: sieve emptied the pool, stopping early",
+    ]
+
+
+def test_any_other_exception_leaves_the_run():
+    report = RunReport(THRESHOLD)
+    with pytest.raises(KeyError):
+        with report:
+            report.evaluate(square, np.array([0.5]), 0)
+            raise KeyError("not a stop")
+    assert not report.complete and report.events == []
+    assert len(report.evaluations) == 1
+
+
+def test_evaluate_returns_the_evaluation_it_logged():
+    report = RunReport(THRESHOLD)
+    x = np.array([0.5])
+    e = report.evaluate(square, x, 3, 0.125)
+    assert e is report.evaluations[-1] and report.incumbent is e
+    assert e.x is x and (e.f, e.g, e.step_index, e.acq) == (0.25, 1.0, 3, 0.125)
+    assert report.evaluate(square, x, 4).acq is None
+
+
+def raises(x):
+    raise ValueError("cycle cannot be assembled")
+
+
+def _float_error(result):
+    """What float() says of the first value of result it rejects."""
+    with pytest.raises((TypeError, ValueError)) as error:
+        [float(v) for v in result]
+    return str(error.value)
+
+
+@pytest.mark.parametrize("problem, cause", [
+    (raises, "cycle cannot be assembled"),
+    (lambda x: ("not a number", 1.0), _float_error(("not a number", 1.0))),
+    (lambda x: (1.0, None), _float_error((1.0, None))),
+])
+def test_a_failed_evaluation_stops_the_run_and_logs_nothing(problem, cause):
+    with RunReport(THRESHOLD) as report:
+        report.evaluate(square, np.array([0.5]), 0)
+        report.evaluate(problem, np.array([0.5]), 7)
+    assert not report.complete and len(report.evaluations) == len(report.best_feasible) == 1
+    assert report.events == [f"evaluation failed at step 7: {cause}"]

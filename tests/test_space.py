@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from curebo.problems import four_point_problem
+from curebo.problems import analytical_problem, four_point_problem
 from curebo.space import DesignSpace, drop_near_duplicates, lhs_sample, sieve
 
 
@@ -50,6 +50,25 @@ def test_space_validation():
         DesignSpace(lower=[0.0, 0.0], upper=[1.0])
     with pytest.raises(ValueError):
         DesignSpace(lower=[0.0], upper=[1.0], names=("a", "b"))
+
+
+@pytest.mark.parametrize("lower, upper, dim", [
+    ([0.0], [np.inf], 0),
+    ([0.0, -np.inf], [1.0, 0.0], 1),
+    ([0.0, np.nan], [1.0, 1.0], 1),
+    ([0.0, -1e308], [1.0, 1e308], 1),  # each bound finite, the width not
+])
+def test_space_rejects_bounds_or_a_width_that_are_not_finite(lower, upper, dim):
+    with np.errstate(all="raise"):  # a check, not an overflow, must reject them
+        with pytest.raises(ValueError, match=f"finite in dimension {dim}$"):
+            DesignSpace(lower, upper)
+
+
+def test_spaces_compare_and_hash_by_identity():
+    a, b = DesignSpace([0.0, 0.0], [1.0, 1.0]), DesignSpace([0.0, 0.0], [1.0, 1.0])
+    assert a == a and a != b and len({a, b, a}) == 2
+    problem = analytical_problem()
+    assert problem == problem and hash(problem) == hash(problem)
 
 
 def test_lhs_one_point_per_stratum_1d():
