@@ -15,7 +15,7 @@ from curebo.gp import NumericalError
 from curebo.problems import build_cycle, simulate_cure
 from curebo.problems.blackbox import FACTORIES
 from curebo.problems.cycle import BUILDERS, cycle_parameters
-from curebo.problems.simulate import IntegrationError, KineticParams, MechanicalParams
+from curebo.problems.simulate import DEFAULT_DT, IntegrationError, KineticParams, MechanicalParams
 from curebo.study import (
     ConfigError,
     RunConfig,
@@ -33,7 +33,7 @@ EXIT_NUMERICAL = 4
 _DEFAULT_ORACLE_GRID = {"analytical": 2001, "sim2pt": 15, "sim4pt": 7}
 # the keys of a cycle trace config and their defaults, checked by json_violations
 _TRACE_DEFAULTS = {"variant": "baseline", "params": (), "kinetics": KineticParams(),
-                   "mechanical": MechanicalParams(), "dt": 0.1}
+                   "mechanical": MechanicalParams(), "dt": DEFAULT_DT}
 
 
 def _guarded(fn):

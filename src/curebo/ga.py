@@ -97,24 +97,23 @@ def _breed(population: list[Evaluation], rng, threshold: float) -> np.ndarray:
     The draws come pair by pair: two tournaments, the crossover coin, then
     one block of uniforms holding, in this order, SBX's u (only when the
     pair crosses) and the mutation u and apply draws of each child. The
-    arithmetic then runs on all pairs at once; a pair that does not cross
-    passes its parents' genes on to mutation unchanged.
+    arithmetic then runs on all pairs at once. SBX runs on every pair: a
+    pair that does not cross keeps u = 0.5, so beta is 1 and sbx_pair
+    returns its parents' genes bit for bit.
     """
     n_pairs, d = len(population) // 2, population[0].x.size
     parents = np.empty((2, n_pairs, d))
-    crosses = np.empty(n_pairs, dtype=bool)
-    u_sbx = np.full((n_pairs, d), 0.5)  # stays 0.5 (beta 1) where a pair does not cross
+    u_sbx = np.full((n_pairs, d), 0.5)
     u_mut = np.empty((2, n_pairs, 2, d))  # (child, pair, u | apply, gene)
     for k in range(n_pairs):
         parents[0, k] = _tournament(population, rng, threshold).x
         parents[1, k] = _tournament(population, rng, threshold).x
-        crosses[k] = rng.random() < CROSSOVER_PROB
-        draws = rng.random((5 if crosses[k] else 4) * d)
-        if crosses[k]:
+        crosses = rng.random() < CROSSOVER_PROB
+        draws = rng.random((5 if crosses else 4) * d)
+        if crosses:
             u_sbx[k], draws = draws[:d], draws[d:]
         u_mut[:, k] = draws.reshape(2, 2, d)
-    c1, c2 = sbx_pair(parents[0], parents[1], u_sbx, CROSSOVER_ETA)
-    genes = np.where(crosses[:, None], np.stack([c1, c2]), parents)
+    genes = np.stack(sbx_pair(parents[0], parents[1], u_sbx, CROSSOVER_ETA))
     mutated = polynomial_mutation(genes, u_mut[:, :, 0], u_mut[:, :, 1] < 1.0 / d, MUTATION_ETA)
     return mutated.transpose(1, 0, 2).reshape(2 * n_pairs, d)
 

@@ -44,7 +44,10 @@ from curebo.problems.cycle import CureCycle
 
 R_GAS = 8.314  # J / (mol K)
 KELVIN_OFFSET = 273.15
-# Most nodes a simulated time grid may hold; dt 0.1 puts about 2,650 on a
+# Nominal time step in minutes of simulate_cure, the simulator problems and
+# curebo trace, unless a caller sets its own
+DEFAULT_DT = 0.1
+# Most nodes a simulated time grid may hold; DEFAULT_DT puts about 2,650 on a
 # shipped cycle.
 MAX_GRID_NODES = 1_000_000
 # np.exp overflows past this exponent
@@ -384,7 +387,7 @@ def simulate_cure(
     cycle: CureCycle,
     kin: KineticParams = KineticParams(),
     mech: MechanicalParams = MechanicalParams(),
-    dt: float = 0.1,
+    dt: float = DEFAULT_DT,
 ) -> CureTrace:
     """Integrate the cure state along a cycle and derive the output trace.
 

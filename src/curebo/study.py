@@ -31,8 +31,7 @@ import numpy as np
 
 from curebo.cbo import CboConfig, import_surrogate_scipy, run_cbo
 from curebo.ga import GaConfig, run_ga
-from curebo.problems.analytical import DOC_COEFFS, U_COEFFS, quad_surface
-from curebo.problems.blackbox import FACTORIES, Problem, analytical_fn
+from curebo.problems.blackbox import FACTORIES, Problem
 from curebo.records import RunReport
 from curebo.space import sieve
 
@@ -62,10 +61,8 @@ def _defaults(fn) -> dict:
     return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
 
 
-# What a JSON value must be, by the type of the default of the parameter it
-# sets; bool comes before int, its base class.
+# What a JSON value must be, by the type of the default of the parameter it sets
 _RULES = (
-    (bool, lambda value: isinstance(value, bool), "true or false"),
     (int, _is_int, "an integer"),
     (float, _is_number, "a finite number"),
     (type(None), lambda value: value is None or _is_number(value), "a finite number or null"),
@@ -449,11 +446,9 @@ def grid_oracle(problem: Problem, grid: int) -> OracleResult:
 
     The grid is passed through the problem's sieve_raw, where it has one, as
     run_cbo does its pools, so the oracle searches the set the cBO searches
-    and never evaluates a rejected point. The problem's raw_fn evaluates the
-    rest at their raw coordinates, so each point scores what problem(x)
-    returns there: one point at a time, except that analytical_fn takes
-    whole columns, with the same arithmetic and the same error for a point
-    outside its unit square.
+    and never evaluates a rejected point. Problem.evaluate_rows evaluates
+    the rest at their raw coordinates, so each point scores what problem(x)
+    returns there.
 
     The grid is built, sieved, evaluated and reduced one slab at a time: a
     slab is as many values of the first coordinate as keep it near
@@ -476,14 +471,7 @@ def grid_oracle(problem: Problem, grid: int) -> OracleResult:
         if problem.sieve_raw is not None:
             points = sieve(points, problem.sieve_raw, space)
         raw = space.denormalize(points)
-        if problem.raw_fn is analytical_fn:
-            t, T = raw[:, 0], raw[:, 1]
-            outside = (t < 0.0) | (t > 1.0) | (T < 0.0) | (T > 1.0)
-            if outside.any():
-                analytical_fn(raw[outside.argmax()])  # raises for the first such point
-            f, g = quad_surface(U_COEFFS, t, T), quad_surface(DOC_COEFFS, t, T)
-        else:
-            f, g = np.array([problem.raw_fn(r) for r in raw]).reshape(-1, 2).T
+        f, g = problem.evaluate_rows(raw)
         # records.feasible's rule: g >= threshold and a finite f
         feasible = np.flatnonzero((g >= problem.threshold) & np.isfinite(f))
         n_feasible += len(feasible)

@@ -31,11 +31,6 @@ def test_four_point_space_and_sieve():
     assert problem.sieve_raw(np.array([60.0, 140.0, 140.0, 160.0]))
     # second ramp steeper than the first: sieved out
     assert not problem.sieve_raw(np.array([100.0, 130.0, 120.0, 180.0]))
-    strict = four_point_problem(require_rising_second_ramp=True)
-    # flat-to-falling second segment rejected only in the strict variant
-    falling = np.array([30.0, 170.0, 150.0, 150.0])
-    assert problem.sieve_raw(falling)
-    assert not strict.sieve_raw(falling)
 
 
 def test_unassemblable_cycle_raises():
@@ -94,3 +89,33 @@ def test_simulator_problems_simulate_through_the_module_global(monkeypatch):
     two_point_problem(dt=1.0)(np.array([0.5, 0.5]))
     four_point_problem(dt=1.0)(np.array([0.5, 0.5, 0.5, 0.5]))
     assert len(calls) == 2
+
+
+def _rows_as_called(problem, points):
+    """f and g of problem(x) at each row x of points, as two columns."""
+    return np.array([problem(x) for x in points]).reshape(-1, 2).T
+
+
+@pytest.mark.parametrize(
+    "problem, n",
+    [(analytical_problem(), 3000), (two_point_problem(), 4), (four_point_problem(), 4)],
+    ids=["analytical", "sim2pt", "sim4pt"],
+)
+def test_evaluate_rows_gives_the_bits_of_a_call_per_row(problem, n):
+    points = np.random.default_rng(5).random((n, problem.space.dims))
+    points[:2] = [[0.0] * problem.space.dims, [1.0] * problem.space.dims]  # the box's corners
+    f, g = problem.evaluate_rows(problem.space.denormalize(points))
+    want_f, want_g = _rows_as_called(problem, points)
+    assert f.tobytes() == want_f.tobytes() and g.tobytes() == want_g.tobytes()
+    f, g = problem.evaluate_rows(np.empty((0, problem.space.dims)))  # a slab the sieve emptied
+    assert f.shape == g.shape == (0,)
+
+
+def test_evaluate_rows_raises_the_call_error_of_the_first_row_outside_the_unit_square():
+    problem = analytical_problem()
+    rows = np.array([[0.5, 0.5], [0.2, -1e-300], [1.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError) as first:
+        problem(rows[1])
+    with pytest.raises(ValueError) as err:
+        problem.evaluate_rows(rows)
+    assert str(err.value) == str(first.value) == "(t, T) = (0.2, -1e-300) outside the unit square"

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curebo.ga import (
     GaConfig,
@@ -162,6 +163,22 @@ def test_operators_respect_unit_box():
         m = polynomial_mutation(c1, rng.random(3), rng.random(3) < 0.5, 20.0)
         for v in (c1, c2, m):
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda d: st.tuples(*[arrays(np.float64, d, elements=st.floats(0.0, 1.0))] * 2)
+    )
+)
+@example((np.array([0.0, 1.0, 5e-324, 2.2250738585072009e-308]),
+          np.array([1.0, 0.0, 1.0, 5e-324])))
+def test_sbx_at_u_one_half_returns_both_parents_bit_for_bit(pair):
+    # _breed runs SBX on every pair and leaves u = 0.5 (beta 1) for a pair
+    # that does not cross, so its children are its parents
+    x1, x2 = pair
+    c1, c2 = sbx_pair(x1, x2, np.full(x1.shape, 0.5), 15.0)
+    assert c1.tobytes() == x1.tobytes() and c2.tobytes() == x2.tobytes()
 
 
 def _ridge4(x):

@@ -147,10 +147,9 @@ def test_sieve_preserves_order_and_is_idempotent(cure_space):
     points=st.integers(1, 60).flatmap(
         lambda k: arrays(np.float64, (k, 4), elements=st.floats(0.0, 1.0))
     ),
-    rising=st.booleans(),
 )
-def test_vectorized_slope_sieve_matches_a_per_row_loop(points, rising):
-    problem = four_point_problem(require_rising_second_ramp=rising)
+def test_vectorized_slope_sieve_matches_a_per_row_loop(points):
+    problem = four_point_problem()
     kept = sieve(points, problem.sieve_raw, problem.space)
     raws = problem.space.denormalize(points)
     expected = [bool(problem.sieve_raw(row)) for row in raws]

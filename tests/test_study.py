@@ -160,7 +160,8 @@ def test_config_rejects_non_finite_numbers(tmp_path, key, value):
         ("analytical", {"threshold": math.nan}, "problem_options.threshold must be a finite number"),
         ("sim2pt", {"kinetics": {"a1": "x"}}, "problem_options.kinetics.a1 must be a finite number"),
         ("sim2pt", {"kin": {"a1": 1.0}}, "unknown keys: problem_options.kin"),
-        ("sim4pt", {"require_rising_second_ramp": 1}, "must be true or false"),
+        ("sim4pt", {"require_rising_second_ramp": True},
+         "unknown keys: problem_options.require_rising_second_ramp"),
         ("sim4pt", {"mechanical": {"shrink_profile_a": "x"}}, "finite number or null"),
         ("sim4pt", {"mechanical": [0.1]}, "problem_options.mechanical must be an object"),
         pytest.param("sim2pt", {"kinetics": {"a1": 10**400}},
@@ -200,7 +201,8 @@ def test_config_names_every_unknown_key_by_its_path(tmp_path, problem, options, 
 
 
 # Written as JSON, every default passes the rules: a parameter whose default
-# has no rule could not be set from a config.
+# has no rule could not be set from a config. No default is a bool: there is
+# no rule for one, and the int rule, its base class's, rejects true and false.
 @pytest.mark.parametrize(
     "defaults",
     [*(study._defaults(factory) for factory in FACTORIES.values()), cli._TRACE_DEFAULTS],
@@ -210,6 +212,8 @@ def test_every_parameter_default_has_a_rule(defaults):
     as_json = json.loads(json.dumps(
         {name: asdict(value) if is_dataclass(value) else value for name, value in defaults.items()}
     ))
+    nested = [v for fields in as_json.values() if isinstance(fields, dict) for v in fields.values()]
+    assert [v for v in [*as_json.values(), *nested] if isinstance(v, bool)] == []
     assert study.json_violations(as_json, defaults) == []
 
 
@@ -234,7 +238,7 @@ def test_cli_run_rejects_non_positive_dt_before_writing(tmp_path, problem, dt):
 
 
 def test_config_accepts_problem_options_of_the_default_types(tmp_path):
-    options = {"require_rising_second_ramp": True, "dt": 0.5, "threshold": 1,
+    options = {"dt": 0.5, "threshold": 1,
                "mechanical": {"shrink_profile_a": None, "gamma": 0.25}}
     config = RunConfig.from_dict(small_config(tmp_path, problem="sim4pt", problem_options=options))
     assert build_problem(config).threshold == 1
